@@ -113,7 +113,9 @@ def cmd_color(args) -> int:
     return EXIT_OK
 
 
-def cmd_sequentialize(args) -> int:
+def _sequentialize_graph(args):
+    # The graph and its per-vertex structures die when this returns, before
+    # the records are serialized.
     g = _read_graph(args.input, args.format)
     report = sum_report(g)
     cert = report.certificate
@@ -134,6 +136,12 @@ def cmd_sequentialize(args) -> int:
                 f"oracle: skipped ({g.edge_count} edges > {ORACLE_EDGE_LIMIT}; "
                 "use --override-size)"
             )
+    return report, oracle_records, oracle_lines
+
+
+def cmd_sequentialize(args) -> int:
+    report, oracle_records, oracle_lines = _sequentialize_graph(args)
+    cert = report.certificate
     records = [cert.to_record(), report.to_record(), *oracle_records]
     if args.report:
         _print_records(records)
@@ -148,8 +156,8 @@ def cmd_sequentialize(args) -> int:
         for line in oracle_lines:
             print(line)
         print(f"coloring (t={cert.coloring.color_count}):")
-        for (u, v), c in sorted(cert.coloring.assignment.items()):
-            print(f"  {u} {v} {c}")
+        for line in cert.coloring.lines():
+            print(f"  {line}")
     if cert.verified and cert.size >= cert.bound:
         return EXIT_OK
     return EXIT_VERIFY

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -12,7 +13,7 @@ from .errors import (
     PreconditionError,
     UnknownClassError,
 )
-from .graph import Edge, Graph, bipartition_of, degree_profile, edge_key
+from .graph import Edge, Graph, bipartition_of, edge_key
 
 EXHAUSTIVE_EDGE_LIMIT = 20
 
@@ -31,6 +32,11 @@ class EdgeColoring:
     def color_of(self, u: int, v: int) -> int:
         return self.assignment[edge_key(u, v)]
 
+    def lines(self) -> list[str]:
+        """One "u v c" line per edge, in ascending edge order."""
+        assignment = self.assignment
+        return [f"{e[0]} {e[1]} {assignment[e]}" for e in sorted(assignment)]
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -43,12 +49,40 @@ class Verdict:
         return self.ok
 
 
-def _require_total(g: Graph, coloring: EdgeColoring) -> None:
-    missing = [e for e in g.edges if e not in coloring.assignment]
-    if missing:
+def edge_colors(g: Graph, coloring: EdgeColoring) -> list[int]:
+    """The colors of ``g.edges``, indexed by edge id.
+
+    Raises :class:`PreconditionError` when the coloring misses an edge.
+    """
+    assignment = coloring.assignment
+    try:
+        return [assignment[e] for e in g.edges]
+    except KeyError:
+        missing = [e for e in g.edges if e not in assignment]
         raise PreconditionError(
             f"coloring does not cover {len(missing)} edge(s), e.g. {missing[:3]}"
-        )
+        ) from None
+
+
+def palette_masks(g: Graph, colors: list[int]) -> tuple[list[int], set[int]]:
+    """Per vertex, the OR of ``1 << color`` over its edges, and the vertices at
+    which two edges share a color.
+
+    ``colors`` is indexed by edge id and must hold small non-negative ints.
+    """
+    masks = [0] * g.vertex_count
+    clashes: set[int] = set()
+    for (u, v), c in zip(g.edges, colors):
+        bit = 1 << c
+        mask = masks[u]
+        if mask & bit:
+            clashes.add(u)
+        masks[u] = mask | bit
+        mask = masks[v]
+        if mask & bit:
+            clashes.add(v)
+        masks[v] = mask | bit
+    return masks, clashes
 
 
 def verify_proper(g: Graph, coloring: EdgeColoring) -> Verdict:
@@ -57,13 +91,16 @@ def verify_proper(g: Graph, coloring: EdgeColoring) -> Verdict:
     Each violation is reported once as a (vertex, color) clash at the shared
     vertex, in ascending vertex then color order.
     """
-    _require_total(g, coloring)
+    colors = edge_colors(g, coloring)
+    bits = colors
+    if colors and (min(colors) < 0 or max(colors) > len(colors)):
+        # Properness survives renaming the colors; ranks keep the masks small.
+        rank = {c: i for i, c in enumerate(sorted(set(colors)))}
+        bits = [rank[c] for c in colors]
+    _, clashes = palette_masks(g, bits)
     violations: list[tuple[int, int]] = []
-    for v in g.vertices:
-        counts: dict[int, int] = {}
-        for w in g.adjacency[v]:
-            c = coloring.color_of(v, w)
-            counts[c] = counts.get(c, 0) + 1
+    for v in sorted(clashes):
+        counts = Counter(colors[e] for e in g.incidence[v])
         violations.extend((v, c) for c in sorted(counts) if counts[c] > 1)
     return Verdict(not violations, tuple(violations))
 
@@ -72,38 +109,67 @@ def palette(g: Graph, coloring: EdgeColoring, v: int) -> frozenset[int]:
     """The set of colors appearing on edges incident to ``v``."""
     if not 0 <= v < g.vertex_count:
         raise GraphError(f"unknown vertex {v}")
+    edges = g.edges
     try:
-        return frozenset(coloring.color_of(v, w) for w in g.adjacency[v])
+        return frozenset(coloring.assignment[edges[e]] for e in g.incidence[v])
     except KeyError as exc:
         raise PreconditionError(f"coloring misses an edge at vertex {v}: {exc}") from None
 
 
-def _flip_alternating_path(col: list[dict[int, int]], start: int, first: int, second: int) -> list[int]:
-    """Swap colors ``first``/``second`` along the maximal alternating path from ``start``.
+class _EdgeIndexedColoring:
+    """Partial proper coloring under construction, indexed by edge id.
 
-    The walk leaves ``start`` on its ``first``-colored edge (if any) and
-    alternates colors; properness makes it a simple path. Returns the visited
-    vertices in order, ``start`` excluded.
+    ``color[e]`` is edge e's color (0 while uncolored), ``used[v]`` has bit c
+    set when color c is on an edge at v, and ``at[v * stride + c]`` is the id
+    of that edge (-1 if none), so every step of an alternating path costs
+    O(1). One flat list keeps ``at`` at one pointer per (vertex, color).
     """
-    path: list[Edge] = []
-    visited: list[int] = []
-    cur, want = start, first
-    while True:
-        nxt = next((w for w, c in col[cur].items() if c == want), None)
-        if nxt is None:
-            break
-        path.append((cur, nxt))
-        visited.append(nxt)
-        cur, want = nxt, first + second - want
-    for x, y in path:
-        flipped = first + second - col[x][y]
-        col[x][y] = flipped
-        col[y][x] = flipped
-    return visited
 
+    def __init__(self, g: Graph, max_color: int):
+        self.edges = g.edges
+        self.color = [0] * len(g.edges)
+        self.used = [0] * g.vertex_count
+        self.stride = max_color + 1
+        self.at = [-1] * (g.vertex_count * self.stride)
 
-def _to_coloring(g: Graph, col: list[dict[int, int]], color_count: int) -> EdgeColoring:
-    return EdgeColoring({e: col[e[0]][e[1]] for e in g.edges}, color_count)
+    def smallest_free(self, v: int) -> int:
+        taken = self.used[v] | 1
+        return (~taken & (taken + 1)).bit_length() - 1
+
+    def recolor(self, e: int, x: int, c: int) -> None:
+        """Move edge ``e`` to color ``c`` at its end ``x`` only; the caller
+        updates the other end and ``color[e]``."""
+        old = self.color[e]
+        base = x * self.stride
+        if old and self.at[base + old] == e:
+            self.at[base + old] = -1
+            self.used[x] &= ~(1 << old)
+        self.at[base + c] = e
+        self.used[x] |= 1 << c
+
+    def flip_path(self, start: int, first: int, second: int) -> int:
+        """Swap ``first``/``second`` along the maximal alternating path that
+        leaves ``start`` on its ``first`` edge; return the path's far end.
+
+        ``second`` must be free at ``start``. Properness makes the walk a
+        simple path, so only its two ends change their sets of colors.
+        """
+        at, color, edges, stride = self.at, self.color, self.edges, self.stride
+        swapped = first + second
+        x, want = start, first
+        while True:
+            base = x * stride
+            e = at[base + want]
+            at[base + first], at[base + second] = at[base + second], at[base + first]
+            if e < 0:
+                break
+            color[e] = swapped - want
+            a, b = edges[e]
+            x, want = a + b - x, swapped - want
+        toggle = (1 << first) | (1 << second)
+        self.used[start] ^= toggle
+        self.used[x] ^= toggle
+        return x
 
 
 def misra_gries(g: Graph) -> EdgeColoring:
@@ -116,54 +182,54 @@ def misra_gries(g: Graph) -> EdgeColoring:
     """
     if not g.edges:
         return EdgeColoring({}, 0)
-    adj = g.adjacency
-    cap = max(len(a) for a in adj) + 1
-    col: list[dict[int, int]] = [dict() for _ in g.vertices]
+    edges, incidence = g.edges, g.incidence
+    cap = max(map(len, incidence)) + 1
+    state = _EdgeIndexedColoring(g, cap)
+    color, used = state.color, state.used
 
-    def is_free(v: int, c: int) -> bool:
-        return c not in col[v].values()
-
-    def smallest_free(v: int) -> int:
-        used = set(col[v].values())
-        return next(c for c in range(1, cap + 1) if c not in used)
-
-    for u, v0 in g.edges:
-        fan = [v0]
+    for e0, (u, v0) in enumerate(edges):
+        # The fan: neighbors w of u, each with its edge to u, such that the
+        # color of each fan edge is free at the previous fan vertex.
+        fan = [(v0, e0)]
         in_fan = {v0}
         grown = True
         while grown:
             grown = False
-            for w in adj[u]:
-                cw = col[u].get(w)
-                if w in in_fan or cw is None:
+            for e in incidence[u]:
+                cw = color[e]
+                if not cw:
                     continue
-                if is_free(fan[-1], cw):
-                    fan.append(w)
+                a, b = edges[e]
+                w = a + b - u
+                if w in in_fan:
+                    continue
+                if not used[fan[-1][0]] >> cw & 1:
+                    fan.append((w, e))
                     in_fan.add(w)
                     grown = True
                     break
-        c = smallest_free(u)
-        d = smallest_free(fan[-1])
+        c = state.smallest_free(u)
+        d = state.smallest_free(fan[-1][0])
         if c != d:
             # After the swap d is free at u (c was, and the path leaves u on d).
-            _flip_alternating_path(col, u, d, c)
-        for i, w in enumerate(fan):
-            if not is_free(w, d):
+            state.flip_path(u, d, c)
+        for i, (w, _) in enumerate(fan):
+            if used[w] >> d & 1:
                 continue
             # The prefix fan[0..i] must still be a fan under the flipped colors.
-            if any(not is_free(fan[j - 1], col[u][fan[j]]) for j in range(1, i + 1)):
+            if any(used[fan[j - 1][0]] >> color[fan[j][1]] & 1 for j in range(1, i + 1)):
                 continue
-            for j in range(i):
-                shifted = col[u][fan[j + 1]]
-                col[u][fan[j]] = shifted
-                col[fan[j]][u] = shifted
-            col[u][w] = d
-            col[w][u] = d
+            for j in range(i + 1):
+                x, ex = fan[j]
+                shifted = color[fan[j + 1][1]] if j < i else d
+                state.recolor(ex, x, shifted)
+                state.recolor(ex, u, shifted)
+                color[ex] = shifted
             break
         else:
             raise RuntimeError("internal error: no rotatable fan prefix")
-    used_colors = max(c for incidence in col for c in incidence.values())
-    return _to_coloring(g, col, used_colors)
+    del state  # the lookup table goes before the result dict is built
+    return EdgeColoring(dict(zip(edges, color)), max(color))
 
 
 def konig_color_bipartite(g: Graph) -> EdgeColoring:
@@ -177,22 +243,26 @@ def konig_color_bipartite(g: Graph) -> EdgeColoring:
         raise PreconditionError("graph is not bipartite")
     if not g.edges:
         return EdgeColoring({}, 0)
-    max_degree = max(len(a) for a in g.adjacency)
-    col: list[dict[int, int]] = [dict() for _ in g.vertices]
-
-    def smallest_free(v: int) -> int:
-        used = set(col[v].values())
-        return next(c for c in range(1, max_degree + 1) if c not in used)
-
-    for u, v in g.edges:
-        a = smallest_free(u)
-        b = smallest_free(v)
-        if a != b and a in col[v].values():
-            on_path = _flip_alternating_path(col, v, a, b)
-            assert u not in on_path, "alternating path reached the far endpoint"
-        col[u][v] = a
-        col[v][u] = a
-    return _to_coloring(g, col, max_degree)
+    max_degree = max(map(len, g.incidence))
+    state = _EdgeIndexedColoring(g, max_degree)
+    color, used, at, stride = state.color, state.used, state.at, state.stride
+    for e, (u, v) in enumerate(g.edges):
+        # Lowest zero bit above bit 0: the smallest free color at each end.
+        taken = used[u] | 1
+        a = (~taken & (taken + 1)).bit_length() - 1
+        taken = used[v] | 1
+        b = (~taken & (taken + 1)).bit_length() - 1
+        if a != b and taken >> a & 1:
+            if state.flip_path(v, a, b) == u:
+                raise RuntimeError("internal error: alternating path reached the far endpoint")
+        color[e] = a
+        bit = 1 << a
+        used[u] |= bit
+        used[v] |= bit
+        at[u * stride + a] = e
+        at[v * stride + a] = e
+    del state, at  # the lookup table goes before the result dict is built
+    return EdgeColoring(dict(zip(g.edges, color)), max_degree)
 
 
 def _check_edge_budget(g: Graph, max_edges: int, override_size: bool) -> None:
@@ -260,16 +330,20 @@ def exact_chromatic_index(
 def obtain_r_coloring(g: Graph) -> EdgeColoring:
     """A proper coloring with exactly max_degree colors, or a classified failure.
 
-    Strategy, in order: bipartite graphs get the exact-max-degree constructor;
-    otherwise the max_degree+1 heuristic is accepted whenever it happens to
-    stay within max_degree; small leftovers go to the exact solver. Raises
-    :class:`ClassTwoError` when the exact solver proves the graph needs an
-    extra color and :class:`UnknownClassError` when nothing could certify the
-    instance either way.
+    Strategy, in order: an overfull graph (more than max_degree * floor(n/2)
+    edges, so max_degree matchings cannot cover it) is Class 2 at once;
+    bipartite graphs get the exact-max-degree constructor; otherwise the
+    max_degree+1 heuristic is accepted whenever it happens to stay within
+    max_degree; small leftovers go to the exact solver. Raises
+    :class:`ClassTwoError` when the graph provably needs an extra color and
+    :class:`UnknownClassError` when nothing could certify the instance either
+    way.
     """
-    r = degree_profile(g).max_degree
+    r = max(map(len, g.incidence), default=0)
     if r == 0:
         return EdgeColoring({}, 0)
+    if g.edge_count > r * (g.vertex_count // 2):
+        raise ClassTwoError(chi_prime=r + 1, max_degree=r)
     if bipartition_of(g) is not None:
         return konig_color_bipartite(g)
     heuristic = misra_gries(g)
@@ -288,9 +362,7 @@ def obtain_r_coloring(g: Graph) -> EdgeColoring:
 
 def emit_coloring(coloring: EdgeColoring) -> str:
     """Exchange format: header "t=<color_count>" then one "u v c" line per edge."""
-    lines = [f"t={coloring.color_count}"]
-    lines.extend(f"{u} {v} {c}" for (u, v), c in sorted(coloring.assignment.items()))
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"t={coloring.color_count}", *coloring.lines()]) + "\n"
 
 
 def parse_coloring(text: str) -> EdgeColoring:

@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .errors import GraphError, PreconditionError
 
 Edge = tuple[int, int]
 
-BIREGULAR_RESAMPLE_LIMIT = 10_000
+BIREGULAR_SWITCHES_PER_EDGE = 1_000
 
 
 def edge_key(u: int, v: int) -> Edge:
@@ -25,8 +26,10 @@ class Graph:
     """Simple undirected graph on dense 0-based vertex ids.
 
     ``edges`` holds normalized (min, max) pairs in construction order, which
-    downstream algorithms use as their deterministic processing order. The
-    optional ``bipartition`` records parts (X, Y) known from construction.
+    downstream algorithms use as their deterministic processing order; an
+    edge's index in it is its id, and :attr:`incidence` lists each vertex's
+    edge ids. The optional ``bipartition`` records parts (X, Y) known from
+    construction.
     Instances are immutable; use :func:`build_graph` to validate raw input.
     """
 
@@ -35,12 +38,50 @@ class Graph:
     bipartition: tuple[frozenset[int], frozenset[int]] | None = None
 
     @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the ids (indices into ``edges``) of its edges, in edge order."""
+        incident: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for e, (u, v) in enumerate(self.edges):
+            incident[u].append(e)
+            incident[v].append(e)
+        return tuple(map(tuple, incident))
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, its neighbors, in the order of :attr:`incidence`."""
         neighbors: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for u, v in self.edges:
             neighbors[u].append(v)
             neighbors[v].append(u)
-        return tuple(tuple(ns) for ns in neighbors)
+        return tuple(map(tuple, neighbors))
+
+    @cached_property
+    def sides(self) -> bytes | None:
+        """Per vertex 0 or 1, such that every edge joins the two sides, or None
+        if the graph has an odd cycle. The smallest vertex of each component
+        gets side 0, which fixes the rest of the component."""
+        edges = self.edges
+        incidence = self.incidence
+        side = bytearray(self.vertex_count)
+        seen = bytearray(self.vertex_count)
+        for start in self.vertices:
+            if seen[start]:
+                continue
+            seen[start] = 1
+            stack = [start]
+            while stack:
+                v = stack.pop()
+                other = 1 - side[v]
+                for e in incidence[v]:
+                    a, b = edges[e]
+                    w = a + b - v
+                    if not seen[w]:
+                        seen[w] = 1
+                        side[w] = other
+                        stack.append(w)
+                    elif side[w] != other:
+                        return None
+        return bytes(side)
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
@@ -55,7 +96,7 @@ class Graph:
         return range(self.vertex_count)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return len(self.incidence[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge_key(u, v) in self.edge_set
@@ -92,18 +133,19 @@ def build_graph(
     if vertex_count < 0:
         raise GraphError(f"vertex count must be non-negative, got {vertex_count}")
     normalized: list[Edge] = []
-    seen: set[Edge] = set()
-    for pair in edges:
-        u, v = pair
+    seen: set[int] = set()
+    for u, v in edges:
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise GraphError(f"vertex id out of range in edge ({u}, {v})")
         if u == v:
             raise GraphError(f"loop edge at vertex {u}")
-        e = edge_key(u, v)
-        if e in seen:
-            raise GraphError(f"duplicate edge {e}")
-        seen.add(e)
-        normalized.append(e)
+        if u > v:
+            u, v = v, u
+        key = u * vertex_count + v
+        if key in seen:
+            raise GraphError(f"duplicate edge {(u, v)}")
+        seen.add(key)
+        normalized.append((u, v))
     parts = None
     if bipartition is not None:
         x, y = frozenset(bipartition[0]), frozenset(bipartition[1])
@@ -120,7 +162,7 @@ def build_graph(
 
 def degree_profile(g: Graph) -> DegreeProfile:
     """Compute the degree statistics of ``g``."""
-    degrees = [g.degree(v) for v in g.vertices]
+    degrees = list(map(len, g.incidence))
     max_degree = max(degrees, default=0)
     min_degree = min(degrees, default=0)
     top = frozenset(v for v, d in enumerate(degrees) if d == max_degree)
@@ -143,23 +185,11 @@ def bipartition_of(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     """
     if g.bipartition is not None:
         return g.bipartition
-    side = [-1] * g.vertex_count
-    for start in g.vertices:
-        if side[start] != -1:
-            continue
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.adjacency[v]:
-                if side[w] == -1:
-                    side[w] = 1 - side[v]
-                    queue.append(w)
-                elif side[w] == side[v]:
-                    return None
-    left = frozenset(v for v in g.vertices if side[v] == 0)
-    right = frozenset(v for v in g.vertices if side[v] == 1)
-    return (left, right)
+    sides = g.sides
+    if sides is None:
+        return None
+    right = frozenset(compress(g.vertices, sides))
+    return (frozenset(g.vertices) - right, right)
 
 
 def complete_graph(n: int) -> Graph:
@@ -190,9 +220,12 @@ def generate_complete_bipartite(a: int, b: int) -> Graph:
 def generate_random_biregular(r: int, k: int, seed: int) -> Graph:
     """Random bipartite graph with (r-1)k vertices of degree r and rk of degree r-1.
 
-    Stub-pairing (configuration model) with full resample whenever the pairing
-    produces a multi-edge, capped at ``BIREGULAR_RESAMPLE_LIMIT`` attempts.
-    Output is fully determined by ``seed``.
+    One seeded stub pairing (configuration model), then degree-preserving
+    switchings that repair its repeated pairs: a repeated pair (x1, y1) and a
+    random pair (x2, y2) become (x1, y2) and (x2, y1) whenever x1 and y2 are not
+    joined yet. No switching adds a repeat without removing one; a repeat it
+    moves to (x2, y1) is repaired in turn. Output is fully determined by
+    ``seed``.
     """
     if r < 3:
         raise PreconditionError(f"degree parameter must be at least 3, got {r}")
@@ -201,17 +234,31 @@ def generate_random_biregular(r: int, k: int, seed: int) -> Graph:
     nx, ny = (r - 1) * k, r * k
     xs = range(nx)
     ys = range(nx, nx + ny)
-    left_stubs = [x for x in xs for _ in range(r)]
     right_stubs = [y for y in ys for _ in range(r - 1)]
     rng = random.Random(seed)
-    for _ in range(BIREGULAR_RESAMPLE_LIMIT):
-        rng.shuffle(right_stubs)
-        pairs = list(zip(left_stubs, right_stubs))
-        if len(set(pairs)) == len(pairs):
+    rng.shuffle(right_stubs)
+    pairs = list(zip((x for x in xs for _ in range(r)), right_stubs))
+    count = Counter(pairs)
+    repeated = [i for i, pair in enumerate(pairs) if count[pair] > 1]
+    for _ in range(BIREGULAR_SWITCHES_PER_EDGE * len(pairs)):
+        while repeated and count[pairs[repeated[-1]]] == 1:
+            repeated.pop()
+        if not repeated:
             return build_graph(nx + ny, pairs, bipartition=(xs, ys))
-    raise GraphError(
-        f"no simple stub pairing found after {BIREGULAR_RESAMPLE_LIMIT} attempts "
-        f"(r={r}, k={k}, seed={seed})"
+        i = repeated[-1]
+        j = rng.randrange(len(pairs))
+        (x1, y1), (x2, y2) = pairs[i], pairs[j]
+        if count[x1, y2]:
+            continue
+        pairs[i], pairs[j] = (x1, y2), (x2, y1)
+        count[x1, y1] -= 1
+        count[x2, y2] -= 1
+        count[x1, y2] += 1
+        count[x2, y1] += 1
+        if count[x2, y1] > 1:
+            repeated.append(j)
+    raise RuntimeError(
+        f"internal error: switchings left repeated pairs (r={r}, k={k}, seed={seed})"
     )
 
 

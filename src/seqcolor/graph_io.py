@@ -76,9 +76,10 @@ def parse_edge_list(text: str) -> Graph:
     if len(tokens) < 2:
         raise GraphError("edge list needs an 'n m' header")
     try:
-        values = [int(tok) for tok in tokens]
+        values = list(map(int, tokens))
     except ValueError as exc:
         raise GraphError(f"non-integer token in edge list: {exc}") from None
+    del tokens  # the ints replace the strings; keep one copy of the body alive
     n, m = values[0], values[1]
     if m < 0:
         raise GraphError(f"negative edge count {m}")
@@ -86,8 +87,10 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphError(
             f"header promises {m} edges but body has {(len(values) - 2) / 2:g} pairs"
         )
-    pairs = [(values[2 + 2 * i], values[3 + 2 * i]) for i in range(m)]
-    return build_graph(n, pairs)
+    body = iter(values)
+    next(body)
+    next(body)
+    return build_graph(n, zip(body, body))
 
 
 def emit_edge_list(g: Graph) -> str:

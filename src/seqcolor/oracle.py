@@ -45,9 +45,7 @@ class OracleResult:
         if self.sequential_vertices is not None:
             record["sequential_vertices"] = sorted(self.sequential_vertices)
         record["t"] = self.witness.color_count
-        record["witness"] = [
-            f"{u} {v} {c}" for (u, v), c in sorted(self.witness.assignment.items())
-        ]
+        record["witness"] = self.witness.lines()
         return record
 
 
@@ -304,7 +302,8 @@ def exact_max_sequential_set(
         for v in g.vertices
         if all(witness.color_of(v, w) <= degree[v] for w in g.adjacency[v])
     )
-    assert len(sequential) == best
+    if len(sequential) != best:
+        raise RuntimeError("internal error: witness disagrees with the searched optimum")
     return OracleResult(
         best, witness, explored=nodes, cap_stable=True, sequential_vertices=sequential
     )

@@ -13,9 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import EdgeColoring, Verdict, obtain_r_coloring, palette, verify_proper
+from .coloring import (
+    EdgeColoring,
+    Verdict,
+    edge_colors,
+    obtain_r_coloring,
+    palette_masks,
+    verify_proper,
+)
 from .errors import GraphError, PreconditionError
-from .graph import Graph, degree_profile
+from .graph import DegreeProfile, Graph, degree_profile
 
 
 @dataclass(frozen=True)
@@ -74,9 +81,7 @@ class SequentialCertificate:
             "bound": self.bound,
             "verified": self.verified,
             "t": self.coloring.color_count,
-            "coloring": [
-                f"{u} {v} {c}" for (u, v), c in sorted(self.coloring.assignment.items())
-            ],
+            "coloring": self.coloring.lines(),
         }
 
 
@@ -105,13 +110,19 @@ def _check_bound_args(n: int, n_r: int, r: int) -> None:
         raise PreconditionError(f"need 0 <= n_r <= n, got n_r={n_r}, n={n}")
 
 
-def missing_color_partition(g: Graph, coloring: EdgeColoring) -> MissingColorPartition:
+def missing_color_partition(
+    g: Graph, coloring: EdgeColoring, profile: DegreeProfile | None = None
+) -> MissingColorPartition:
     """Group the sub-maximum-degree vertices of ``g`` by their missing color.
 
     Preconditions checked one by one: the graph is near-regular with max
-    degree r >= 3, and ``coloring`` is a proper r-coloring.
+    degree r >= 3, and ``coloring`` is a proper r-coloring. ``profile`` is
+    ``degree_profile(g)``, computed here when not given. The properness check
+    and the missing-color read share one pass that ORs each vertex's colors
+    into a bitmask.
     """
-    profile = degree_profile(g)
+    if profile is None:
+        profile = degree_profile(g)
     if not profile.near_regular:
         raise PreconditionError(
             f"degree spread {profile.max_degree - profile.min_degree} exceeds 1"
@@ -123,18 +134,19 @@ def missing_color_partition(g: Graph, coloring: EdgeColoring) -> MissingColorPar
         raise PreconditionError(
             f"coloring uses {coloring.color_count} colors, expected exactly {r}"
         )
-    verdict = verify_proper(g, coloring)
-    if not verdict:
+    colors = edge_colors(g, coloring)
+    if colors and not 1 <= min(colors) <= max(colors) <= r:
+        raise PreconditionError(f"coloring uses colors outside 1..{r}")
+    masks, clashes = palette_masks(g, colors)
+    if clashes:
+        verdict = verify_proper(g, coloring)
         raise PreconditionError(f"coloring is not proper: clashes {verdict.violations[:3]}")
-    classes: dict[int, set[int]] = {i: set() for i in range(1, r + 1)}
-    all_colors = frozenset(range(1, r + 1))
-    for v in g.vertices:
-        if g.degree(v) == r:
-            continue
-        missing = all_colors - palette(g, coloring, v)
-        # Degree r-1 and a proper r-coloring leave exactly one absent color.
-        (absent,) = missing
-        classes[absent].add(v)
+    # Degree r-1 and a proper r-coloring leave exactly one absent color.
+    full = (1 << (r + 1)) - 2
+    classes: dict[int, list[int]] = {i: [] for i in range(1, r + 1)}
+    for v, incident in enumerate(g.incidence):
+        if len(incident) != r:
+            classes[(full ^ masks[v]).bit_length() - 1].append(v)
     return MissingColorPartition({i: frozenset(vs) for i, vs in classes.items()}, r)
 
 
@@ -175,16 +187,24 @@ def swap_colors(coloring: EdgeColoring, low: int, high: int) -> EdgeColoring:
 def verify_sequential(g: Graph, coloring: EdgeColoring, vertices) -> Verdict:
     """Check palette(v) == {1..deg(v)} for every v in ``vertices``.
 
-    Violating vertices are reported in ascending order; an empty set passes
-    vacuously.
+    The palettes are recomputed from ``coloring`` as bitmasks and compared
+    with ``(1 << (deg(v) + 1)) - 2``. Violating vertices are reported in
+    ascending order; an empty set passes vacuously. The coloring must cover
+    every edge.
     """
     vs = sorted(set(vertices))
     unknown = [v for v in vs if not 0 <= v < g.vertex_count]
     if unknown:
         raise GraphError(f"unknown vertices {unknown}")
-    failures = tuple(
-        v for v in vs if palette(g, coloring, v) != frozenset(range(1, g.degree(v) + 1))
-    )
+    colors = edge_colors(g, coloring)
+    top = max(map(len, g.incidence), default=0)
+    if colors and not 1 <= min(colors) <= max(colors) <= top:
+        # No vertex is sequential through a color outside 1..max degree; bit 0
+        # marks one without building a mask of that width.
+        colors = [c if 1 <= c <= top else 0 for c in colors]
+    masks, _ = palette_masks(g, colors)
+    incidence = g.incidence
+    failures = tuple(v for v in vs if masks[v] != (1 << (len(incidence[v]) + 1)) - 2)
     return Verdict(not failures, failures)
 
 
@@ -205,13 +225,14 @@ def sequentialize(g: Graph, coloring: EdgeColoring | None = None) -> SequentialC
     if profile.r < 3:
         raise PreconditionError(f"max degree must be at least 3, got {profile.r}")
     alpha = obtain_r_coloring(g) if coloring is None else coloring
-    partition = missing_color_partition(g, alpha)
+    partition = missing_color_partition(g, alpha, profile)
     swap = select_swap_color(partition)
     beta = swap_colors(alpha, swap, partition.r)
     certified = profile.max_degree_vertices | partition.classes[swap]
     bound = sequential_set_bound(profile.n, profile.n_r, profile.r)
     verdict = verify_sequential(g, beta, certified)
-    assert len(certified) >= bound, "certified set fell below the guaranteed bound"
+    if len(certified) < bound:
+        raise RuntimeError("internal error: certified set fell below the guaranteed bound")
     return SequentialCertificate(
         coloring=beta,
         sequential_vertices=frozenset(certified),

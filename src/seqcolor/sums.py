@@ -72,7 +72,8 @@ def vertex_sum_decomposition(g: Graph, coloring: EdgeColoring) -> PaletteSumDeco
         else:
             other.add(v)
     doubled = sum(sums)
-    assert doubled == 2 * coloring_sum(g, coloring), "palette sums must double-count edges"
+    if doubled != 2 * coloring_sum(g, coloring):
+        raise RuntimeError("internal error: palette sums do not double-count the edges")
     return PaletteSumDecomposition(
         per_vertex=tuple(sums),
         doubled_total=doubled,
@@ -129,9 +130,10 @@ def sum_report(
     exact = None
     if run_oracle and g.edge_count <= max_edges:
         exact = exact_edge_chromatic_sum(g, max_edges=max_edges).value
-    assert actual <= bound, "constructed coloring exceeded the closed-form bound"
-    if exact is not None:
-        assert exact <= actual, "oracle minimum exceeded the constructed sum"
+    if actual > bound:
+        raise RuntimeError("internal error: constructed coloring exceeded the closed-form bound")
+    if exact is not None and exact > actual:
+        raise RuntimeError("internal error: oracle minimum exceeded the constructed sum")
     return SumReport(
         actual_sum=actual,
         bound=bound,

@@ -121,16 +121,28 @@ class TestSequentialize:
         assert run(["sequentialize", petersen_file]) == 3
 
     def test_unknown_class_exit(self, tmp_path, capsys):
-        edges = []
-        for base in (0, 5, 10):
-            edges.extend(
-                (base + i, base + j) for i in range(5) for j in range(i + 1, 5)
-            )
-        from seqcolor import build_graph
-
-        g = build_graph(15, edges)
-        path = write(tmp_path, "three_k5.txt", emit_edge_list(g))
+        # K_10 is not overfull, and the heuristic needs a tenth color on it.
+        path = write(tmp_path, "k10.txt", emit_edge_list(complete_graph(10)))
         assert run(["sequentialize", path]) == 4
+
+    @pytest.mark.parametrize("name", ["K9", "C9(1,2)", "C1001(1,2)", "3K5"])
+    def test_overfull_class_two_exit(self, name, tmp_path, capsys, monkeypatch):
+        from seqcolor import build_graph, coloring
+
+        if name == "K9":
+            g = complete_graph(9)
+        elif name == "3K5":
+            g = build_graph(15, [(b + i, b + j) for b in (0, 5, 10)
+                                 for i in range(5) for j in range(i + 1, 5)])
+        else:
+            n = int(name[1:name.index("(")])
+            g = build_graph(n, [(i, (i + s) % n) for s in (1, 2) for i in range(n)])
+        path = write(tmp_path, "g.txt", emit_edge_list(g))
+        monkeypatch.setattr(coloring, "misra_gries", None)
+        assert run(["sequentialize", path]) == 3
+        r = max(g.degree(v) for v in g.vertices)
+        assert capsys.readouterr().err == (
+            f"error: graph is Class 2: chromatic index {r + 1} > max degree {r}\n")
 
     def test_missing_file(self, capsys):
         assert run(["sequentialize", "/nonexistent/graph.txt"]) == 5

@@ -1,5 +1,8 @@
+import random
+from collections import Counter
+
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from seqcolor import (
     CapExceededError,
@@ -22,6 +25,8 @@ from seqcolor import (
     parse_coloring,
     verify_proper,
 )
+
+from seqcolor import coloring as coloring_module
 
 from .conftest import bipartite_graphs, graphs
 
@@ -47,6 +52,25 @@ class TestVerifyProper:
     def test_incomplete_coloring_rejected(self, k4):
         with pytest.raises(PreconditionError, match="cover"):
             verify_proper(k4, EdgeColoring({(0, 1): 1}, 1))
+
+    def test_colors_far_outside_mask_width(self):
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+        assert verify_proper(g, EdgeColoring({(0, 1): 10**9, (1, 2): -3, (2, 3): 10**9, (2, 4): 0}, 2))
+        verdict = verify_proper(g, EdgeColoring({(0, 1): -3, (1, 2): 10**9, (2, 3): 10**9, (2, 4): 0}, 2))
+        assert verdict.violations == ((2, 10**9),)
+
+    @given(graphs(), st.integers(0, 2**32 - 1))
+    def test_matches_per_vertex_counting(self, g, seed):
+        # Reference: count each color among a vertex's edges.
+        rng = random.Random(seed)
+        coloring = EdgeColoring({e: rng.randint(1, 4) for e in g.edges}, 4)
+        expected = []
+        for v in g.vertices:
+            counts = Counter(coloring.color_of(v, w) for w in g.adjacency[v])
+            expected.extend((v, c) for c in sorted(counts) if counts[c] > 1)
+        verdict = verify_proper(g, coloring)
+        assert verdict.violations == tuple(expected)
+        assert verdict.ok == (not expected)
 
 
 class TestPalette:
@@ -201,14 +225,21 @@ class TestObtainRColoring:
         assert info.value.chi_prime == 4
 
     def test_large_undecidable(self):
-        # Three disjoint copies of the odd complete graph on five vertices:
-        # 30 edges, 4-regular, not bipartite, and the heuristic needs 5 colors.
-        edges = []
-        for base in (0, 5, 10):
-            edges.extend((base + i, base + j) for i in range(5) for j in range(i + 1, 5))
-        g = build_graph(15, edges)
+        # K_10 is Class 1 and not overfull, but the heuristic needs a tenth
+        # color on it and 45 edges are beyond the exact solver.
         with pytest.raises(UnknownClassError):
-            obtain_r_coloring(g)
+            obtain_r_coloring(complete_graph(10))
+
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_overfull_is_class_two_without_heuristic(self, copies, monkeypatch):
+        # Disjoint copies of K_5 have more edges than 4 matchings can hold.
+        edges = []
+        for base in range(0, 5 * copies, 5):
+            edges.extend((base + i, base + j) for i in range(5) for j in range(i + 1, 5))
+        monkeypatch.setattr(coloring_module, "misra_gries", None)
+        with pytest.raises(ClassTwoError) as info:
+            obtain_r_coloring(build_graph(5 * copies, edges))
+        assert (info.value.chi_prime, info.value.max_degree) == (5, 4)
 
     def test_edgeless(self):
         c = obtain_r_coloring(build_graph(4, []))

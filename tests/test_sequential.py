@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +20,7 @@ from seqcolor import (
     misra_gries,
     missing_color_partition,
     obtain_r_coloring,
+    palette,
     select_swap_color,
     sequential_set_bound,
     sequentialize,
@@ -243,6 +249,22 @@ class TestSequentialize:
         assert verify_proper(g, cert.coloring)
 
 
+def test_pipeline_profiles_once_and_reads_no_palette(monkeypatch):
+    from seqcolor import coloring, graph, sequential
+
+    calls = []
+    real_profile = graph.degree_profile
+
+    def counted(g):
+        calls.append("degree_profile")
+        return real_profile(g)
+
+    monkeypatch.setattr(sequential, "degree_profile", counted)
+    monkeypatch.setattr(coloring, "palette", None)
+    cert = sequentialize(generate_complete_bipartite(4, 5))
+    assert cert.verified and calls == ["degree_profile"]
+
+
 def test_forced_swap_path():
     # K4 minus the edge (2,3), colored so both degree-2 vertices miss color 1:
     # the swap with color 3 must fire and make them sequential.
@@ -255,3 +277,57 @@ def test_forced_swap_path():
     assert cert.coloring.color_of(0, 1) == 3
     assert cert.coloring.color_of(1, 2) == 1
     assert cert.size == 4 >= cert.bound == 3
+
+
+class TestInternalChecks:
+    """Guarantees that must hold under ``python -O`` as well."""
+
+    def test_bound_shortfall_raises(self, k23, monkeypatch):
+        from seqcolor import sequential
+
+        monkeypatch.setattr(sequential, "sequential_set_bound", lambda n, n_r, r: n + 1)
+        with pytest.raises(RuntimeError, match="internal error"):
+            sequentialize(k23)
+
+    def test_bound_shortfall_raises_without_asserts(self):
+        script = (
+            "import pytest, seqcolor\n"
+            "from seqcolor import sequential\n"
+            "sequential.sequential_set_bound = lambda n, n_r, r: n + 1\n"
+            "with pytest.raises(RuntimeError, match='internal error'):\n"
+            "    sequential.sequentialize(seqcolor.generate_complete_bipartite(2, 3))\n"
+            "print('raised')\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "raised\n"
+
+
+class TestBitmaskEdgeCases:
+    def test_partition_rejects_colors_outside_range(self, k23):
+        bad = dict(K23_COLORING.assignment)
+        bad[(0, 2)] = 7
+        with pytest.raises(PreconditionError, match="outside 1..3"):
+            missing_color_partition(k23, EdgeColoring(bad, 3))
+
+    def test_verify_sequential_with_huge_and_zero_colors(self, k23):
+        colors = dict(K23_COLORING.assignment)
+        colors[(0, 2)] = 10**9
+        colors[(1, 3)] = 0
+        coloring = EdgeColoring(colors, 3)
+        verdict = verify_sequential(k23, coloring, k23.vertices)
+        # The set-based palette is the reference the masks must agree with.
+        expected = tuple(v for v in k23.vertices
+                         if palette(k23, coloring, v) != frozenset(range(1, k23.degree(v) + 1)))
+        assert verdict.violations == expected == (0, 1, 2, 3, 4)
+
+    def test_verify_sequential_requires_total_coloring(self, k23):
+        partial = dict(K23_COLORING.assignment)
+        del partial[(0, 2)]
+        with pytest.raises(PreconditionError, match="does not cover"):
+            verify_sequential(k23, EdgeColoring(partial, 3), [4])
+
