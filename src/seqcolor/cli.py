@@ -13,6 +13,7 @@ import sys
 from dataclasses import replace
 
 from .coloring import (
+    EXHAUSTIVE_EDGE_LIMIT,
     emit_coloring,
     misra_gries,
     obtain_r_coloring,
@@ -33,11 +34,7 @@ from .graph import (
     generate_regular_class1,
 )
 from .graph_io import emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
-from .oracle import (
-    ORACLE_EDGE_LIMIT,
-    exact_edge_chromatic_sum,
-    exact_max_sequential_set,
-)
+from .oracle import exact_edge_chromatic_sum, exact_max_sequential_set
 from .sequential import (
     biregular_set_bound,
     sequential_set_bound,
@@ -122,7 +119,7 @@ def _sequentialize_graph(args):
     oracle_lines = []
     oracle_records = []
     if args.oracle:
-        if g.edge_count <= ORACLE_EDGE_LIMIT or args.override_size:
+        if g.edge_count <= EXHAUSTIVE_EDGE_LIMIT or args.override_size:
             sum_result = exact_edge_chromatic_sum(g, override_size=args.override_size)
             seq_result = exact_max_sequential_set(g, cert.r, override_size=args.override_size)
             report = replace(report, exact_sum=sum_result.value)
@@ -133,7 +130,7 @@ def _sequentialize_graph(args):
             )
         else:
             oracle_lines.append(
-                f"oracle: skipped ({g.edge_count} edges > {ORACLE_EDGE_LIMIT}; "
+                f"oracle: skipped ({g.edge_count} edges > {EXHAUSTIVE_EDGE_LIMIT}; "
                 "use --override-size)"
             )
     return report, oracle_records, oracle_lines

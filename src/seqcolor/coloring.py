@@ -52,16 +52,23 @@ class Verdict:
 def edge_colors(g: Graph, coloring: EdgeColoring) -> list[int]:
     """The colors of ``g.edges``, indexed by edge id.
 
-    Raises :class:`PreconditionError` when the coloring misses an edge.
+    Raises :class:`PreconditionError` when the coloring misses an edge or names
+    an edge the graph does not have.
     """
     assignment = coloring.assignment
     try:
-        return [assignment[e] for e in g.edges]
+        colors = [assignment[e] for e in g.edges]
     except KeyError:
         missing = [e for e in g.edges if e not in assignment]
         raise PreconditionError(
             f"coloring does not cover {len(missing)} edge(s), e.g. {missing[:3]}"
         ) from None
+    if len(assignment) != len(colors):
+        extra = [e for e in assignment if e not in g.edge_set]
+        raise PreconditionError(
+            f"coloring names {len(extra)} edge(s) not in the graph, e.g. {extra[:3]}"
+        )
+    return colors
 
 
 def palette_masks(g: Graph, colors: list[int]) -> tuple[list[int], set[int]]:
@@ -103,6 +110,23 @@ def verify_proper(g: Graph, coloring: EdgeColoring) -> Verdict:
         counts = Counter(colors[e] for e in g.incidence[v])
         violations.extend((v, c) for c in sorted(counts) if counts[c] > 1)
     return Verdict(not violations, tuple(violations))
+
+
+def proper_masks(g: Graph, coloring: EdgeColoring, t: int) -> list[int]:
+    """Per vertex, the bitmask of its colors under ``coloring``, which must be a
+    proper coloring of exactly ``g.edges`` with colors in 1..t.
+
+    Raises :class:`PreconditionError` otherwise; :func:`verify_proper` runs
+    only to name the clashes.
+    """
+    colors = edge_colors(g, coloring)
+    if colors and not 1 <= min(colors) <= max(colors) <= t:
+        raise PreconditionError(f"coloring uses colors outside 1..{t}")
+    masks, clashes = palette_masks(g, colors)
+    if clashes:
+        verdict = verify_proper(g, coloring)
+        raise PreconditionError(f"coloring is not proper: clashes {verdict.violations[:3]}")
+    return masks
 
 
 def palette(g: Graph, coloring: EdgeColoring, v: int) -> frozenset[int]:
@@ -265,20 +289,18 @@ def konig_color_bipartite(g: Graph) -> EdgeColoring:
     return EdgeColoring(dict(zip(g.edges, color)), max_degree)
 
 
-def _check_edge_budget(g: Graph, max_edges: int, override_size: bool) -> None:
-    if g.edge_count > max_edges and not override_size:
+def check_exhaustive_size(g: Graph, override_size: bool) -> None:
+    """Refuse an exhaustive search on more than :data:`EXHAUSTIVE_EDGE_LIMIT`
+    edges unless ``override_size`` is set."""
+    if g.edge_count > EXHAUSTIVE_EDGE_LIMIT and not override_size:
         raise OversizeError(
-            f"{g.edge_count} edges exceeds the exhaustive-search guard of {max_edges}; "
-            "pass override_size=True to force"
+            f"{g.edge_count} edges exceeds the exhaustive-search guard of "
+            f"{EXHAUSTIVE_EDGE_LIMIT}; pass override_size=True to force"
         )
 
 
 def exact_chromatic_index(
-    g: Graph,
-    max_colors: int | None = None,
-    *,
-    max_edges: int = EXHAUSTIVE_EDGE_LIMIT,
-    override_size: bool = False,
+    g: Graph, max_colors: int | None = None, *, override_size: bool = False
 ) -> tuple[int, EdgeColoring]:
     """Smallest t admitting a proper t-coloring, with a witness coloring.
 
@@ -288,7 +310,7 @@ def exact_chromatic_index(
     to max_degree + 1 (always sufficient); if the search exhausts a smaller
     cap, :class:`CapExceededError` reports the lower bound established.
     """
-    _check_edge_budget(g, max_edges, override_size)
+    check_exhaustive_size(g, override_size)
     if not g.edges:
         return 0, EdgeColoring({}, 0)
     degree = [g.degree(v) for v in g.vertices]

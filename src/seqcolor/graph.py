@@ -47,15 +47,6 @@ class Graph:
         return tuple(map(tuple, incident))
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, its neighbors, in the order of :attr:`incidence`."""
-        neighbors: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        return tuple(map(tuple, neighbors))
-
-    @cached_property
     def sides(self) -> bytes | None:
         """Per vertex 0 or 1, such that every edge joins the two sides, or None
         if the graph has an odd cycle. The smallest vertex of each component
@@ -98,23 +89,19 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.incidence[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.edge_set
-
 
 @dataclass(frozen=True)
 class DegreeProfile:
-    """Degree statistics of a graph, with ``r`` fixed to the maximum degree.
+    """Degree statistics of a graph.
 
-    ``max_degree_vertices`` is the set of vertices of degree exactly ``r`` and
-    ``n_r`` its cardinality; ``near_regular`` means the degree spread is at
-    most one.
+    ``max_degree_vertices`` is the set of vertices of degree exactly
+    ``max_degree`` and ``n_r`` its cardinality; ``near_regular`` means the
+    degree spread is at most one.
     """
 
     n: int
     max_degree: int
     min_degree: int
-    r: int
     n_r: int
     max_degree_vertices: frozenset[int]
     near_regular: bool
@@ -170,7 +157,6 @@ def degree_profile(g: Graph) -> DegreeProfile:
         n=g.vertex_count,
         max_degree=max_degree,
         min_degree=min_degree,
-        r=max_degree,
         n_r=len(top),
         max_degree_vertices=top,
         near_regular=max_degree - min_degree <= 1,

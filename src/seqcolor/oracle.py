@@ -1,8 +1,9 @@
 """Exhaustive ground-truth engines for small instances.
 
 Everything here walks the full space of proper colorings, so callers are
-guarded by an edge budget (soft limit, overridable). Edge order is always the
-graph's input order, keeping node counts reproducible.
+guarded by :func:`~seqcolor.coloring.check_exhaustive_size` (soft limit,
+overridable). Edge order is always the graph's input order, keeping node
+counts reproducible.
 """
 
 from __future__ import annotations
@@ -12,11 +13,14 @@ from itertools import permutations
 from math import isqrt
 from typing import Callable, Iterator
 
-from .coloring import EdgeColoring, exact_chromatic_index
-from .errors import CapExceededError, ClassTwoError, OversizeError, PreconditionError
+from .coloring import (
+    EdgeColoring,
+    check_exhaustive_size,
+    exact_chromatic_index,
+    palette_masks,
+)
+from .errors import CapExceededError, ClassTwoError, PreconditionError
 from .graph import Graph, build_graph
-
-ORACLE_EDGE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -47,14 +51,6 @@ class OracleResult:
         record["t"] = self.witness.color_count
         record["witness"] = self.witness.lines()
         return record
-
-
-def _check_budget(g: Graph, max_edges: int, override_size: bool) -> None:
-    if g.edge_count > max_edges and not override_size:
-        raise OversizeError(
-            f"{g.edge_count} edges exceeds the exhaustive-search guard of {max_edges}; "
-            "pass override_size=True to force"
-        )
 
 
 def enumerate_proper_colorings(
@@ -200,9 +196,7 @@ def _min_sum_search(
     return best_value, best_assign, nodes
 
 
-def exact_edge_chromatic_sum(
-    g: Graph, *, max_edges: int = ORACLE_EDGE_LIMIT, override_size: bool = False
-) -> OracleResult:
+def exact_edge_chromatic_sum(g: Graph, *, override_size: bool = False) -> OracleResult:
     """Minimum total edge color over all proper colorings of ``g``.
 
     The color cap starts at the chromatic index and is raised one color at a
@@ -210,10 +204,10 @@ def exact_edge_chromatic_sum(
     final +1 re-run changed nothing. (Any coloring can be improved until every
     edge color is below deg(u)+deg(v), so the escalation always terminates.)
     """
-    _check_budget(g, max_edges, override_size)
+    check_exhaustive_size(g, override_size)
     if not g.edges:
         return OracleResult(0, EdgeColoring({}, 0), explored=0, cap_stable=True)
-    chi_prime, seed = exact_chromatic_index(g, max_edges=max_edges, override_size=True)
+    chi_prime, seed = exact_chromatic_index(g, override_size=True)
     seed_assign = [seed.assignment[e] for e in g.edges]
     value = sum(seed_assign)
     value, best_assign, explored = _min_sum_search(g, chi_prime, value, seed_assign)
@@ -229,9 +223,7 @@ def exact_edge_chromatic_sum(
     return OracleResult(value, witness, explored=explored, cap_stable=True)
 
 
-def exact_max_sequential_set(
-    g: Graph, r: int, *, max_edges: int = ORACLE_EDGE_LIMIT, override_size: bool = False
-) -> OracleResult:
+def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -> OracleResult:
     """Maximum number of sequential vertices over all proper r-colorings.
 
     A vertex is sequential when its incident colors are exactly 1..deg(v),
@@ -239,7 +231,7 @@ def exact_max_sequential_set(
     marks a vertex lost the moment that happens, and prunes branches whose
     surviving count cannot beat the incumbent.
     """
-    _check_budget(g, max_edges, override_size)
+    check_exhaustive_size(g, override_size)
     degree = [g.degree(v) for v in g.vertices]
     max_degree = max(degree, default=0)
     if r < max_degree:
@@ -248,7 +240,7 @@ def exact_max_sequential_set(
         )
     if g.edges:
         try:
-            exact_chromatic_index(g, max_colors=r, max_edges=max_edges, override_size=True)
+            exact_chromatic_index(g, max_colors=r, override_size=True)
         except CapExceededError:
             raise ClassTwoError(chi_prime=r + 1, max_degree=max_degree) from None
 
@@ -297,11 +289,8 @@ def exact_max_sequential_set(
 
     descend(0)
     witness = EdgeColoring(dict(zip(edges, best_assign)), r)
-    sequential = frozenset(
-        v
-        for v in g.vertices
-        if all(witness.color_of(v, w) <= degree[v] for w in g.adjacency[v])
-    )
+    masks, _ = palette_masks(g, best_assign)
+    sequential = frozenset(v for v in g.vertices if masks[v] == (1 << (degree[v] + 1)) - 2)
     if len(sequential) != best:
         raise RuntimeError("internal error: witness disagrees with the searched optimum")
     return OracleResult(
@@ -341,18 +330,18 @@ def _graphs_with_degrees(degrees: list[int]) -> Iterator[tuple[tuple[int, int], 
     yield from extend(0)
 
 
-def _is_connected(g: Graph) -> bool:
-    if g.vertex_count == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in g.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.vertex_count
+def _is_connected(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
+    # Grow vertex 0's component as a bitmask until a sweep over the edges
+    # adds nothing.
+    reached = 1
+    grown = True
+    while grown:
+        grown = False
+        for u, v in edges:
+            if (reached >> u ^ reached >> v) & 1:
+                reached |= (1 << u) | (1 << v)
+                grown = True
+    return reached == (1 << n) - 1
 
 
 def _is_canonical(edges: tuple[tuple[int, int], ...], n_top: int, n: int) -> bool:
@@ -399,9 +388,8 @@ def connected_near_regular_graphs(max_edges: int, min_r: int = 3) -> Iterator[Gr
                     continue
                 degrees = [r] * n_top + [r - 1] * n_low
                 for edges in _graphs_with_degrees(degrees):
-                    g = build_graph(n, edges)
-                    if not _is_connected(g):
+                    if not _is_connected(n, edges):
                         continue
                     if not _is_canonical(edges, n_top, n):
                         continue
-                    yield g
+                    yield build_graph(n, edges)

@@ -19,7 +19,7 @@ from .coloring import (
     edge_colors,
     obtain_r_coloring,
     palette_masks,
-    verify_proper,
+    proper_masks,
 )
 from .errors import GraphError, PreconditionError
 from .graph import DegreeProfile, Graph, degree_profile
@@ -127,20 +127,14 @@ def missing_color_partition(
         raise PreconditionError(
             f"degree spread {profile.max_degree - profile.min_degree} exceeds 1"
         )
-    r = profile.r
+    r = profile.max_degree
     if r < 3:
         raise PreconditionError(f"max degree must be at least 3, got {r}")
     if coloring.color_count != r:
         raise PreconditionError(
             f"coloring uses {coloring.color_count} colors, expected exactly {r}"
         )
-    colors = edge_colors(g, coloring)
-    if colors and not 1 <= min(colors) <= max(colors) <= r:
-        raise PreconditionError(f"coloring uses colors outside 1..{r}")
-    masks, clashes = palette_masks(g, colors)
-    if clashes:
-        verdict = verify_proper(g, coloring)
-        raise PreconditionError(f"coloring is not proper: clashes {verdict.violations[:3]}")
+    masks = proper_masks(g, coloring, r)
     # Degree r-1 and a proper r-coloring leave exactly one absent color.
     full = (1 << (r + 1)) - 2
     classes: dict[int, list[int]] = {i: [] for i in range(1, r + 1)}
@@ -222,14 +216,15 @@ def sequentialize(g: Graph, coloring: EdgeColoring | None = None) -> SequentialC
         raise PreconditionError(
             f"degree spread {profile.max_degree - profile.min_degree} exceeds 1"
         )
-    if profile.r < 3:
-        raise PreconditionError(f"max degree must be at least 3, got {profile.r}")
+    r = profile.max_degree
+    if r < 3:
+        raise PreconditionError(f"max degree must be at least 3, got {r}")
     alpha = obtain_r_coloring(g) if coloring is None else coloring
     partition = missing_color_partition(g, alpha, profile)
     swap = select_swap_color(partition)
     beta = swap_colors(alpha, swap, partition.r)
     certified = profile.max_degree_vertices | partition.classes[swap]
-    bound = sequential_set_bound(profile.n, profile.n_r, profile.r)
+    bound = sequential_set_bound(profile.n, profile.n_r, r)
     verdict = verify_sequential(g, beta, certified)
     if len(certified) < bound:
         raise RuntimeError("internal error: certified set fell below the guaranteed bound")
@@ -238,7 +233,7 @@ def sequentialize(g: Graph, coloring: EdgeColoring | None = None) -> SequentialC
         sequential_vertices=frozenset(certified),
         swap_color=swap,
         bound=bound,
-        r=profile.r,
+        r=r,
         n=profile.n,
         n_r=profile.n_r,
         verified=verdict.ok,

@@ -11,19 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import EdgeColoring, palette, verify_proper
+from .coloring import EXHAUSTIVE_EDGE_LIMIT, EdgeColoring, edge_colors, proper_masks
 from .errors import PreconditionError
 from .graph import Graph
-from .oracle import ORACLE_EDGE_LIMIT, exact_edge_chromatic_sum
+from .oracle import exact_edge_chromatic_sum
 from .sequential import SequentialCertificate, sequentialize
 
 
 def coloring_sum(g: Graph, coloring: EdgeColoring) -> int:
-    """Total color over all edges of ``g``."""
-    try:
-        return sum(coloring.assignment[e] for e in g.edges)
-    except KeyError as exc:
-        raise PreconditionError(f"incomplete coloring: edge {exc} missing") from None
+    """Total color over all edges of ``g``, which the coloring must cover exactly."""
+    return sum(edge_colors(g, coloring))
 
 
 def chromatic_sum_bound(n: int, n_r: int, r: int) -> int:
@@ -53,21 +50,22 @@ class PaletteSumDecomposition:
 
 
 def vertex_sum_decomposition(g: Graph, coloring: EdgeColoring) -> PaletteSumDecomposition:
-    """Sum each vertex's palette and classify vertices for the bound's terms."""
-    verdict = verify_proper(g, coloring)
-    if not verdict:
-        raise PreconditionError(f"coloring is not proper: clashes {verdict.violations[:3]}")
+    """Sum each vertex's palette and classify vertices for the bound's terms.
+
+    The coloring must be proper with colors in 1..color_count. Sums are read
+    from palette bitmasks, apart from :func:`coloring_sum`'s edge colors.
+    """
     t = coloring.color_count
-    everything = frozenset(range(1, t + 1))
-    below_top = frozenset(range(1, t))
+    masks = proper_masks(g, coloring, t)
+    everything = (1 << (t + 1)) - 2
+    below_top = everything ^ (1 << t)
     sums = []
     full, missing_top, other = set(), set(), set()
-    for v in g.vertices:
-        colors = palette(g, coloring, v)
-        sums.append(sum(colors))
-        if colors == everything:
+    for v, mask in enumerate(masks):
+        sums.append(sum(c for c in range(1, t + 1) if mask >> c & 1))
+        if mask == everything:
             full.add(v)
-        elif colors == below_top:
+        elif mask == below_top:
             missing_top.add(v)
         else:
             other.add(v)
@@ -88,7 +86,8 @@ class SumReport:
     """Achieved sum of the constructed coloring against the closed-form bound.
 
     ``exact_sum`` is the brute-force minimum when the oracle ran, else None.
-    Whenever all fields are present, exact_sum <= actual_sum <= bound.
+    Whenever all fields are present, exact_sum <= actual_sum <= bound; every
+    construction, :func:`dataclasses.replace` included, checks this.
     """
 
     actual_sum: int
@@ -98,6 +97,12 @@ class SumReport:
     n: int
     n_r: int
     certificate: SequentialCertificate
+
+    def __post_init__(self) -> None:
+        if self.actual_sum > self.bound:
+            raise RuntimeError("internal error: constructed coloring exceeded the closed-form bound")
+        if self.exact_sum is not None and self.exact_sum > self.actual_sum:
+            raise RuntimeError("internal error: oracle minimum exceeded the constructed sum")
 
     def to_record(self) -> dict:
         return {
@@ -112,28 +117,20 @@ class SumReport:
 
 
 def sum_report(
-    g: Graph,
-    run_oracle: bool = False,
-    coloring: EdgeColoring | None = None,
-    *,
-    max_edges: int = ORACLE_EDGE_LIMIT,
+    g: Graph, run_oracle: bool = False, coloring: EdgeColoring | None = None
 ) -> SumReport:
     """Run the sequential pipeline and compare its sum against the bound.
 
     The exact minimum is attached when ``run_oracle`` is set and the instance
-    fits the oracle's edge budget. Precondition and class failures propagate
-    from :func:`sequentialize`.
+    has at most :data:`~seqcolor.coloring.EXHAUSTIVE_EDGE_LIMIT` edges.
+    Precondition and class failures propagate from :func:`sequentialize`.
     """
     certificate = sequentialize(g, coloring=coloring)
     actual = coloring_sum(g, certificate.coloring)
     bound = chromatic_sum_bound(certificate.n, certificate.n_r, certificate.r)
     exact = None
-    if run_oracle and g.edge_count <= max_edges:
-        exact = exact_edge_chromatic_sum(g, max_edges=max_edges).value
-    if actual > bound:
-        raise RuntimeError("internal error: constructed coloring exceeded the closed-form bound")
-    if exact is not None and exact > actual:
-        raise RuntimeError("internal error: oracle minimum exceeded the constructed sum")
+    if run_oracle and g.edge_count <= EXHAUSTIVE_EDGE_LIMIT:
+        exact = exact_edge_chromatic_sum(g).value
     return SumReport(
         actual_sum=actual,
         bound=bound,

@@ -51,12 +51,12 @@ def bipartite_graphs(draw, max_part=7):
 
 @st.composite
 def class_one_near_regular(draw):
-    """Near-regular graphs with max degree r in 3..5 and chromatic index r."""
+    """Near-regular graphs with max degree r in 3..8 and chromatic index r."""
     family = draw(st.sampled_from(["biregular", "almost", "regular", "complete"]))
     if family == "complete":
         # Complete graphs on an even vertex count are Class 1.
         return complete_graph(draw(st.sampled_from([4, 6])))
-    r = draw(st.integers(3, 5))
+    r = draw(st.integers(3, 8))
     if family == "biregular":
         k = draw(st.integers(1, 3))
         return generate_random_biregular(r, k, seed=draw(st.integers(0, 2**31 - 1)))

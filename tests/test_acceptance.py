@@ -60,7 +60,7 @@ def small_class_one_instances():
     if not _SWEEP_CACHE:
         for g in connected_near_regular_graphs(8):
             chi_prime, _ = exact_chromatic_index(g)
-            if chi_prime == degree_profile(g).r:
+            if chi_prime == degree_profile(g).max_degree:
                 _SWEEP_CACHE.append(g)
     return _SWEEP_CACHE
 
@@ -110,11 +110,11 @@ def test_criterion_4_exhaustive_small_graphs():
         checked = 0
         for g in instances:
             profile = degree_profile(g)
-            bound = sequential_set_bound(profile.n, profile.n_r, profile.r)
+            bound = sequential_set_bound(profile.n, profile.n_r, profile.max_degree)
             cert = sequentialize(g)
             assert cert.verified, g.edges
             assert cert.size >= bound, g.edges
-            oracle = exact_max_sequential_set(g, profile.r)
+            oracle = exact_max_sequential_set(g, profile.max_degree)
             assert oracle.value >= bound, g.edges
             assert oracle.value >= cert.size, g.edges
             checked += 1
@@ -146,10 +146,10 @@ def test_criterion_5_property_fuzz():
             alpha = obtain_r_coloring(g)
             assert verify_proper(g, alpha)
 
-            low = rng.randint(1, profile.r)
-            swapped = swap_colors(alpha, low, profile.r)
+            low = rng.randint(1, profile.max_degree)
+            swapped = swap_colors(alpha, low, profile.max_degree)
             assert verify_proper(g, swapped)
-            assert swap_colors(swapped, low, profile.r) == alpha
+            assert swap_colors(swapped, low, profile.max_degree) == alpha
 
             partition = missing_color_partition(g, alpha)
             classes = list(partition.classes.values())
@@ -159,7 +159,7 @@ def test_criterion_5_property_fuzz():
 
             chosen = select_swap_color(partition)
             deficient = profile.n - profile.n_r
-            assert len(partition.classes[chosen]) >= -(-deficient // profile.r)
+            assert len(partition.classes[chosen]) >= -(-deficient // profile.max_degree)
 
             decomposition = vertex_sum_decomposition(g, alpha)
             assert decomposition.doubled_total == 2 * coloring_sum(g, alpha)
@@ -183,7 +183,7 @@ def test_criterion_7_sum_chain():
                  generate_complete_bipartite(3, 3)]
         for g in named + small_class_one_instances():
             profile = degree_profile(g)
-            r = profile.r
+            r = profile.max_degree
             cert = sequentialize(g)
             actual = coloring_sum(g, cert.coloring)
             bound = chromatic_sum_bound(profile.n, profile.n_r, r)

@@ -233,6 +233,14 @@ class TestVerify:
         assert run(["verify", graph_file, coloring_file, vertices_file]) == 1
         assert "coverage mismatch" in capsys.readouterr().out
 
+    def test_edge_not_in_graph(self, tmp_path, capsys):
+        graph_file = write(tmp_path, "path.txt", "4 3\n0 1\n1 2\n2 3\n")
+        coloring_file = write(tmp_path, "c.txt", "t=2\n0 1 1\n1 2 2\n2 3 1\n0 2 1\n")
+        assert run(["verify", graph_file, coloring_file]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("coverage mismatch: coloring names 1 edge(s) not in the graph")
+        assert "proper: ok" not in out
+
     def test_proper_only_without_vertices_file(self, tmp_path, capsys):
         graph_file, coloring_file, _ = self.make_certificate_files(tmp_path)
         assert run(["verify", graph_file, coloring_file]) == 0

@@ -53,6 +53,12 @@ class TestVerifyProper:
         with pytest.raises(PreconditionError, match="cover"):
             verify_proper(k4, EdgeColoring({(0, 1): 1}, 1))
 
+    def test_edge_not_in_graph_rejected(self):
+        path = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        coloring = EdgeColoring({(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 2): 1}, 2)
+        with pytest.raises(PreconditionError, match=r"names 1 edge\(s\) not in the graph"):
+            verify_proper(path, coloring)
+
     def test_colors_far_outside_mask_width(self):
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
         assert verify_proper(g, EdgeColoring({(0, 1): 10**9, (1, 2): -3, (2, 3): 10**9, (2, 4): 0}, 2))
@@ -66,7 +72,7 @@ class TestVerifyProper:
         coloring = EdgeColoring({e: rng.randint(1, 4) for e in g.edges}, 4)
         expected = []
         for v in g.vertices:
-            counts = Counter(coloring.color_of(v, w) for w in g.adjacency[v])
+            counts = Counter(coloring.color_of(a, b) for a, b in g.edges if v in (a, b))
             expected.extend((v, c) for c in sorted(counts) if counts[c] > 1)
         verdict = verify_proper(g, coloring)
         assert verdict.violations == tuple(expected)

@@ -60,15 +60,13 @@ class TestIncidence:
     def test_hand_example(self):
         g = build_graph(4, [(2, 0), (1, 2), (0, 3)])
         assert g.incidence == ((0, 2), (1,), (0, 1), (2,))
-        assert g.adjacency == ((2, 3), (2,), (0, 1), (0,))
+        neighbors = [[sum(g.edges[e]) - v for e in ids] for v, ids in enumerate(g.incidence)]
+        assert neighbors == [[2, 3], [2], [0, 1], [0]]
 
     @given(graphs())
     def test_incidence_lists_edge_ids_in_adjacency_order(self, g):
         for v in g.vertices:
-            ends = [g.edges[e] for e in g.incidence[v]]
-            assert all(v in end for end in ends)
-            assert tuple(sum(end) - v for end in ends) == g.adjacency[v]
-            assert list(g.incidence[v]) == sorted(g.incidence[v])
+            assert list(g.incidence[v]) == [e for e, end in enumerate(g.edges) if v in end]
 
     @given(graphs())
     def test_sides_split_every_edge(self, g):
@@ -89,7 +87,6 @@ class TestDegreeProfile:
     def test_k23(self, k23):
         p = degree_profile(k23)
         assert (p.n, p.max_degree, p.min_degree, p.n_r) == (5, 3, 2, 2)
-        assert p.r == 3
         assert p.max_degree_vertices == frozenset({0, 1})
         assert p.near_regular
 
@@ -103,7 +100,7 @@ class TestDegreeProfile:
         p = degree_profile(g)
         assert sum(g.degree(v) for v in g.vertices) == 2 * g.edge_count
         assert 0 <= p.min_degree <= p.max_degree <= max(p.n - 1, 0)
-        assert all(g.degree(v) == p.r for v in p.max_degree_vertices)
+        assert all(g.degree(v) == p.max_degree for v in p.max_degree_vertices)
 
 
 class TestBipartitionOf:

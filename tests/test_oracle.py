@@ -17,6 +17,7 @@ from seqcolor import (
     enumerate_proper_colorings,
     exact_edge_chromatic_sum,
     exact_max_sequential_set,
+    palette,
     sequentialize,
     verify_proper,
     verify_sequential,
@@ -162,6 +163,10 @@ class TestMaxSequentialSet:
         result = exact_max_sequential_set(k23, 3)
         assert verify_proper(k23, result.witness)
         assert len(result.sequential_vertices) == result.value
+        assert result.sequential_vertices == {
+            v for v in k23.vertices
+            if palette(k23, result.witness, v) == frozenset(range(1, k23.degree(v) + 1))
+        }
 
     def test_r_below_max_degree(self, k4):
         with pytest.raises(PreconditionError, match="max degree"):
@@ -221,7 +226,7 @@ class TestNearRegularEnumeration:
         seen = set()
         for g in connected_near_regular_graphs(8):
             profile = degree_profile(g)
-            assert profile.near_regular and profile.r >= 3
+            assert profile.near_regular and profile.max_degree >= 3
             assert g.edge_count <= 8
             assert g.edge_set not in seen
             seen.add(g.edge_set)

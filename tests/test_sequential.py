@@ -111,7 +111,7 @@ class TestSelectSwapColor:
         part = missing_color_partition(g, obtain_r_coloring(g))
         chosen = select_swap_color(part)
         deficient = profile.n - profile.n_r
-        assert len(part.classes[chosen]) >= -(-deficient // profile.r)
+        assert len(part.classes[chosen]) >= -(-deficient // profile.max_degree)
 
 
 class TestSwapColors:
@@ -244,7 +244,7 @@ class TestSequentialize:
         assert cert.verified
         assert profile.max_degree_vertices <= cert.sequential_vertices
         assert cert.size >= cert.bound
-        assert cert.bound == sequential_set_bound(profile.n, profile.n_r, profile.r)
+        assert cert.bound == sequential_set_bound(profile.n, profile.n_r, profile.max_degree)
         assert verify_sequential(g, cert.coloring, cert.sequential_vertices)
         assert verify_proper(g, cert.coloring)
 

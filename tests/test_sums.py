@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 
@@ -8,8 +10,10 @@ from seqcolor import (
     chromatic_sum_bound,
     coloring_sum,
     degree_profile,
+    generate_complete_bipartite,
     konig_color_bipartite,
     misra_gries,
+    palette,
     sequentialize,
     sum_report,
     vertex_sum_decomposition,
@@ -33,8 +37,13 @@ class TestColoringSum:
         assert coloring_sum(k33, konig_color_bipartite(k33)) == 18
 
     def test_incomplete_rejected(self, k4):
-        with pytest.raises(PreconditionError, match="incomplete"):
+        with pytest.raises(PreconditionError, match="does not cover 5 edge"):
             coloring_sum(k4, EdgeColoring({(0, 1): 1}, 1))
+
+    def test_extra_edge_rejected(self):
+        g = build_graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(PreconditionError, match="names 1 edge"):
+            coloring_sum(g, EdgeColoring({(0, 1): 1, (1, 2): 2, (0, 2): 3}, 3))
 
 
 class TestChromaticSumBound:
@@ -90,12 +99,18 @@ class TestVertexSumDecomposition:
         with pytest.raises(PreconditionError, match="not proper"):
             vertex_sum_decomposition(g, EdgeColoring({(0, 1): 1, (1, 2): 1}, 1))
 
+    def test_color_outside_range_rejected(self):
+        g = build_graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(PreconditionError, match="outside 1..2"):
+            vertex_sum_decomposition(g, EdgeColoring({(0, 1): 1, (1, 2): 3}, 2))
+
     @given(graphs())
     def test_double_counting(self, g):
         coloring = misra_gries(g)
         dec = vertex_sum_decomposition(g, coloring)
         assert dec.doubled_total == 2 * coloring_sum(g, coloring)
         assert sum(dec.per_vertex) == dec.doubled_total
+        assert dec.per_vertex == tuple(sum(palette(g, coloring, v)) for v in g.vertices)
 
     @given(class_one_near_regular())
     def test_per_term_bounds_on_pipeline_output(self, g):
@@ -126,9 +141,17 @@ class TestSumReport:
         report = sum_report(k33, run_oracle=True)
         assert (report.actual_sum, report.bound, report.exact_sum) == (18, 18, 18)
 
-    def test_oracle_skipped_when_oversize(self, k33):
-        report = sum_report(k33, run_oracle=True, max_edges=5)
+    def test_oracle_skipped_when_oversize(self):
+        # K_{5,5} has 25 edges, above the exhaustive-search guard.
+        report = sum_report(generate_complete_bipartite(5, 5), run_oracle=True)
         assert report.exact_sum is None
+
+    def test_replace_checks_invariants(self, k23):
+        report = sum_report(k23, run_oracle=True)
+        with pytest.raises(RuntimeError, match="oracle minimum exceeded"):
+            replace(report, exact_sum=report.actual_sum + 1)
+        with pytest.raises(RuntimeError, match="exceeded the closed-form bound"):
+            replace(report, actual_sum=report.bound + 1)
 
     def test_record(self, k23):
         record = sum_report(k23, run_oracle=True).to_record()
@@ -149,4 +172,4 @@ class TestSumReport:
         if report.exact_sum is not None:
             assert report.exact_sum <= report.actual_sum
         profile = degree_profile(g)
-        assert report.bound == chromatic_sum_bound(profile.n, profile.n_r, profile.r)
+        assert report.bound == chromatic_sum_bound(profile.n, profile.n_r, profile.max_degree)
