@@ -59,6 +59,7 @@ from .sequential import (
     sequential_set_bound,
     sequentialize,
     swap_colors,
+    verify_certificate,
     verify_sequential,
 )
 from .sums import (
@@ -122,6 +123,7 @@ __all__ = [
     "sequentialize",
     "sum_report",
     "swap_colors",
+    "verify_certificate",
     "verify_proper",
     "verify_sequential",
     "vertex_sum_decomposition",

@@ -18,7 +18,6 @@ from .coloring import (
     misra_gries,
     obtain_r_coloring,
     parse_coloring,
-    verify_proper,
 )
 from .errors import (
     ClassTwoError,
@@ -39,7 +38,7 @@ from .sequential import (
     biregular_set_bound,
     sequential_set_bound,
     sequentialize,
-    verify_sequential,
+    verify_certificate,
 )
 from .sums import chromatic_sum_bound, sum_report
 
@@ -177,8 +176,15 @@ def cmd_bound(args) -> int:
 def cmd_verify(args) -> int:
     g = _read_graph(args.graph, args.format)
     coloring = parse_coloring(_read_text(args.coloring))
+    wanted: list[int] = []
+    if args.vertices is not None:
+        tokens = _read_text(args.vertices).split()
+        try:
+            wanted = [int(tok) for tok in tokens]
+        except ValueError as exc:
+            raise GraphError(f"vertex file must contain integers: {exc}") from None
     try:
-        proper = verify_proper(g, coloring)
+        proper, sequential = verify_certificate(g, coloring, wanted)
     except PreconditionError as exc:
         print(f"coverage mismatch: {exc}")
         return EXIT_VERIFY
@@ -188,12 +194,6 @@ def cmd_verify(args) -> int:
         return EXIT_VERIFY
     print("proper: ok")
     if args.vertices is not None:
-        tokens = _read_text(args.vertices).split()
-        try:
-            wanted = [int(tok) for tok in tokens]
-        except ValueError as exc:
-            raise GraphError(f"vertex file must contain integers: {exc}") from None
-        sequential = verify_sequential(g, coloring, wanted)
         if not sequential:
             for v in sequential.violations:
                 print(f"not sequential at vertex {v}")

@@ -13,7 +13,7 @@ from .errors import (
     PreconditionError,
     UnknownClassError,
 )
-from .graph import Edge, Graph, bipartition_of, edge_key
+from .graph import Edge, Graph, edge_key
 
 EXHAUSTIVE_EDGE_LIMIT = 20
 
@@ -92,19 +92,29 @@ def palette_masks(g: Graph, colors: list[int]) -> tuple[list[int], set[int]]:
     return masks, clashes
 
 
-def verify_proper(g: Graph, coloring: EdgeColoring) -> Verdict:
-    """Check that no two edges sharing a vertex carry the same color.
+def coloring_masks(g: Graph, coloring: EdgeColoring) -> tuple[list[int], list[int], set[int]]:
+    """One read of ``coloring`` on ``g``: its edge colors (see
+    :func:`edge_colors`), each vertex's palette bitmask and the clash vertices
+    (see :func:`palette_masks`).
 
-    Each violation is reported once as a (vertex, color) clash at the shared
-    vertex, in ascending vertex then color order.
+    Colors 1..m (m edges) keep their bits; any other color c gets bit
+    m + 1 + (rank of c among them), so a huge or non-positive color cannot
+    build a huge mask. The renaming is injective, so clashes are unchanged.
     """
     colors = edge_colors(g, coloring)
+    m = len(colors)
     bits = colors
-    if colors and (min(colors) < 0 or max(colors) > len(colors)):
-        # Properness survives renaming the colors; ranks keep the masks small.
-        rank = {c: i for i, c in enumerate(sorted(set(colors)))}
-        bits = [rank[c] for c in colors]
-    _, clashes = palette_masks(g, bits)
+    if colors and (min(colors) < 1 or max(colors) > m):
+        outside = sorted({c for c in colors if not 1 <= c <= m})
+        bit_of = {c: m + 1 + i for i, c in enumerate(outside)}
+        bits = [bit_of.get(c, c) for c in colors]
+    masks, clashes = palette_masks(g, bits)
+    return colors, masks, clashes
+
+
+def clash_verdict(g: Graph, colors: list[int], clashes: set[int]) -> Verdict:
+    """The :func:`verify_proper` verdict for the edge ``colors`` and the clash
+    vertices of one :func:`coloring_masks` read."""
     violations: list[tuple[int, int]] = []
     for v in sorted(clashes):
         counts = Counter(colors[e] for e in g.incidence[v])
@@ -112,19 +122,29 @@ def verify_proper(g: Graph, coloring: EdgeColoring) -> Verdict:
     return Verdict(not violations, tuple(violations))
 
 
+def verify_proper(g: Graph, coloring: EdgeColoring) -> Verdict:
+    """Check that no two edges sharing a vertex carry the same color.
+
+    Each violation is reported once as a (vertex, color) clash at the shared
+    vertex, in ascending vertex then color order.
+    """
+    colors, _, clashes = coloring_masks(g, coloring)
+    return clash_verdict(g, colors, clashes)
+
+
 def proper_masks(g: Graph, coloring: EdgeColoring, t: int) -> list[int]:
     """Per vertex, the bitmask of its colors under ``coloring``, which must be a
     proper coloring of exactly ``g.edges`` with colors in 1..t.
 
-    Raises :class:`PreconditionError` otherwise; :func:`verify_proper` runs
-    only to name the clashes.
+    Raises :class:`PreconditionError` otherwise, naming the clashes as
+    :func:`verify_proper` does.
     """
     colors = edge_colors(g, coloring)
     if colors and not 1 <= min(colors) <= max(colors) <= t:
         raise PreconditionError(f"coloring uses colors outside 1..{t}")
     masks, clashes = palette_masks(g, colors)
     if clashes:
-        verdict = verify_proper(g, coloring)
+        verdict = clash_verdict(g, colors, clashes)
         raise PreconditionError(f"coloring is not proper: clashes {verdict.violations[:3]}")
     return masks
 
@@ -263,7 +283,7 @@ def konig_color_bipartite(g: Graph) -> EdgeColoring:
     if a clashes at v, swap a and b along the alternating path leaving v. In a
     bipartite graph that path cannot reach u, so a becomes free at both ends.
     """
-    if bipartition_of(g) is None:
+    if g.bipartition is None and g.sides is None:
         raise PreconditionError("graph is not bipartite")
     if not g.edges:
         return EdgeColoring({}, 0)
@@ -366,7 +386,7 @@ def obtain_r_coloring(g: Graph) -> EdgeColoring:
         return EdgeColoring({}, 0)
     if g.edge_count > r * (g.vertex_count // 2):
         raise ClassTwoError(chi_prime=r + 1, max_degree=r)
-    if bipartition_of(g) is not None:
+    if g.bipartition is not None or g.sides is not None:
         return konig_color_bipartite(g)
     heuristic = misra_gries(g)
     if heuristic.color_count <= r:
@@ -388,31 +408,39 @@ def emit_coloring(coloring: EdgeColoring) -> str:
 
 
 def parse_coloring(text: str) -> EdgeColoring:
-    """Parse the "u v c" exchange format produced by :func:`emit_coloring`."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("t="):
+    """Parse the "u v c" exchange format produced by :func:`emit_coloring`.
+
+    Blank lines are skipped. Errors name the first bad line; a line that does
+    not unpack into three integers is checked again field by field to say why.
+    """
+    lines = text.splitlines()
+    start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    if start == len(lines) or not lines[start].startswith("t="):
         raise GraphError('coloring text must start with a "t=<count>" header')
     try:
-        t = int(lines[0][2:])
+        t = int(lines[start][2:])
     except ValueError:
-        raise GraphError(f"bad color count header {lines[0]!r}") from None
+        raise GraphError(f"bad color count header {lines[start]!r}") from None
     if t < 0:
         raise GraphError(f"negative color count {t}")
     assignment: dict[Edge, int] = {}
-    for line in lines[1:]:
-        fields = line.split()
-        if len(fields) != 3:
-            raise GraphError(f"expected 'u v c', got {line!r}")
+    for line in lines[start + 1:]:
         try:
-            u, v, c = (int(f) for f in fields)
+            u, v, c = map(int, line.split())
         except ValueError:
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != 3:
+                raise GraphError(f"expected 'u v c', got {line!r}") from None
             raise GraphError(f"non-integer field in {line!r}") from None
-        if u == v:
+        if u > v:
+            u, v = v, u
+        elif u == v:
             raise GraphError(f"loop edge in coloring line {line!r}")
         if not 1 <= c <= t:
             raise GraphError(f"color {c} outside 1..{t} in line {line!r}")
-        e = edge_key(u, v)
-        if e in assignment:
-            raise GraphError(f"edge {e} colored twice")
-        assignment[e] = c
+        if (u, v) in assignment:
+            raise GraphError(f"edge {(u, v)} colored twice")
+        assignment[u, v] = c
     return EdgeColoring(assignment, t)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from .coloring import (
     EdgeColoring,
     Verdict,
-    edge_colors,
+    clash_verdict,
+    coloring_masks,
     obtain_r_coloring,
-    palette_masks,
     proper_masks,
 )
 from .errors import GraphError, PreconditionError
@@ -181,25 +181,30 @@ def swap_colors(coloring: EdgeColoring, low: int, high: int) -> EdgeColoring:
 def verify_sequential(g: Graph, coloring: EdgeColoring, vertices) -> Verdict:
     """Check palette(v) == {1..deg(v)} for every v in ``vertices``.
 
-    The palettes are recomputed from ``coloring`` as bitmasks and compared
-    with ``(1 << (deg(v) + 1)) - 2``. Violating vertices are reported in
-    ascending order; an empty set passes vacuously. The coloring must cover
-    every edge.
+    The palettes are recomputed from ``coloring`` as bitmasks by
+    :func:`~seqcolor.coloring.coloring_masks`. A vertex is sequential exactly
+    when it has no clash and its mask is a run of ones from bit 1: without a
+    clash the mask has one bit per edge, so the run is 1..deg(v). Violating
+    vertices are reported in ascending order; an empty set passes vacuously.
+    The coloring must cover every edge.
     """
-    vs = sorted(set(vertices))
-    unknown = [v for v in vs if not 0 <= v < g.vertex_count]
+    return verify_certificate(g, coloring, vertices)[1]
+
+
+def verify_certificate(g: Graph, coloring: EdgeColoring, vertices) -> tuple[Verdict, Verdict]:
+    """The :func:`~seqcolor.coloring.verify_proper` and :func:`verify_sequential`
+    verdicts from one read of ``coloring``.
+
+    ``vertices`` is checked against the graph before the coloring is read.
+    """
+    wanted = sorted(set(vertices))
+    unknown = [v for v in wanted if not 0 <= v < g.vertex_count]
     if unknown:
         raise GraphError(f"unknown vertices {unknown}")
-    colors = edge_colors(g, coloring)
-    top = max(map(len, g.incidence), default=0)
-    if colors and not 1 <= min(colors) <= max(colors) <= top:
-        # No vertex is sequential through a color outside 1..max degree; bit 0
-        # marks one without building a mask of that width.
-        colors = [c if 1 <= c <= top else 0 for c in colors]
-    masks, _ = palette_masks(g, colors)
-    incidence = g.incidence
-    failures = tuple(v for v in vs if masks[v] != (1 << (len(incidence[v]) + 1)) - 2)
-    return Verdict(not failures, failures)
+    colors, masks, clashes = coloring_masks(g, coloring)
+    # Adding 2 to a run of ones from bit 1 carries out of the whole run.
+    failures = tuple(v for v in wanted if v in clashes or masks[v] & (masks[v] + 2))
+    return clash_verdict(g, colors, clashes), Verdict(not failures, failures)
 
 
 def sequentialize(g: Graph, coloring: EdgeColoring | None = None) -> SequentialCertificate:

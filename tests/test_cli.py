@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import random
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from seqcolor import (
+    EdgeColoring,
     complete_graph,
     degree_profile,
     emit_edge_list,
@@ -11,12 +19,45 @@ from seqcolor import (
     emit_coloring,
     parse_coloring,
     parse_edge_list,
+    palette,
     parse_graph6,
+    sequentialize,
     verify_proper,
+    verify_sequential,
 )
 from seqcolor.cli import run
 
-from .conftest import petersen_graph
+from .conftest import class_one_near_regular, petersen_graph
+from .test_coloring import K4_MATCHING_COLORING
+
+
+def reference_verify(g, coloring, vertices):
+    """`seqcolor verify`'s stdout and exit code, from per-vertex counting and
+    :func:`palette`."""
+    assignment = coloring.assignment
+    missing = [e for e in g.edges if e not in assignment]
+    if missing:
+        return f"coverage mismatch: coloring does not cover {len(missing)} edge(s), e.g. {missing[:3]}\n", 1
+    extra = [e for e in assignment if e not in g.edge_set]
+    if extra:
+        return f"coverage mismatch: coloring names {len(extra)} edge(s) not in the graph, e.g. {extra[:3]}\n", 1
+    lines = []
+    for v in g.vertices:
+        counts = Counter(c for (a, b), c in assignment.items() if v in (a, b))
+        lines.extend(f"clash: color {c} repeats at vertex {v}" for c in sorted(counts) if counts[c] > 1)
+    if lines:
+        return "".join(line + "\n" for line in lines), 1
+    lines.append("proper: ok")
+    failures = reference_sequential_failures(g, coloring, vertices)
+    lines.extend(f"not sequential at vertex {v}" for v in failures)
+    if not failures:
+        lines.append(f"sequential: ok on {len(vertices)} vertices")
+    return "".join(line + "\n" for line in lines), 1 if failures else 0
+
+
+def reference_sequential_failures(g, coloring, vertices):
+    return tuple(v for v in vertices
+                 if palette(g, coloring, v) != frozenset(range(1, sum(v in e for e in g.edges) + 1)))
 
 
 def write(tmp_path, name, text):
@@ -245,6 +286,58 @@ class TestVerify:
         graph_file, coloring_file, _ = self.make_certificate_files(tmp_path)
         assert run(["verify", graph_file, coloring_file]) == 0
         assert "sequential" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("vertices, stderr", [
+        ("0 9\n", "error: unknown vertices [9]\n"),
+        ("0 x\n", "error: vertex file must contain integers: "
+                  "invalid literal for int() with base 10: 'x'\n"),
+        (None, "error: [Errno 2] No such file or directory: "),
+    ])
+    def test_bad_vertex_file_prints_no_verdict(self, tmp_path, capsys, k4_file, vertices, stderr):
+        # A proper coloring of K4: the vertex file alone is at fault.
+        coloring_file = write(tmp_path, "c.txt", emit_coloring(K4_MATCHING_COLORING))
+        if vertices is None:
+            vertices_file = str(tmp_path / "absent.txt")
+        else:
+            vertices_file = write(tmp_path, "r.txt", vertices)
+        assert run(["verify", k4_file, coloring_file, vertices_file]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(stderr)
+
+    @given(class_one_near_regular(), st.sampled_from(["recolor", "huge", "drop", "extra"]),
+           st.integers(0, 2**32 - 1))
+    def test_tampered_certificates_match_palette_reference(self, g, tamper, seed):
+        rng = random.Random(seed)
+        cert = sequentialize(g)
+        assignment = dict(cert.coloring.assignment)
+        t = cert.coloring.color_count
+        e = rng.choice(g.edges)
+        if tamper == "recolor":
+            assignment[e] = rng.choice([c for c in range(1, t + 1) if c != assignment[e]])
+        elif tamper == "huge":
+            t = assignment[e] = 10**12
+        elif tamper == "drop":
+            del assignment[e]
+        else:
+            pairs = [(u, v) for u in g.vertices for v in range(u + 1, g.vertex_count)]
+            absent = [p for p in pairs if p not in g.edge_set] or [(0, g.vertex_count)]
+            assignment[rng.choice(absent)] = rng.randint(1, t)
+        coloring = EdgeColoring(assignment, t)
+        vertices = sorted(cert.sequential_vertices)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp_path = Path(tmp)
+            graph_file = write(tmp_path, "g.txt", emit_edge_list(g))
+            coloring_file = write(tmp_path, "c.txt", emit_coloring(coloring))
+            vertices_file = write(tmp_path, "r.txt", " ".join(map(str, vertices)) + "\n")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run(["verify", graph_file, coloring_file, vertices_file])
+        assert (out.getvalue(), code) == reference_verify(g, coloring, vertices)
+        if tamper in ("recolor", "huge"):
+            # The library verdict also holds where the CLI stops at a clash.
+            assert verify_sequential(g, coloring, vertices).violations == \
+                reference_sequential_failures(g, coloring, vertices)
 
 
 class TestOracle:

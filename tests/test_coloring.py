@@ -23,7 +23,9 @@ from seqcolor import (
     obtain_r_coloring,
     palette,
     parse_coloring,
+    verify_certificate,
     verify_proper,
+    verify_sequential,
 )
 
 from seqcolor import coloring as coloring_module
@@ -272,3 +274,57 @@ class TestColoringText:
     def test_bad_line(self):
         with pytest.raises(GraphError, match="u v c"):
             parse_coloring("t=2\n0 1\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", 'coloring text must start with a "t=<count>" header'),
+        ("0 1 1\n", 'coloring text must start with a "t=<count>" header'),
+        ("t=x\n0 1 1\n", "bad color count header 't=x'"),
+        ("t=-1\n", "negative color count -1"),
+        ("t=2\n0 1\n", "expected 'u v c', got '0 1'"),
+        ("t=2\n0 1 1 2\n", "expected 'u v c', got '0 1 1 2'"),
+        ("t=2\n0 a 1\n", "non-integer field in '0 a 1'"),
+        ("t=2\n3 3 1\n", "loop edge in coloring line '3 3 1'"),
+        ("t=2\n0 1 0\n", "color 0 outside 1..2 in line '0 1 0'"),
+        ("t=2\n0 1 3\n", "color 3 outside 1..2 in line '0 1 3'"),
+        ("t=2\n0 1 1\n1 0 2\n", "edge (0, 1) colored twice"),
+        ("t=2\n0 1 1\n0 1 1\n", "edge (0, 1) colored twice"),
+        # The first bad line decides, even when a later line is bad in an
+        # earlier-checked way.
+        ("t=2\n0 1 1 1\n2 2 1\n", "expected 'u v c', got '0 1 1 1'"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(GraphError) as info:
+            parse_coloring(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text", [
+        "\n  \nt=2\n\n0 1 1\n \t \n1 2 2\n",
+        "t=2\r\n0 1 1\r\n1 2 2\r\n",
+        "t=2\n2 1 2\n1 0 1",
+    ])
+    def test_blank_lines_and_line_ends(self, text):
+        assert parse_coloring(text) == EdgeColoring({(0, 1): 1, (1, 2): 2}, 2)
+
+
+class TestColoringMasks:
+    def test_star_with_repeated_color(self, star3):
+        # The center's mask 0b110 is a run from bit 1, but of two colors at a
+        # degree-3 vertex: a clash, so neither proper nor sequential there.
+        coloring = EdgeColoring({(0, 1): 1, (0, 2): 2, (0, 3): 2}, 2)
+        colors, masks, clashes = coloring_module.coloring_masks(star3, coloring)
+        assert colors == [1, 2, 2]
+        assert masks == [0b110, 0b10, 0b100, 0b100]
+        assert clashes == {0}
+        proper, sequential = verify_certificate(star3, coloring, star3.vertices)
+        assert proper.violations == ((0, 2),)
+        assert sequential.violations == (0, 2, 3)
+        assert verify_sequential(star3, coloring, [0]).violations == (0,)
+
+    def test_colors_outside_one_to_m_keep_their_bits_apart(self):
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+        coloring = EdgeColoring({(0, 1): 1, (1, 2): 10**12, (2, 3): -3, (2, 4): 2}, 10**12)
+        colors, masks, clashes = coloring_module.coloring_masks(g, coloring)
+        # m = 4: colors 1..4 keep bits 1..4; -3 and 10**12 get bits 5 and 6.
+        assert colors == [1, 10**12, -3, 2]
+        assert masks == [0b10, 0b1000010, 0b1100100, 0b100000, 0b100]
+        assert not clashes
