@@ -9,7 +9,6 @@ counts reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import isqrt
 from typing import Callable, Iterator
 
@@ -298,21 +297,27 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
     )
 
 
-def _graphs_with_degrees(degrees: list[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-    # All labeled simple graphs realizing the exact degree sequence, by
-    # including/excluding vertex pairs in lexicographic order.
+def _graphs_with_degrees(degrees: list[int], n_top: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    # The connected canonical labeled graphs realizing the exact degree
+    # sequence, by excluding/including vertex pairs in row-major order. When
+    # row i - 1 is complete, every edge at vertices 0..i-1 is decided, and so
+    # are the leading rows of any relabeling that draws its first labels from
+    # those vertices: if one of them already outranks the identity, no
+    # completion is canonical and the subtree is cut.
     n = len(degrees)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     remaining = list(degrees)
-    chosen: list[tuple[int, int]] = []
+    adj = [0] * n
 
     def extend(k: int) -> Iterator[tuple[tuple[int, int], ...]]:
         if k == len(pairs):
-            if all(x == 0 for x in remaining):
-                yield tuple(chosen)
+            if not any(remaining) and _is_connected(adj) and _is_canonical(adj, n_top, n):
+                yield tuple((i, j) for i, j in pairs if adj[i] >> j & 1)
             return
         i, j = pairs[k]
         if remaining[i] > n - j:
+            return
+        if j == i + 1 and not _is_canonical(adj, n_top, i):
             return
         row_done = j == n - 1
         if not (row_done and remaining[i] > 0):
@@ -320,56 +325,91 @@ def _graphs_with_degrees(degrees: list[int]) -> Iterator[tuple[tuple[int, int], 
         if remaining[i] > 0 and remaining[j] > 0:
             remaining[i] -= 1
             remaining[j] -= 1
-            chosen.append((i, j))
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
             if not (row_done and remaining[i] > 0):
                 yield from extend(k + 1)
-            chosen.pop()
+            adj[i] ^= 1 << j
+            adj[j] ^= 1 << i
             remaining[i] += 1
             remaining[j] += 1
 
     yield from extend(0)
 
 
-def _is_connected(n: int, edges: tuple[tuple[int, int], ...]) -> bool:
-    # Grow vertex 0's component as a bitmask until a sweep over the edges
-    # adds nothing.
-    reached = 1
-    grown = True
-    while grown:
-        grown = False
-        for u, v in edges:
-            if (reached >> u ^ reached >> v) & 1:
-                reached |= (1 << u) | (1 << v)
-                grown = True
-    return reached == (1 << n) - 1
+def _is_connected(adj: list[int]) -> bool:
+    # Grow vertex 0's component over the neighbour bitmasks.
+    reached = frontier = 1
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & ~reached
+        reached |= new
+        frontier |= new
+    return reached == (1 << len(adj)) - 1
 
 
-def _is_canonical(edges: tuple[tuple[int, int], ...], n_top: int, n: int) -> bool:
-    # Degree-preserving relabelings permute the top-degree block and the rest
-    # independently; keep only the lexicographically smallest edge set.
-    base = tuple(sorted(edges))
-    image = list(range(n))
-    for top_perm in permutations(range(n_top)):
-        image[:n_top] = top_perm
-        for low_perm in permutations(range(n_top, n)):
-            image[n_top:] = low_perm
-            mapped = tuple(
-                sorted(
-                    (image[u], image[v]) if image[u] < image[v] else (image[v], image[u])
-                    for u, v in edges
-                )
-            )
-            if mapped < base:
-                return False
-    return True
+def _is_canonical(adj: list[int], n_top: int, known: int) -> bool:
+    # The representative of a class is the relabeling with the greatest
+    # row-major upper-triangle adjacency string (equivalently the smallest
+    # sorted edge tuple) among those that permute the top-degree block
+    # 0..n_top-1 and the rest separately. ``adj`` holds neighbour bitmasks
+    # whose rows 0..known-1 are complete; the identity passes when no
+    # relabeling drawing its first labels from vertices below ``known``
+    # beats it on the rows those labels fix, so known == n is the full test.
+    #
+    # Labels go out in order 0, 1, ...: label a goes to a vertex w of the
+    # first cell of an ordered partition of the unlabeled vertices, and every
+    # cell then splits by adjacency to w, neighbours first. The best row a
+    # below that choice is one run of ones per cell, as long as the cell's
+    # neighbour count, so it is compared with the identity's row a: greater
+    # refutes the identity, smaller drops the choice, equal goes one deeper.
+    n = len(adj)
+    rows = []
+    for a in range(known):
+        row = 0
+        for b in range(a + 1, n):
+            row = row << 1 | (adj[a] >> b & 1)
+        rows.append(row)
+    allowed = (1 << known) - 1
+
+    def beaten(a: int, cells: list[int]) -> bool:
+        first = cells[0]
+        picks = first & allowed
+        while picks:
+            low = picks & -picks
+            picks ^= low
+            near_w = adj[low.bit_length() - 1]
+            row = 0
+            split = []
+            for cell in ([first ^ low] + cells[1:] if first ^ low else cells[1:]):
+                near = cell & near_w
+                size = cell.bit_count()
+                ones = near.bit_count()
+                row = row << size | ((1 << ones) - 1) << (size - ones)
+                if near:
+                    split.append(near)
+                if near != cell:
+                    split.append(cell ^ near)
+            if row > rows[a] or (row == rows[a] and split and beaten(a + 1, split)):
+                return True
+        return False
+
+    top = (1 << n_top) - 1
+    return not beaten(0, [cell for cell in (top, ((1 << n) - 1) ^ top) if cell])
 
 
 def connected_near_regular_graphs(max_edges: int, min_r: int = 3) -> Iterator[Graph]:
     """All connected graphs with at most ``max_edges`` edges and degree spread <= 1,
     one representative per isomorphism class, max degree at least ``min_r``.
 
-    Vertices of maximum degree come first in each representative. Chromatic
-    class is not filtered; run :func:`exact_chromatic_index` on the results.
+    Vertices of maximum degree come first in each representative. Among the
+    relabelings that permute the max-degree block and the rest separately,
+    the representative has the lexicographically smallest sorted edge tuple.
+    Degree sequences come in order of r, then of the number of max-degree
+    vertices, then of the rest; within one, classes come in the order of
+    their representatives' sorted edge tuples, reversed. Chromatic class is
+    not filtered; run :func:`exact_chromatic_index` on the results.
     """
     if max_edges < 1:
         return
@@ -386,10 +426,5 @@ def connected_near_regular_graphs(max_edges: int, min_r: int = 3) -> Iterator[Gr
                 n = n_top + n_low
                 if n < r + 1 or m < n - 1:
                     continue
-                degrees = [r] * n_top + [r - 1] * n_low
-                for edges in _graphs_with_degrees(degrees):
-                    if not _is_connected(n, edges):
-                        continue
-                    if not _is_canonical(edges, n_top, n):
-                        continue
+                for edges in _graphs_with_degrees([r] * n_top + [r - 1] * n_low, n_top):
                     yield build_graph(n, edges)

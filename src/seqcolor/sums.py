@@ -57,15 +57,21 @@ def vertex_sum_decomposition(g: Graph, coloring: EdgeColoring) -> PaletteSumDeco
     """
     t = coloring.color_count
     masks = proper_masks(g, coloring, t)
-    everything = (1 << (t + 1)) - 2
-    below_top = everything ^ (1 << t)
     sums = []
     full, missing_top, other = set(), set(), set()
     for v, mask in enumerate(masks):
-        sums.append(sum(c for c in range(1, t + 1) if mask >> c & 1))
-        if mask == everything:
+        total, rest = 0, mask
+        while rest:
+            low = rest & -rest
+            total += low.bit_length() - 1
+            rest ^= low
+        sums.append(total)
+        # The palette 1..k (k = 0 when empty) is a run of set bits from bit 1:
+        # adding 2 clears such a run, and only such a run, out of the mask.
+        top = (mask | 1).bit_length() - 1 if mask & (mask + 2) == 0 else None
+        if top == t:
             full.add(v)
-        elif mask == below_top:
+        elif top == t - 1:
             missing_top.add(v)
         else:
             other.add(v)

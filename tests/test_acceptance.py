@@ -53,16 +53,17 @@ def criterion(num, summary):
     print(f"[criterion {num}] PASS ({time.perf_counter() - started:.2f}s): {summary}")
 
 
-_SWEEP_CACHE: list = []
+_SWEEP_CACHE: dict = {}
 
 
-def small_class_one_instances():
-    if not _SWEEP_CACHE:
-        for g in connected_near_regular_graphs(8):
-            chi_prime, _ = exact_chromatic_index(g)
-            if chi_prime == degree_profile(g).max_degree:
-                _SWEEP_CACHE.append(g)
-    return _SWEEP_CACHE
+def small_class_one_instances(max_edges):
+    if max_edges not in _SWEEP_CACHE:
+        _SWEEP_CACHE[max_edges] = [
+            g
+            for g in connected_near_regular_graphs(max_edges)
+            if exact_chromatic_index(g)[0] == degree_profile(g).max_degree
+        ]
+    return _SWEEP_CACHE[max_edges]
 
 
 def test_criterion_1_k4():
@@ -104,9 +105,9 @@ def test_criterion_3_k33():
 
 
 def test_criterion_4_exhaustive_small_graphs():
-    with criterion(4, "all Class-1 near-regular graphs with <= 8 edges satisfy the bound"):
+    with criterion(4, "all Class-1 near-regular graphs with <= 10 edges satisfy the bound"):
         started = time.perf_counter()
-        instances = small_class_one_instances()
+        instances = small_class_one_instances(10)
         checked = 0
         for g in instances:
             profile = degree_profile(g)
@@ -118,9 +119,8 @@ def test_criterion_4_exhaustive_small_graphs():
             assert oracle.value >= bound, g.edges
             assert oracle.value >= cert.size, g.edges
             checked += 1
-        # 20 connected near-regular graphs fit in 8 edges; only the complete
-        # graph on 4 vertices with one subdivided edge is Class 2 (overfull).
-        assert checked == 19
+        # 89 connected near-regular graphs fit in 10 edges, 82 of them Class 1.
+        assert checked == 82
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
         print(f"    swept {checked} instances")
@@ -181,7 +181,7 @@ def test_criterion_7_sum_chain():
     with criterion(7, "oracle <= constructed <= bound, with per-term palette sums"):
         named = [complete_graph(4), generate_complete_bipartite(2, 3),
                  generate_complete_bipartite(3, 3)]
-        for g in named + small_class_one_instances():
+        for g in named + small_class_one_instances(8):
             profile = degree_profile(g)
             r = profile.max_degree
             cert = sequentialize(g)

@@ -1,0 +1,131 @@
+"""The near-regular census: byte-identical output, a brute-force reference for
+the canonicity test, and class counts against OEIS."""
+
+import hashlib
+from collections import Counter
+from itertools import permutations
+
+import pytest
+
+from seqcolor import connected_near_regular_graphs, degree_profile
+from seqcolor.oracle import _is_canonical, _is_connected
+
+# sha256 of repr([(g.vertex_count, g.edges) for g in census(E)]), recorded
+# from the census that tried every block-preserving relabeling at each leaf.
+CENSUS_DIGESTS = {
+    1: "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    2: "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    3: "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    4: "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    5: "792b4d52901a65c0febcc712d6a114982453cb0daa5349e98a7739915b805187",
+    6: "c3e82b1b06b25e92ff6c6b1281872e6a7a7a8912d9ace24b9efdf9bc98dfbecc",
+    7: "e086699b1d8d5ff8803c1efbc430a6cd24cf48c162e0b6c9980f39df5568db51",
+    8: "28624c8b59bc0e72559263ec71686a5247fc16eab6a31236a77385fe43d4e8dc",
+    9: "676c3d5bc9e4f1508572acc98e68e7378cf5416b54674c798ce959f2131b36f1",
+    10: "4ef0a341b15b3b59352995430a7ce813ebe4151a9e6712cd47b88c2b989e4008",
+    11: "7c209ddceb482b15ef5ee5b3d0a88064ca102fa827647abb55348c01c3de219a",
+}
+
+
+def census(max_edges):
+    return [(g.vertex_count, g.edges) for g in connected_near_regular_graphs(max_edges)]
+
+
+@pytest.mark.parametrize("max_edges", sorted(CENSUS_DIGESTS))
+def test_census_byte_identical(max_edges):
+    digest = hashlib.sha256(repr(census(max_edges)).encode()).hexdigest()
+    assert digest == CENSUS_DIGESTS[max_edges]
+
+
+def all_realizations(degrees):
+    # Every labeled simple graph with this degree sequence, pairs decided in
+    # row-major order, with no canonicity pruning.
+    n = len(degrees)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    remaining = list(degrees)
+    chosen = []
+
+    def extend(k):
+        if k == len(pairs):
+            if not any(remaining):
+                yield tuple(chosen)
+            return
+        i, j = pairs[k]
+        if remaining[i] > n - j:
+            return
+        row_done = j == n - 1
+        if not (row_done and remaining[i] > 0):
+            yield from extend(k + 1)
+        if remaining[i] > 0 and remaining[j] > 0:
+            remaining[i] -= 1
+            remaining[j] -= 1
+            chosen.append((i, j))
+            if not (row_done and remaining[i] > 0):
+                yield from extend(k + 1)
+            chosen.pop()
+            remaining[i] += 1
+            remaining[j] += 1
+
+    yield from extend(0)
+
+
+def brute_force_is_canonical(edges, n_top, n):
+    # Try every relabeling that permutes the top-degree block and the rest
+    # separately; the representative has the smallest sorted edge tuple.
+    base = tuple(sorted(edges))
+    image = list(range(n))
+    for top_perm in permutations(range(n_top)):
+        image[:n_top] = top_perm
+        for low_perm in permutations(range(n_top, n)):
+            image[n_top:] = low_perm
+            mapped = tuple(
+                sorted(
+                    (image[u], image[v]) if image[u] < image[v] else (image[v], image[u])
+                    for u, v in edges
+                )
+            )
+            if mapped < base:
+                return False
+    return True
+
+
+def test_canonicity_matches_brute_force_up_to_9_edges():
+    checked = canonical = 0
+    for r in (3, 4):
+        for n_top in range(1, 7):
+            for n_low in range(0, 10):
+                total = r * n_top + (r - 1) * n_low
+                n = n_top + n_low
+                if total % 2 or total > 18 or n < r + 1:
+                    continue
+                for edges in all_realizations([r] * n_top + [r - 1] * n_low):
+                    adj = [0] * n
+                    for u, v in edges:
+                        adj[u] |= 1 << v
+                        adj[v] |= 1 << u
+                    if not _is_connected(adj):
+                        continue
+                    expected = brute_force_is_canonical(edges, n_top, n)
+                    assert _is_canonical(adj, n_top, n) == expected, edges
+                    if expected:
+                        # The row-boundary test must never cut a canonical graph.
+                        assert all(_is_canonical(adj, n_top, known) for known in range(n)), edges
+                        canonical += 1
+                    checked += 1
+    assert canonical == 43
+    assert checked == 5279
+
+
+def test_counts_against_oeis():
+    assert len(census(10)) == 89
+    assert len(census(11)) == 184
+    graphs = list(connected_near_regular_graphs(12))
+    assert len(graphs) == 396
+    regular = Counter()
+    for g in graphs:
+        profile = degree_profile(g)
+        if profile.n_r == profile.n:
+            regular[profile.max_degree, profile.n] += 1
+    # A002851 (connected cubic graphs) and A006820 (connected quartic graphs);
+    # no other regular graph with r >= 3 fits in 12 edges.
+    assert regular == {(3, 4): 1, (3, 6): 2, (3, 8): 5, (4, 5): 1, (4, 6): 1}

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import pytest
@@ -93,6 +94,29 @@ class TestVertexSumDecomposition:
         assert dec.per_vertex[2] == 3
         assert dec.other_deficient == frozenset({3, 4})
         assert all(dec.per_vertex[v] <= 5 for v in dec.other_deficient)
+
+    def test_cost_does_not_grow_with_color_count(self, k4):
+        # Palettes are summed bit by bit, so a huge color_count costs nothing.
+        started = time.perf_counter()
+        coloring = EdgeColoring(K4_MATCHING_COLORING.assignment, 10**9)
+        dec = vertex_sum_decomposition(k4, coloring)
+        assert time.perf_counter() - started < 1.0
+        assert dec.per_vertex == (6, 6, 6, 6)
+        assert dec.other_deficient == frozenset(range(4))
+        assert dec.full_palette == dec.missing_top == frozenset()
+
+    def test_empty_palettes(self):
+        # The empty palette is 1..0: full with no colors, missing the top with one.
+        edgeless = build_graph(2, [])
+        dec = vertex_sum_decomposition(edgeless, EdgeColoring({}, 0))
+        assert dec.full_palette == frozenset({0, 1})
+        g = build_graph(3, [(0, 1)])
+        dec = vertex_sum_decomposition(g, EdgeColoring({(0, 1): 1}, 1))
+        assert dec.full_palette == frozenset({0, 1})
+        assert dec.missing_top == frozenset({2})
+        dec = vertex_sum_decomposition(g, EdgeColoring({(0, 1): 1}, 2))
+        assert dec.missing_top == frozenset({0, 1})
+        assert dec.other_deficient == frozenset({2})
 
     def test_improper_rejected(self):
         g = build_graph(3, [(0, 1), (1, 2)])
