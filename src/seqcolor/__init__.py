@@ -46,7 +46,6 @@ from .graph_io import emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
 from .oracle import (
     OracleResult,
     connected_near_regular_graphs,
-    enumerate_proper_colorings,
     exact_edge_chromatic_sum,
     exact_max_sequential_set,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "emit_coloring",
     "emit_edge_list",
     "emit_graph6",
-    "enumerate_proper_colorings",
     "exact_chromatic_index",
     "exact_edge_chromatic_sum",
     "exact_max_sequential_set",

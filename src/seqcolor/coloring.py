@@ -13,7 +13,7 @@ from .errors import (
     PreconditionError,
     UnknownClassError,
 )
-from .graph import Edge, Graph, edge_key
+from .graph import Edge, Graph
 
 EXHAUSTIVE_EDGE_LIMIT = 20
 
@@ -28,9 +28,6 @@ class EdgeColoring:
 
     assignment: dict[Edge, int]
     color_count: int
-
-    def color_of(self, u: int, v: int) -> int:
-        return self.assignment[edge_key(u, v)]
 
     def lines(self) -> list[str]:
         """One "u v c" line per edge, in ascending edge order."""
@@ -283,7 +280,7 @@ def konig_color_bipartite(g: Graph) -> EdgeColoring:
     if a clashes at v, swap a and b along the alternating path leaving v. In a
     bipartite graph that path cannot reach u, so a becomes free at both ends.
     """
-    if g.bipartition is None and g.sides is None:
+    if g.sides is None:
         raise PreconditionError("graph is not bipartite")
     if not g.edges:
         return EdgeColoring({}, 0)
@@ -386,7 +383,7 @@ def obtain_r_coloring(g: Graph) -> EdgeColoring:
         return EdgeColoring({}, 0)
     if g.edge_count > r * (g.vertex_count // 2):
         raise ClassTwoError(chi_prime=r + 1, max_degree=r)
-    if g.bipartition is not None or g.sides is not None:
+    if g.sides is not None:
         return konig_color_bipartite(g)
     heuristic = misra_gries(g)
     if heuristic.color_count <= r:

@@ -28,14 +28,12 @@ class Graph:
     ``edges`` holds normalized (min, max) pairs in construction order, which
     downstream algorithms use as their deterministic processing order; an
     edge's index in it is its id, and :attr:`incidence` lists each vertex's
-    edge ids. The optional ``bipartition`` records parts (X, Y) known from
-    construction.
+    edge ids.
     Instances are immutable; use :func:`build_graph` to validate raw input.
     """
 
     vertex_count: int
     edges: tuple[Edge, ...]
-    bipartition: tuple[frozenset[int], frozenset[int]] | None = None
 
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
@@ -107,15 +105,10 @@ class DegreeProfile:
     near_regular: bool
 
 
-def build_graph(
-    vertex_count: int,
-    edges: Iterable[Sequence[int]],
-    bipartition: tuple[Iterable[int], Iterable[int]] | None = None,
-) -> Graph:
+def build_graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Validate raw edge data and return an immutable :class:`Graph`.
 
-    Rejects loops, duplicate edges, out-of-range vertex ids, and bipartitions
-    that overlap, fail to cover the vertex set, or are violated by an edge.
+    Rejects loops, duplicate edges and out-of-range vertex ids.
     """
     if vertex_count < 0:
         raise GraphError(f"vertex count must be non-negative, got {vertex_count}")
@@ -133,18 +126,7 @@ def build_graph(
             raise GraphError(f"duplicate edge {(u, v)}")
         seen.add(key)
         normalized.append((u, v))
-    parts = None
-    if bipartition is not None:
-        x, y = frozenset(bipartition[0]), frozenset(bipartition[1])
-        if x & y:
-            raise GraphError("bipartition parts overlap")
-        if x | y != set(range(vertex_count)):
-            raise GraphError("bipartition must cover every vertex exactly once")
-        for u, v in normalized:
-            if (u in x) == (v in x):
-                raise GraphError(f"edge ({u}, {v}) violates the bipartition")
-        parts = (x, y)
-    return Graph(vertex_count, tuple(normalized), parts)
+    return Graph(vertex_count, tuple(normalized))
 
 
 def degree_profile(g: Graph) -> DegreeProfile:
@@ -164,13 +146,9 @@ def degree_profile(g: Graph) -> DegreeProfile:
 
 
 def bipartition_of(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
-    """Return a bipartition of ``g``, or None if it contains an odd cycle.
-
-    The stored bipartition takes precedence; otherwise one is computed by
-    2-coloring each component (isolated vertices land in the first part).
+    """The parts (side 0, side 1) of :attr:`Graph.sides`, or None if ``g``
+    contains an odd cycle. Isolated vertices land in the first part.
     """
-    if g.bipartition is not None:
-        return g.bipartition
     sides = g.sides
     if sides is None:
         return None
@@ -191,27 +169,25 @@ def cycle_graph(n: int) -> Graph:
 
 
 def generate_complete_bipartite(a: int, b: int) -> Graph:
-    """Complete bipartite graph K_{a,b} with the bipartition recorded.
+    """Complete bipartite graph K_{a,b}.
 
-    Part X is vertices 0..a-1 (degree b each), part Y is a..a+b-1 (degree a).
+    Part X is vertices 0..a-1 (degree b each), part Y is a..a+b-1 (degree a);
+    these are the parts :func:`bipartition_of` returns.
     """
     if a < 1 or b < 1:
         raise PreconditionError("both part sizes must be at least 1")
-    xs = range(a)
-    ys = range(a, a + b)
-    edges = [(x, y) for x in xs for y in ys]
-    return build_graph(a + b, edges, bipartition=(xs, ys))
+    return build_graph(a + b, [(x, y) for x in range(a) for y in range(a, a + b)])
 
 
 def generate_random_biregular(r: int, k: int, seed: int) -> Graph:
     """Random bipartite graph with (r-1)k vertices of degree r and rk of degree r-1.
 
-    One seeded stub pairing (configuration model), then degree-preserving
-    switchings that repair its repeated pairs: a repeated pair (x1, y1) and a
-    random pair (x2, y2) become (x1, y2) and (x2, y1) whenever x1 and y2 are not
-    joined yet. No switching adds a repeat without removing one; a repeat it
-    moves to (x2, y1) is repaired in turn. Output is fully determined by
-    ``seed``.
+    Vertices 0..(r-1)k-1 are the degree-r part. One seeded stub pairing
+    (configuration model), then degree-preserving switchings that repair its
+    repeated pairs: a repeated pair (x1, y1) and a random pair (x2, y2) become
+    (x1, y2) and (x2, y1) whenever x1 and y2 are not joined yet. No switching
+    adds a repeat without removing one; a repeat it moves to (x2, y1) is
+    repaired in turn. Output is fully determined by ``seed``.
     """
     if r < 3:
         raise PreconditionError(f"degree parameter must be at least 3, got {r}")
@@ -230,7 +206,7 @@ def generate_random_biregular(r: int, k: int, seed: int) -> Graph:
         while repeated and count[pairs[repeated[-1]]] == 1:
             repeated.pop()
         if not repeated:
-            return build_graph(nx + ny, pairs, bipartition=(xs, ys))
+            return build_graph(nx + ny, pairs)
         i = repeated[-1]
         j = rng.randrange(len(pairs))
         (x1, y1), (x2, y2) = pairs[i], pairs[j]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .coloring import (
     EdgeColoring,
@@ -26,8 +26,6 @@ from .graph import Graph, build_graph
 class OracleResult:
     """Exact optimum plus a witness coloring and search statistics.
 
-    ``cap_stable`` records that re-running with one extra color left the
-    optimum unchanged (always true for the fixed-color-count maximization).
     ``sequential_vertices`` carries the witness's sequential set when the
     oracle maximized that quantity.
     """
@@ -35,7 +33,6 @@ class OracleResult:
     value: int
     witness: EdgeColoring
     explored: int
-    cap_stable: bool
     sequential_vertices: frozenset[int] | None = None
 
     def to_record(self, kind: str) -> dict:
@@ -43,53 +40,15 @@ class OracleResult:
             "record": f"oracle_{kind}",
             "value": self.value,
             "explored": self.explored,
-            "cap_stable": self.cap_stable,
+            # Always true (the sum search stops only when one more color changes
+            # nothing); the record schema keeps the key.
+            "cap_stable": True,
         }
         if self.sequential_vertices is not None:
             record["sequential_vertices"] = sorted(self.sequential_vertices)
         record["t"] = self.witness.color_count
         record["witness"] = self.witness.lines()
         return record
-
-
-def enumerate_proper_colorings(
-    g: Graph, color_cap: int, visitor: Callable[[dict], None]
-) -> int:
-    """Visit every proper coloring of ``g`` with colors from {1..color_cap}.
-
-    The visitor receives a fresh edge->color dict per coloring. Returns the
-    number of colorings visited (one for the edgeless graph: the empty
-    assignment). Cost is bounded only by the caller's choice of graph and cap.
-    """
-    if color_cap < 0:
-        raise PreconditionError(f"color cap must be non-negative, got {color_cap}")
-    edges = g.edges
-    m = len(edges)
-    used = [0] * g.vertex_count
-    assign = [0] * m
-    count = 0
-
-    def walk(index: int) -> None:
-        nonlocal count
-        if index == m:
-            visitor(dict(zip(edges, assign)))
-            count += 1
-            return
-        u, v = edges[index]
-        taken = used[u] | used[v]
-        for c in range(1, color_cap + 1):
-            bit = 1 << c
-            if taken & bit:
-                continue
-            used[u] |= bit
-            used[v] |= bit
-            assign[index] = c
-            walk(index + 1)
-            used[u] &= ~bit
-            used[v] &= ~bit
-
-    walk(0)
-    return count
 
 
 def _min_sum_search(
@@ -199,13 +158,13 @@ def exact_edge_chromatic_sum(g: Graph, *, override_size: bool = False) -> Oracle
     """Minimum total edge color over all proper colorings of ``g``.
 
     The color cap starts at the chromatic index and is raised one color at a
-    time until the optimum stops improving; ``cap_stable`` records that the
-    final +1 re-run changed nothing. (Any coloring can be improved until every
+    time until the optimum stops improving, so the final +1 re-run changed
+    nothing: every result is cap-stable. (Any coloring can be improved until every
     edge color is below deg(u)+deg(v), so the escalation always terminates.)
     """
     check_exhaustive_size(g, override_size)
     if not g.edges:
-        return OracleResult(0, EdgeColoring({}, 0), explored=0, cap_stable=True)
+        return OracleResult(0, EdgeColoring({}, 0), explored=0)
     chi_prime, seed = exact_chromatic_index(g, override_size=True)
     seed_assign = [seed.assignment[e] for e in g.edges]
     value = sum(seed_assign)
@@ -219,7 +178,7 @@ def exact_edge_chromatic_sum(g: Graph, *, override_size: bool = False) -> Oracle
         value, best_assign = next_value, next_assign
         cap += 1
     witness = EdgeColoring(dict(zip(g.edges, best_assign)), max(best_assign))
-    return OracleResult(value, witness, explored=explored, cap_stable=True)
+    return OracleResult(value, witness, explored=explored)
 
 
 def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -> OracleResult:
@@ -292,9 +251,7 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
     sequential = frozenset(v for v in g.vertices if masks[v] == (1 << (degree[v] + 1)) - 2)
     if len(sequential) != best:
         raise RuntimeError("internal error: witness disagrees with the searched optimum")
-    return OracleResult(
-        best, witness, explored=nodes, cap_stable=True, sequential_vertices=sequential
-    )
+    return OracleResult(best, witness, explored=nodes, sequential_vertices=sequential)
 
 
 def _graphs_with_degrees(degrees: list[int], n_top: int) -> Iterator[tuple[tuple[int, int], ...]]:

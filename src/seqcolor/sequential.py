@@ -37,10 +37,6 @@ class MissingColorPartition:
     classes: dict[int, frozenset[int]]
     r: int
 
-    @property
-    def deficient_total(self) -> int:
-        return sum(len(vs) for vs in self.classes.values())
-
 
 @dataclass(frozen=True)
 class SequentialCertificate:
@@ -96,18 +92,30 @@ def sequential_set_bound(n: int, n_r: int, r: int) -> int:
 
 def biregular_set_bound(n: int, r: int) -> int:
     """The bound specialized to (r-1,r)-biregular bipartite graphs: ceil(r*n / (2r-1))."""
-    if r < 3:
-        raise PreconditionError(f"degree parameter must be at least 3, got {r}")
-    if n < 0:
-        raise PreconditionError(f"vertex count must be non-negative, got {n}")
+    _check_bound_args(n, None, r)
     return -(-(r * n) // (2 * r - 1))
 
 
-def _check_bound_args(n: int, n_r: int, r: int) -> None:
+def _check_bound_args(n: int, n_r: int | None, r: int) -> None:
+    """The arguments of a closed-form bound; ``n_r`` is None for a bound without it."""
     if r < 3:
         raise PreconditionError(f"degree parameter must be at least 3, got {r}")
-    if not 0 <= n_r <= n:
+    if n_r is None:
+        if n < 0:
+            raise PreconditionError(f"vertex count must be non-negative, got {n}")
+    elif not 0 <= n_r <= n:
         raise PreconditionError(f"need 0 <= n_r <= n, got n_r={n_r}, n={n}")
+
+
+def _check_near_regular(profile: DegreeProfile) -> int:
+    """The max degree r of ``profile``, which must be near-regular with r >= 3."""
+    if not profile.near_regular:
+        raise PreconditionError(
+            f"degree spread {profile.max_degree - profile.min_degree} exceeds 1"
+        )
+    if profile.max_degree < 3:
+        raise PreconditionError(f"max degree must be at least 3, got {profile.max_degree}")
+    return profile.max_degree
 
 
 def missing_color_partition(
@@ -123,13 +131,7 @@ def missing_color_partition(
     """
     if profile is None:
         profile = degree_profile(g)
-    if not profile.near_regular:
-        raise PreconditionError(
-            f"degree spread {profile.max_degree - profile.min_degree} exceeds 1"
-        )
-    r = profile.max_degree
-    if r < 3:
-        raise PreconditionError(f"max degree must be at least 3, got {r}")
+    r = _check_near_regular(profile)
     if coloring.color_count != r:
         raise PreconditionError(
             f"coloring uses {coloring.color_count} colors, expected exactly {r}"
@@ -217,13 +219,8 @@ def sequentialize(g: Graph, coloring: EdgeColoring | None = None) -> SequentialC
     meets :func:`sequential_set_bound`.
     """
     profile = degree_profile(g)
-    if not profile.near_regular:
-        raise PreconditionError(
-            f"degree spread {profile.max_degree - profile.min_degree} exceeds 1"
-        )
-    r = profile.max_degree
-    if r < 3:
-        raise PreconditionError(f"max degree must be at least 3, got {r}")
+    # Checked before acquisition, so a precondition failure wins over a class one.
+    r = _check_near_regular(profile)
     alpha = obtain_r_coloring(g) if coloring is None else coloring
     partition = missing_color_partition(g, alpha, profile)
     swap = select_swap_color(partition)

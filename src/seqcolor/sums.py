@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import EXHAUSTIVE_EDGE_LIMIT, EdgeColoring, edge_colors, proper_masks
-from .errors import PreconditionError
 from .graph import Graph
 from .oracle import exact_edge_chromatic_sum
-from .sequential import SequentialCertificate, sequentialize
+from .sequential import SequentialCertificate, _check_bound_args, sequentialize
 
 
 def coloring_sum(g: Graph, coloring: EdgeColoring) -> int:
@@ -25,10 +24,7 @@ def coloring_sum(g: Graph, coloring: EdgeColoring) -> int:
 
 def chromatic_sum_bound(n: int, n_r: int, r: int) -> int:
     """floor((2*n_r*(2r-1) + n*(r-1)*(r^2+2r-2)) / (4r)), exact integers."""
-    if r < 3:
-        raise PreconditionError(f"degree parameter must be at least 3, got {r}")
-    if not 0 <= n_r <= n:
-        raise PreconditionError(f"need 0 <= n_r <= n, got n_r={n_r}, n={n}")
+    _check_bound_args(n, n_r, r)
     return (2 * n_r * (2 * r - 1) + n * (r - 1) * (r * r + 2 * r - 2)) // (4 * r)
 
 
@@ -91,17 +87,15 @@ def vertex_sum_decomposition(g: Graph, coloring: EdgeColoring) -> PaletteSumDeco
 class SumReport:
     """Achieved sum of the constructed coloring against the closed-form bound.
 
-    ``exact_sum`` is the brute-force minimum when the oracle ran, else None.
-    Whenever all fields are present, exact_sum <= actual_sum <= bound; every
-    construction, :func:`dataclasses.replace` included, checks this.
+    The bound's n, n_r and r are the certificate's. ``exact_sum`` is the
+    brute-force minimum when the oracle ran, else None. Whenever all fields
+    are present, exact_sum <= actual_sum <= bound; every construction,
+    :func:`dataclasses.replace` included, checks this.
     """
 
     actual_sum: int
     bound: int
     exact_sum: int | None
-    r: int
-    n: int
-    n_r: int
     certificate: SequentialCertificate
 
     def __post_init__(self) -> None:
@@ -111,11 +105,12 @@ class SumReport:
             raise RuntimeError("internal error: oracle minimum exceeded the constructed sum")
 
     def to_record(self) -> dict:
+        cert = self.certificate
         return {
             "record": "sum_report",
-            "n": self.n,
-            "r": self.r,
-            "n_r": self.n_r,
+            "n": cert.n,
+            "r": cert.r,
+            "n_r": cert.n_r,
             "actual_sum": self.actual_sum,
             "bound": self.bound,
             "exact_sum": self.exact_sum,
@@ -137,12 +132,4 @@ def sum_report(
     exact = None
     if run_oracle and g.edge_count <= EXHAUSTIVE_EDGE_LIMIT:
         exact = exact_edge_chromatic_sum(g).value
-    return SumReport(
-        actual_sum=actual,
-        bound=bound,
-        exact_sum=exact,
-        r=certificate.r,
-        n=certificate.n,
-        n_r=certificate.n_r,
-        certificate=certificate,
-    )
+    return SumReport(actual_sum=actual, bound=bound, exact_sum=exact, certificate=certificate)

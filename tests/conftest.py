@@ -34,7 +34,7 @@ def random_simple_graph(rng, max_n=12, p=0.4):
 def random_bipartite_graph(rng, max_part=7, p=0.5):
     a, b = rng.randint(1, max_part), rng.randint(1, max_part)
     pairs = [(i, a + j) for i in range(a) for j in range(b) if rng.random() < p]
-    return build_graph(a + b, pairs, bipartition=(range(a), range(a, a + b)))
+    return build_graph(a + b, pairs)
 
 
 @st.composite

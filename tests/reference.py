@@ -1,0 +1,55 @@
+"""Reference helpers that only the tests use, kept apart from the library."""
+
+from typing import Callable
+
+from seqcolor import EdgeColoring, Graph, MissingColorPartition, PreconditionError, edge_key
+
+
+def enumerate_proper_colorings(
+    g: Graph, color_cap: int, visitor: Callable[[dict], None]
+) -> int:
+    """Visit every proper coloring of ``g`` with colors from {1..color_cap}.
+
+    The visitor receives a fresh edge->color dict per coloring. Returns the
+    number of colorings visited (one for the edgeless graph: the empty
+    assignment). Cost is bounded only by the caller's choice of graph and cap.
+    """
+    if color_cap < 0:
+        raise PreconditionError(f"color cap must be non-negative, got {color_cap}")
+    edges = g.edges
+    m = len(edges)
+    used = [0] * g.vertex_count
+    assign = [0] * m
+    count = 0
+
+    def walk(index: int) -> None:
+        nonlocal count
+        if index == m:
+            visitor(dict(zip(edges, assign)))
+            count += 1
+            return
+        u, v = edges[index]
+        taken = used[u] | used[v]
+        for c in range(1, color_cap + 1):
+            bit = 1 << c
+            if taken & bit:
+                continue
+            used[u] |= bit
+            used[v] |= bit
+            assign[index] = c
+            walk(index + 1)
+            used[u] &= ~bit
+            used[v] &= ~bit
+
+    walk(0)
+    return count
+
+
+def color_of(coloring: EdgeColoring, u: int, v: int) -> int:
+    """The color of edge {u, v}, in either orientation."""
+    return coloring.assignment[edge_key(u, v)]
+
+
+def deficient_total(partition: MissingColorPartition) -> int:
+    """How many vertices the missing-color classes hold together."""
+    return sum(len(vs) for vs in partition.classes.values())

@@ -31,6 +31,7 @@ from seqcolor import (
 from seqcolor import coloring as coloring_module
 
 from .conftest import bipartite_graphs, graphs
+from .reference import color_of
 
 K4_MATCHING_COLORING = EdgeColoring(
     {(0, 1): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2, (0, 3): 3, (1, 2): 3}, 3
@@ -74,7 +75,7 @@ class TestVerifyProper:
         coloring = EdgeColoring({e: rng.randint(1, 4) for e in g.edges}, 4)
         expected = []
         for v in g.vertices:
-            counts = Counter(coloring.color_of(a, b) for a, b in g.edges if v in (a, b))
+            counts = Counter(color_of(coloring, a, b) for a, b in g.edges if v in (a, b))
             expected.extend((v, c) for c in sorted(counts) if counts[c] > 1)
         verdict = verify_proper(g, coloring)
         assert verdict.violations == tuple(expected)

@@ -4,7 +4,10 @@ Every case builds its input here, from its own seed, without the library's
 generators (whose seeds may map to new graphs), runs ``seqcolor.cli.run``
 in-process and compares the sha256 of stdout and the exit code with values
 recorded from the dict-based coloring core that preceded the edge-indexed
-one. A rewrite of the core that changes a single output byte fails here.
+one; the ``generate``, ``oracle`` and text-mode ``--oracle`` cases were
+recorded from the code that still stored a bipartition per graph and a
+``cap_stable`` field per oracle result. A rewrite of the core that changes a
+single output byte fails here.
 """
 
 import hashlib
@@ -110,7 +113,8 @@ GRAPHS = {
     "cubic-200": lambda: matching_union(7, 200, 3),
 }
 
-# (graph, command, extra arguments, graph6 input?)
+# (graph, command, extra arguments, graph6 input?); a case without a graph
+# reads no input.
 CASES = {
     "seq-report-biregular-r3": ("biregular-r3", "sequentialize", ["--report"], False),
     "seq-text-biregular-r3": ("biregular-r3", "sequentialize", [], False),
@@ -125,6 +129,13 @@ CASES = {
     "seq-report-union-8-3": ("union-8-3", "sequentialize", ["--report"], False),
     "seq-text-union-10-4": ("union-10-4", "sequentialize", [], False),
     "seq-oracle-union-8-3": ("union-8-3", "sequentialize", ["--report", "--oracle"], False),
+    "seq-oracle-text-union-8-3": ("union-8-3", "sequentialize", ["--oracle"], False),
+    "oracle-union-8-3": ("union-8-3", "oracle", [], False),
+    "oracle-report-union-8-3": ("union-8-3", "oracle", ["--report"], False),
+    "gen-complete-bipartite-3-4": (None, "generate", ["complete-bipartite", "3", "4"], False),
+    "gen-biregular-4-3-seed7": (None, "generate", ["biregular", "4", "3", "--seed", "7"], False),
+    "gen-regular-class1-3-complete-g6": (
+        None, "generate", ["regular-class1", "3", "--complete", "--format", "graph6"], False),
     "color-minus-r4": ("minus-matching-r4", "color", [], False),
     "color-k10": ("k10", "color", [], False),
     "vizing-k10": ("k10", "color", ["--vizing"], False),
@@ -136,6 +147,12 @@ CASES = {
 GOLDEN = {
     "color-k10": (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "color-minus-r4": (0, "0c7730c9792f07c1d69c99100b13d6cfee9bee6a642f55817bcfcfd54f511c35"),
+    "gen-biregular-4-3-seed7": (0, "1b01009c481bf3933e8d2e314619c6c894b9d2cc858cae261ea733d9b6294941"),
+    "gen-complete-bipartite-3-4": (0, "422344b30ee4125595a0f354ac8ac5e0e00d7a56f4ae4565a39f389c4eff9730"),
+    "gen-regular-class1-3-complete-g6": (0, "62073900de6d9451c02333f80b3c4de1105edb4559989fee6cfa91c1365d102b"),
+    "oracle-report-union-8-3": (0, "146bce13126f3f2276e0ea4ed4612a7c3ef7fb97641acaa42e49da0550d1b534"),
+    "oracle-union-8-3": (0, "37905f61cae3f74f1dd8d2d9cabb3514dda27b5ba2880815a7bc9b47215b8b38"),
+    "seq-oracle-text-union-8-3": (0, "41dc599a44f82f17a68dedfab428fc4788e470ceb8233929315a85adce9f6298"),
     "seq-oracle-union-8-3": (0, "1a34c3890af08b00a459475ea96e71be85df2a7d6a40a7a15ed0d53c6d84131a"),
     "seq-report-biregular-r3": (0, "3ed911ed569f555e6280788e1dc9c56ad21d6725fbb0f4e2a909ca36d65355a2"),
     "seq-report-biregular-r5-g6": (0, "e1ecd2d28475a6bae5c8cb4a800f3d666d8a00e2341750a36442d2678f5b4be8"),
@@ -179,8 +196,8 @@ def digest(text):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case, tmp_path, capsys):
     graph, command, extra, graph6 = CASES[case]
-    path = write_graph(tmp_path, graph, graph6)
-    argv = [command, *extra, *(["--format", "graph6"] if graph6 else []), path]
+    inputs = [write_graph(tmp_path, graph, graph6)] if graph else []
+    argv = [command, *extra, *(["--format", "graph6"] if graph6 else []), *inputs]
     code, out = invoke(argv, capsys)
     assert (code, digest(out)) == GOLDEN[case]
 

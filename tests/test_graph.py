@@ -45,16 +45,6 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="out of range"):
             build_graph(2, [(0, 2)])
 
-    def test_bipartition_checks(self):
-        with pytest.raises(GraphError, match="overlap"):
-            build_graph(2, [(0, 1)], bipartition=({0, 1}, {1}))
-        with pytest.raises(GraphError, match="cover"):
-            build_graph(3, [(0, 1)], bipartition=({0}, {1}))
-        with pytest.raises(GraphError, match="violates"):
-            build_graph(3, [(0, 1)], bipartition=({0, 1}, {2}))
-        g = build_graph(3, [(0, 2), (1, 2)], bipartition=({0, 1}, {2}))
-        assert g.bipartition == (frozenset({0, 1}), frozenset({2}))
-
 
 class TestIncidence:
     def test_hand_example(self):
@@ -116,6 +106,24 @@ class TestBipartitionOf:
     def test_odd_cycle_none(self):
         assert bipartition_of(cycle_graph(5)) is None
 
+    @pytest.mark.parametrize(
+        "family,params",
+        [("complete-bipartite", ab) for ab in ((1, 1), (1, 5), (3, 4), (8, 2), (8, 8))]
+        + [("biregular", rk) for rk in ((3, 1), (3, 3), (5, 2), (8, 3))],
+    )
+    def test_generator_parts_are_construction_parts(self, family, params):
+        # Every component holds a vertex of X, and X's ids come first, so the
+        # parts read from ``sides`` are X and Y exactly as constructed.
+        if family == "complete-bipartite":
+            x, y = params
+            outputs = [generate_complete_bipartite(x, y)]
+        else:
+            r, k = params
+            x, y = (r - 1) * k, r * k
+            outputs = [generate_random_biregular(r, k, seed) for seed in range(10)]
+        for g in outputs:
+            assert bipartition_of(g) == (frozenset(range(x)), frozenset(range(x, x + y)))
+
 
 class TestGenerators:
     def test_complete_bipartite_degrees(self):
@@ -135,7 +143,7 @@ class TestGenerators:
         g = generate_random_biregular(r, k, seed=11)
         degrees = sorted(g.degree(v) for v in g.vertices)
         assert degrees == [r - 1] * (r * k) + [r] * ((r - 1) * k)
-        left, right = g.bipartition
+        left, right = bipartition_of(g)
         # Handshake across the parts.
         assert len(left) * r == len(right) * (r - 1) == g.edge_count
 
@@ -161,7 +169,7 @@ class TestGenerators:
         for seed in seeds:
             g = generate_random_biregular(r, k, seed=seed)
             assert len(g.edge_set) == g.edge_count == r * (r - 1) * k
-            left, right = g.bipartition
+            left, right = bipartition_of(g)
             assert all(g.degree(x) == r for x in left)
             assert all(g.degree(y) == r - 1 for y in right)
 

@@ -14,7 +14,6 @@ from seqcolor import (
     connected_near_regular_graphs,
     cycle_graph,
     degree_profile,
-    enumerate_proper_colorings,
     exact_edge_chromatic_sum,
     exact_max_sequential_set,
     palette,
@@ -24,6 +23,7 @@ from seqcolor import (
 )
 
 from .conftest import path_graph
+from .reference import enumerate_proper_colorings
 
 
 def count_colorings(g, cap):
@@ -70,7 +70,7 @@ class TestExactSum:
     def test_k4(self, k4):
         result = exact_edge_chromatic_sum(k4)
         assert result.value == 12
-        assert result.cap_stable
+        assert result.to_record("sum")["cap_stable"] is True
         assert verify_proper(k4, result.witness)
         assert coloring_sum(k4, result.witness) == 12
 
@@ -86,7 +86,7 @@ class TestExactSum:
 
     def test_edgeless(self):
         result = exact_edge_chromatic_sum(build_graph(2, []))
-        assert result.value == 0 and result.cap_stable
+        assert result.value == 0 and result.to_record("sum")["cap_stable"] is True
 
     def test_long_path_with_override(self):
         # 21 edges: consecutive pairs force sum >= 3 each, so 31 is optimal.

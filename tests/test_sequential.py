@@ -14,6 +14,7 @@ from seqcolor import (
     PreconditionError,
     biregular_set_bound,
     build_graph,
+    chromatic_sum_bound,
     cycle_graph,
     degree_profile,
     generate_complete_bipartite,
@@ -30,6 +31,7 @@ from seqcolor import (
 )
 
 from .conftest import class_one_near_regular, graphs
+from .reference import color_of, deficient_total
 from .test_coloring import K4_MATCHING_COLORING
 
 # Hand-checked proper 3-coloring of the complete bipartite graph on parts
@@ -45,7 +47,7 @@ class TestMissingColorPartition:
         part = missing_color_partition(k4, K4_MATCHING_COLORING)
         assert part.r == 3
         assert all(cls == frozenset() for cls in part.classes.values())
-        assert part.deficient_total == 0
+        assert deficient_total(part) == 0
 
     def test_k23_hand_example(self, k23):
         part = missing_color_partition(k23, K23_COLORING)
@@ -81,7 +83,7 @@ class TestMissingColorPartition:
         union = frozenset().union(*classes)
         assert sum(len(cls) for cls in classes) == len(union)  # pairwise disjoint
         assert union == frozenset(g.vertices) - profile.max_degree_vertices
-        assert part.deficient_total == profile.n - profile.n_r
+        assert deficient_total(part) == profile.n - profile.n_r
 
 
 class TestSelectSwapColor:
@@ -120,9 +122,9 @@ class TestSwapColors:
 
     def test_k23_hand_example(self, k23):
         swapped = swap_colors(K23_COLORING, 1, 3)
-        assert swapped.color_of(0, 4) == 1 and swapped.color_of(1, 3) == 1
-        assert swapped.color_of(0, 2) == 3 and swapped.color_of(1, 4) == 3
-        assert swapped.color_of(0, 3) == 2 and swapped.color_of(1, 2) == 2
+        assert color_of(swapped, 0, 4) == 1 and color_of(swapped, 1, 3) == 1
+        assert color_of(swapped, 0, 2) == 3 and color_of(swapped, 1, 4) == 3
+        assert color_of(swapped, 0, 3) == 2 and color_of(swapped, 1, 2) == 2
         assert verify_proper(k23, swapped)
 
     def test_color_out_of_range(self):
@@ -193,6 +195,29 @@ class TestBounds:
             sequential_set_bound(4, 4, 2)
         with pytest.raises(PreconditionError):
             biregular_set_bound(5, 2)
+
+    @pytest.mark.parametrize(
+        "call,text",
+        [
+            (lambda: sequential_set_bound(4, 5, 3), "need 0 <= n_r <= n, got n_r=5, n=4"),
+            (lambda: sequential_set_bound(-1, 0, 2), "degree parameter must be at least 3, got 2"),
+            (lambda: chromatic_sum_bound(4, -1, 3), "need 0 <= n_r <= n, got n_r=-1, n=4"),
+            (lambda: chromatic_sum_bound(4, 4, 2), "degree parameter must be at least 3, got 2"),
+            (lambda: biregular_set_bound(-1, 3), "vertex count must be non-negative, got -1"),
+            (lambda: biregular_set_bound(-1, 2), "degree parameter must be at least 3, got 2"),
+            (lambda: sequentialize(generate_complete_bipartite(1, 3)), "degree spread 2 exceeds 1"),
+            (lambda: sequentialize(cycle_graph(5)), "max degree must be at least 3, got 2"),
+            (lambda: missing_color_partition(generate_complete_bipartite(1, 3), EdgeColoring({}, 3)),
+             "degree spread 2 exceeds 1"),
+            (lambda: missing_color_partition(cycle_graph(6), EdgeColoring({}, 2)),
+             "max degree must be at least 3, got 2"),
+        ],
+    )
+    def test_precondition_texts(self, call, text):
+        # The bound and pipeline checks are shared helpers; their texts are fixed.
+        with pytest.raises(PreconditionError) as raised:
+            call()
+        assert str(raised.value) == text
 
 
 class TestSequentialize:
@@ -274,8 +299,8 @@ def test_forced_swap_path():
     assert cert.swapped and cert.swap_color == 1
     assert cert.sequential_vertices == frozenset(range(4))
     assert cert.verified
-    assert cert.coloring.color_of(0, 1) == 3
-    assert cert.coloring.color_of(1, 2) == 1
+    assert color_of(cert.coloring, 0, 1) == 3
+    assert color_of(cert.coloring, 1, 2) == 1
     assert cert.size == 4 >= cert.bound == 3
 
 

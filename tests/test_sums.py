@@ -154,7 +154,7 @@ class TestSumReport:
     def test_k4(self, k4):
         report = sum_report(k4, run_oracle=True)
         assert (report.actual_sum, report.bound, report.exact_sum) == (12, 12, 12)
-        assert (report.n, report.n_r, report.r) == (4, 4, 3)
+        assert (report.certificate.n, report.certificate.n_r, report.certificate.r) == (4, 4, 3)
 
     def test_k23(self, k23):
         report = sum_report(k23, run_oracle=True)
