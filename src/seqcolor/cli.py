@@ -37,7 +37,6 @@ from .oracle import exact_edge_chromatic_sum, exact_max_sequential_set
 from .sequential import (
     biregular_set_bound,
     sequential_set_bound,
-    sequentialize,
     verify_certificate,
 )
 from .sums import chromatic_sum_bound, sum_report
@@ -48,6 +47,17 @@ EXIT_PRECONDITION = 2
 EXIT_CLASS_TWO = 3
 EXIT_UNKNOWN = 4
 EXIT_IO = 5
+
+# The exit code of each error class that run() reports, first match wins;
+# any other exception propagates.
+EXIT_CODES = (
+    (ClassTwoError, EXIT_CLASS_TWO),
+    (UnknownClassError, EXIT_UNKNOWN),
+    (OversizeError, EXIT_PRECONDITION),
+    (PreconditionError, EXIT_PRECONDITION),
+    (GraphError, EXIT_IO),
+    (OSError, EXIT_IO),
+)
 
 
 def _read_text(path: str) -> str:
@@ -301,28 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ClassTwoError as exc:
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CLASS_TWO
-    except UnknownClassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
-    except OversizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 def main() -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import (
     CapExceededError,
@@ -20,19 +21,25 @@ EXHAUSTIVE_EDGE_LIMIT = 20
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Total assignment of colors from {1..color_count} to a host graph's edges.
-
-    Keys of ``assignment`` are normalized (min, max) edges. Instances are
-    treated as immutable values; algorithms build fresh dicts and wrap them.
+    """Colors from {1..color_count} on edges: ``colors[i]`` is the color of
+    ``edges[i]``, a normalized (min, max) pair. A coloring built from a graph
+    ``g`` shares the tuple ``g.edges``, so its ``colors`` are indexed by edge
+    id. Equality compares edges in order; :meth:`lines` ignores the order.
     """
 
-    assignment: dict[Edge, int]
+    edges: tuple[Edge, ...]
+    colors: tuple[int, ...]
     color_count: int
+
+    def __post_init__(self) -> None:
+        if len(self.edges) != len(self.colors):
+            raise PreconditionError(f"coloring has {len(self.edges)} edges but {len(self.colors)} colors")
 
     def lines(self) -> list[str]:
         """One "u v c" line per edge, in ascending edge order."""
-        assignment = self.assignment
-        return [f"{e[0]} {e[1]} {assignment[e]}" for e in sorted(assignment)]
+        # Flat triples keep CPython's fast int-tuple comparison; edges are unique.
+        triples = sorted([(u, v, c) for (u, v), c in zip(self.edges, self.colors)])
+        return [f"{u} {v} {c}" for u, v, c in triples]
 
 
 @dataclass(frozen=True)
@@ -46,29 +53,34 @@ class Verdict:
         return self.ok
 
 
-def edge_colors(g: Graph, coloring: EdgeColoring) -> list[int]:
-    """The colors of ``g.edges``, indexed by edge id.
+def edge_colors(g: Graph, coloring: EdgeColoring) -> Sequence[int]:
+    """The colors of ``g.edges``, indexed by edge id: ``coloring.colors`` when
+    the coloring shares ``g.edges``, else re-indexed through its edges.
 
-    Raises :class:`PreconditionError` when the coloring misses an edge or names
-    an edge the graph does not have.
+    Raises :class:`PreconditionError` when the coloring names an edge twice,
+    misses an edge or names an edge the graph does not have.
     """
-    assignment = coloring.assignment
+    if coloring.edges is g.edges:
+        return coloring.colors
+    by_edge = dict(zip(coloring.edges, coloring.colors))
+    if len(by_edge) != len(coloring.edges):
+        raise PreconditionError("coloring names an edge more than once")
     try:
-        colors = [assignment[e] for e in g.edges]
+        colors = [by_edge[e] for e in g.edges]
     except KeyError:
-        missing = [e for e in g.edges if e not in assignment]
+        missing = [e for e in g.edges if e not in by_edge]
         raise PreconditionError(
             f"coloring does not cover {len(missing)} edge(s), e.g. {missing[:3]}"
         ) from None
-    if len(assignment) != len(colors):
-        extra = [e for e in assignment if e not in g.edge_set]
+    if len(by_edge) != len(colors):
+        extra = [e for e in coloring.edges if e not in g.edge_set]
         raise PreconditionError(
             f"coloring names {len(extra)} edge(s) not in the graph, e.g. {extra[:3]}"
         )
     return colors
 
 
-def palette_masks(g: Graph, colors: list[int]) -> tuple[list[int], set[int]]:
+def palette_masks(g: Graph, colors: Sequence[int]) -> tuple[list[int], set[int]]:
     """Per vertex, the OR of ``1 << color`` over its edges, and the vertices at
     which two edges share a color.
 
@@ -89,7 +101,7 @@ def palette_masks(g: Graph, colors: list[int]) -> tuple[list[int], set[int]]:
     return masks, clashes
 
 
-def coloring_masks(g: Graph, coloring: EdgeColoring) -> tuple[list[int], list[int], set[int]]:
+def coloring_masks(g: Graph, coloring: EdgeColoring) -> tuple[Sequence[int], list[int], set[int]]:
     """One read of ``coloring`` on ``g``: its edge colors (see
     :func:`edge_colors`), each vertex's palette bitmask and the clash vertices
     (see :func:`palette_masks`).
@@ -109,7 +121,7 @@ def coloring_masks(g: Graph, coloring: EdgeColoring) -> tuple[list[int], list[in
     return colors, masks, clashes
 
 
-def clash_verdict(g: Graph, colors: list[int], clashes: set[int]) -> Verdict:
+def clash_verdict(g: Graph, colors: Sequence[int], clashes: set[int]) -> Verdict:
     """The :func:`verify_proper` verdict for the edge ``colors`` and the clash
     vertices of one :func:`coloring_masks` read."""
     violations: list[tuple[int, int]] = []
@@ -150,9 +162,9 @@ def palette(g: Graph, coloring: EdgeColoring, v: int) -> frozenset[int]:
     """The set of colors appearing on edges incident to ``v``."""
     if not 0 <= v < g.vertex_count:
         raise GraphError(f"unknown vertex {v}")
-    edges = g.edges
+    by_edge = dict(zip(coloring.edges, coloring.colors))
     try:
-        return frozenset(coloring.assignment[edges[e]] for e in g.incidence[v])
+        return frozenset(by_edge[g.edges[e]] for e in g.incidence[v])
     except KeyError as exc:
         raise PreconditionError(f"coloring misses an edge at vertex {v}: {exc}") from None
 
@@ -222,7 +234,7 @@ def misra_gries(g: Graph) -> EdgeColoring:
     order, so the result is deterministic.
     """
     if not g.edges:
-        return EdgeColoring({}, 0)
+        return EdgeColoring(g.edges, (), 0)
     edges, incidence = g.edges, g.incidence
     cap = max(map(len, incidence)) + 1
     state = _EdgeIndexedColoring(g, cap)
@@ -269,8 +281,7 @@ def misra_gries(g: Graph) -> EdgeColoring:
             break
         else:
             raise RuntimeError("internal error: no rotatable fan prefix")
-    del state  # the lookup table goes before the result dict is built
-    return EdgeColoring(dict(zip(edges, color)), max(color))
+    return EdgeColoring(edges, tuple(color), max(color))
 
 
 def konig_color_bipartite(g: Graph) -> EdgeColoring:
@@ -283,7 +294,7 @@ def konig_color_bipartite(g: Graph) -> EdgeColoring:
     if g.sides is None:
         raise PreconditionError("graph is not bipartite")
     if not g.edges:
-        return EdgeColoring({}, 0)
+        return EdgeColoring(g.edges, (), 0)
     max_degree = max(map(len, g.incidence))
     state = _EdgeIndexedColoring(g, max_degree)
     color, used, at, stride = state.color, state.used, state.at, state.stride
@@ -302,8 +313,7 @@ def konig_color_bipartite(g: Graph) -> EdgeColoring:
         used[v] |= bit
         at[u * stride + a] = e
         at[v * stride + a] = e
-    del state, at  # the lookup table goes before the result dict is built
-    return EdgeColoring(dict(zip(g.edges, color)), max_degree)
+    return EdgeColoring(g.edges, tuple(color), max_degree)
 
 
 def check_exhaustive_size(g: Graph, override_size: bool) -> None:
@@ -329,7 +339,7 @@ def exact_chromatic_index(
     """
     check_exhaustive_size(g, override_size)
     if not g.edges:
-        return 0, EdgeColoring({}, 0)
+        return 0, EdgeColoring(g.edges, (), 0)
     degree = [g.degree(v) for v in g.vertices]
     max_degree = max(degree)
     cap = max_degree + 1 if max_colors is None else max_colors
@@ -362,7 +372,7 @@ def exact_chromatic_index(
 
     for t in range(max_degree, cap + 1):
         if feasible(t, 0, 0):
-            return t, EdgeColoring(dict(zip(ordered, assign)), t)
+            return t, EdgeColoring(tuple(ordered), tuple(assign), t)
     raise CapExceededError(cap=cap, lower_bound=cap + 1)
 
 
@@ -380,14 +390,14 @@ def obtain_r_coloring(g: Graph) -> EdgeColoring:
     """
     r = max(map(len, g.incidence), default=0)
     if r == 0:
-        return EdgeColoring({}, 0)
+        return EdgeColoring(g.edges, (), 0)
     if g.edge_count > r * (g.vertex_count // 2):
         raise ClassTwoError(chi_prime=r + 1, max_degree=r)
     if g.sides is not None:
         return konig_color_bipartite(g)
     heuristic = misra_gries(g)
     if heuristic.color_count <= r:
-        return EdgeColoring(heuristic.assignment, r)
+        return EdgeColoring(heuristic.edges, heuristic.colors, r)
     if g.edge_count <= EXHAUSTIVE_EDGE_LIMIT:
         chi_prime, witness = exact_chromatic_index(g)
         if chi_prime == r:
@@ -420,7 +430,7 @@ def parse_coloring(text: str) -> EdgeColoring:
         raise GraphError(f"bad color count header {lines[start]!r}") from None
     if t < 0:
         raise GraphError(f"negative color count {t}")
-    assignment: dict[Edge, int] = {}
+    by_edge: dict[Edge, int] = {}
     for line in lines[start + 1:]:
         try:
             u, v, c = map(int, line.split())
@@ -437,7 +447,7 @@ def parse_coloring(text: str) -> EdgeColoring:
             raise GraphError(f"loop edge in coloring line {line!r}")
         if not 1 <= c <= t:
             raise GraphError(f"color {c} outside 1..{t} in line {line!r}")
-        if (u, v) in assignment:
+        if (u, v) in by_edge:
             raise GraphError(f"edge {(u, v)} colored twice")
-        assignment[u, v] = c
-    return EdgeColoring(assignment, t)
+        by_edge[u, v] = c
+    return EdgeColoring(tuple(by_edge), tuple(by_edge.values()), t)

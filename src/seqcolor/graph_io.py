@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import GraphError
+from .errors import GraphError, PreconditionError
 from .graph import Graph, build_graph
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -52,7 +52,7 @@ def emit_graph6(g: Graph) -> str:
     """Encode ``g`` as a canonical graph6 string (no header)."""
     n = g.vertex_count
     if n > GRAPH6_MAX_VERTICES:
-        raise GraphError(f"graph6 output supports at most {GRAPH6_MAX_VERTICES} vertices, got {n}")
+        raise PreconditionError(f"graph6 output supports at most {GRAPH6_MAX_VERTICES} vertices, got {n}")
     present = g.edge_set
     bits = [1 if pair in present else 0 for pair in _upper_triangle_pairs(n)]
     while len(bits) % 6:

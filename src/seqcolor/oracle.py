@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .coloring import (
     EdgeColoring,
     check_exhaustive_size,
+    edge_colors,
     exact_chromatic_index,
     palette_masks,
 )
@@ -52,8 +53,8 @@ class OracleResult:
 
 
 def _min_sum_search(
-    g: Graph, color_cap: int, best_value: int, best_assign: list[int] | None
-) -> tuple[int, list[int] | None, int]:
+    g: Graph, color_cap: int, best_value: int, best_assign: Sequence[int]
+) -> tuple[int, Sequence[int], int]:
     # Branch and bound over edges in input order, colors ascending. Three
     # admissible lower bounds on the uncolored remainder, combined by max:
     # per edge, the smallest color legal at both endpoints right now; per
@@ -164,11 +165,10 @@ def exact_edge_chromatic_sum(g: Graph, *, override_size: bool = False) -> Oracle
     """
     check_exhaustive_size(g, override_size)
     if not g.edges:
-        return OracleResult(0, EdgeColoring({}, 0), explored=0)
+        return OracleResult(0, EdgeColoring(g.edges, (), 0), explored=0)
     chi_prime, seed = exact_chromatic_index(g, override_size=True)
-    seed_assign = [seed.assignment[e] for e in g.edges]
-    value = sum(seed_assign)
-    value, best_assign, explored = _min_sum_search(g, chi_prime, value, seed_assign)
+    seed_colors = edge_colors(g, seed)
+    value, best_assign, explored = _min_sum_search(g, chi_prime, sum(seed_colors), seed_colors)
     cap = chi_prime
     while True:
         next_value, next_assign, nodes = _min_sum_search(g, cap + 1, value, best_assign)
@@ -177,7 +177,7 @@ def exact_edge_chromatic_sum(g: Graph, *, override_size: bool = False) -> Oracle
             break
         value, best_assign = next_value, next_assign
         cap += 1
-    witness = EdgeColoring(dict(zip(g.edges, best_assign)), max(best_assign))
+    witness = EdgeColoring(g.edges, tuple(best_assign), max(best_assign))
     return OracleResult(value, witness, explored=explored)
 
 
@@ -246,7 +246,7 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
             lost_count -= len(newly_lost)
 
     descend(0)
-    witness = EdgeColoring(dict(zip(edges, best_assign)), r)
+    witness = EdgeColoring(edges, tuple(best_assign), r)
     masks, _ = palette_masks(g, best_assign)
     sequential = frozenset(v for v in g.vertices if masks[v] == (1 << (degree[v] + 1)) - 2)
     if len(sequential) != best:
@@ -356,9 +356,9 @@ def _is_canonical(adj: list[int], n_top: int, known: int) -> bool:
     return not beaten(0, [cell for cell in (top, ((1 << n) - 1) ^ top) if cell])
 
 
-def connected_near_regular_graphs(max_edges: int, min_r: int = 3) -> Iterator[Graph]:
+def connected_near_regular_graphs(max_edges: int) -> Iterator[Graph]:
     """All connected graphs with at most ``max_edges`` edges and degree spread <= 1,
-    one representative per isomorphism class, max degree at least ``min_r``.
+    one representative per isomorphism class, max degree at least 3.
 
     Vertices of maximum degree come first in each representative. Among the
     relabelings that permute the max-degree block and the rest separately,
@@ -371,7 +371,7 @@ def connected_near_regular_graphs(max_edges: int, min_r: int = 3) -> Iterator[Gr
     if max_edges < 1:
         return
     # Degrees at least r-1 on at least r+1 vertices force r*r - 1 <= 2*max_edges.
-    for r in range(min_r, isqrt(2 * max_edges + 1) + 1):
+    for r in range(3, isqrt(2 * max_edges + 1) + 1):
         for n_top in range(1, 2 * max_edges // r + 1):
             for n_low in range(0, (2 * max_edges - r * n_top) // (r - 1) + 1):
                 degree_total = r * n_top + (r - 1) * n_low

@@ -173,11 +173,8 @@ def swap_colors(coloring: EdgeColoring, low: int, high: int) -> EdgeColoring:
         raise PreconditionError(f"color {low} out of range 1..{high}")
     if low == high:
         return coloring
-    swapped = {
-        e: high if c == low else low if c == high else c
-        for e, c in coloring.assignment.items()
-    }
-    return EdgeColoring(swapped, coloring.color_count)
+    swapped = tuple([high if c == low else low if c == high else c for c in coloring.colors])
+    return EdgeColoring(coloring.edges, swapped, high)
 
 
 def verify_sequential(g: Graph, coloring: EdgeColoring, vertices) -> Verdict:

@@ -117,16 +117,14 @@ class SumReport:
         }
 
 
-def sum_report(
-    g: Graph, run_oracle: bool = False, coloring: EdgeColoring | None = None
-) -> SumReport:
+def sum_report(g: Graph, run_oracle: bool = False) -> SumReport:
     """Run the sequential pipeline and compare its sum against the bound.
 
     The exact minimum is attached when ``run_oracle`` is set and the instance
     has at most :data:`~seqcolor.coloring.EXHAUSTIVE_EDGE_LIMIT` edges.
     Precondition and class failures propagate from :func:`sequentialize`.
     """
-    certificate = sequentialize(g, coloring=coloring)
+    certificate = sequentialize(g)
     actual = coloring_sum(g, certificate.coloring)
     bound = chromatic_sum_bound(certificate.n, certificate.n_r, certificate.r)
     exact = None

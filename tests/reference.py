@@ -45,9 +45,19 @@ def enumerate_proper_colorings(
     return count
 
 
+def coloring_of(assignment: dict, t: int) -> EdgeColoring:
+    """The coloring with ``assignment``'s edges and colors, in its key order."""
+    return EdgeColoring(tuple(assignment), tuple(assignment.values()), t)
+
+
+def assignment_of(coloring: EdgeColoring) -> dict:
+    """The coloring as an edge->color dict."""
+    return dict(zip(coloring.edges, coloring.colors))
+
+
 def color_of(coloring: EdgeColoring, u: int, v: int) -> int:
     """The color of edge {u, v}, in either orientation."""
-    return coloring.assignment[edge_key(u, v)]
+    return assignment_of(coloring)[edge_key(u, v)]
 
 
 def deficient_total(partition: MissingColorPartition) -> int:

@@ -13,7 +13,6 @@ import pytest
 from seqcolor import (
     ClassTwoError,
     biregular_set_bound,
-    build_graph,
     chromatic_sum_bound,
     coloring_sum,
     complete_graph,

@@ -10,9 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seqcolor import (
-    EdgeColoring,
     complete_graph,
-    degree_profile,
     emit_edge_list,
     generate_complete_bipartite,
     konig_color_bipartite,
@@ -20,7 +18,6 @@ from seqcolor import (
     parse_coloring,
     parse_edge_list,
     palette,
-    parse_graph6,
     sequentialize,
     verify_proper,
     verify_sequential,
@@ -28,13 +25,14 @@ from seqcolor import (
 from seqcolor.cli import run
 
 from .conftest import class_one_near_regular, petersen_graph
+from .reference import assignment_of, coloring_of
 from .test_coloring import K4_MATCHING_COLORING
 
 
 def reference_verify(g, coloring, vertices):
     """`seqcolor verify`'s stdout and exit code, from per-vertex counting and
     :func:`palette`."""
-    assignment = coloring.assignment
+    assignment = assignment_of(coloring)
     missing = [e for e in g.edges if e not in assignment]
     if missing:
         return f"coverage mismatch: coloring does not cover {len(missing)} edge(s), e.g. {missing[:3]}\n", 1
@@ -90,6 +88,13 @@ class TestGenerate:
     def test_graph6_format(self, capsys):
         assert run(["generate", "regular-class1", "3", "--complete", "--format", "graph6"]) == 0
         assert capsys.readouterr().out.strip() == "C~"
+
+    def test_graph6_over_62_vertices_is_refused(self, capsys):
+        # 10 * (2 * 10 - 1) = 190 vertices: an oversize refusal (2), not I/O (5).
+        assert run(["generate", "biregular", "10", "10", "--seed", "1", "--format", "graph6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: graph6 output supports at most 62 vertices, got 190\n"
 
     def test_biregular_needs_seed(self, capsys):
         assert run(["generate", "biregular", "3", "1"]) == 2
@@ -310,7 +315,7 @@ class TestVerify:
     def test_tampered_certificates_match_palette_reference(self, g, tamper, seed):
         rng = random.Random(seed)
         cert = sequentialize(g)
-        assignment = dict(cert.coloring.assignment)
+        assignment = assignment_of(cert.coloring)
         t = cert.coloring.color_count
         e = rng.choice(g.edges)
         if tamper == "recolor":
@@ -323,7 +328,7 @@ class TestVerify:
             pairs = [(u, v) for u in g.vertices for v in range(u + 1, g.vertex_count)]
             absent = [p for p in pairs if p not in g.edge_set] or [(0, g.vertex_count)]
             assignment[rng.choice(absent)] = rng.randint(1, t)
-        coloring = EdgeColoring(assignment, t)
+        coloring = coloring_of(assignment, t)
         vertices = sorted(cert.sequential_vertices)
         with tempfile.TemporaryDirectory() as tmp:
             tmp_path = Path(tmp)

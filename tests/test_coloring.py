@@ -17,12 +17,15 @@ from seqcolor import (
     degree_profile,
     emit_coloring,
     exact_chromatic_index,
+    exact_edge_chromatic_sum,
+    exact_max_sequential_set,
     generate_complete_bipartite,
     konig_color_bipartite,
     misra_gries,
     obtain_r_coloring,
     palette,
     parse_coloring,
+    swap_colors,
     verify_certificate,
     verify_proper,
     verify_sequential,
@@ -30,10 +33,10 @@ from seqcolor import (
 
 from seqcolor import coloring as coloring_module
 
-from .conftest import bipartite_graphs, graphs
-from .reference import color_of
+from .conftest import bipartite_graphs, graphs, petersen_graph
+from .reference import assignment_of, color_of, coloring_of
 
-K4_MATCHING_COLORING = EdgeColoring(
+K4_MATCHING_COLORING = coloring_of(
     {(0, 1): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2, (0, 3): 3, (1, 2): 3}, 3
 )
 
@@ -44,35 +47,35 @@ class TestVerifyProper:
 
     def test_single_edge(self):
         g = build_graph(2, [(0, 1)])
-        assert verify_proper(g, EdgeColoring({(0, 1): 1}, 1))
+        assert verify_proper(g, coloring_of({(0, 1): 1}, 1))
 
     def test_clash_at_middle_vertex(self):
         g = build_graph(3, [(0, 1), (1, 2)])
-        verdict = verify_proper(g, EdgeColoring({(0, 1): 1, (1, 2): 1}, 1))
+        verdict = verify_proper(g, coloring_of({(0, 1): 1, (1, 2): 1}, 1))
         assert not verdict
         assert verdict.violations == ((1, 1),)
 
     def test_incomplete_coloring_rejected(self, k4):
         with pytest.raises(PreconditionError, match="cover"):
-            verify_proper(k4, EdgeColoring({(0, 1): 1}, 1))
+            verify_proper(k4, coloring_of({(0, 1): 1}, 1))
 
     def test_edge_not_in_graph_rejected(self):
         path = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-        coloring = EdgeColoring({(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 2): 1}, 2)
+        coloring = coloring_of({(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 2): 1}, 2)
         with pytest.raises(PreconditionError, match=r"names 1 edge\(s\) not in the graph"):
             verify_proper(path, coloring)
 
     def test_colors_far_outside_mask_width(self):
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
-        assert verify_proper(g, EdgeColoring({(0, 1): 10**9, (1, 2): -3, (2, 3): 10**9, (2, 4): 0}, 2))
-        verdict = verify_proper(g, EdgeColoring({(0, 1): -3, (1, 2): 10**9, (2, 3): 10**9, (2, 4): 0}, 2))
+        assert verify_proper(g, coloring_of({(0, 1): 10**9, (1, 2): -3, (2, 3): 10**9, (2, 4): 0}, 2))
+        verdict = verify_proper(g, coloring_of({(0, 1): -3, (1, 2): 10**9, (2, 3): 10**9, (2, 4): 0}, 2))
         assert verdict.violations == ((2, 10**9),)
 
     @given(graphs(), st.integers(0, 2**32 - 1))
     def test_matches_per_vertex_counting(self, g, seed):
         # Reference: count each color among a vertex's edges.
         rng = random.Random(seed)
-        coloring = EdgeColoring({e: rng.randint(1, 4) for e in g.edges}, 4)
+        coloring = coloring_of({e: rng.randint(1, 4) for e in g.edges}, 4)
         expected = []
         for v in g.vertices:
             counts = Counter(color_of(coloring, a, b) for a, b in g.edges if v in (a, b))
@@ -95,7 +98,7 @@ class TestPalette:
 
     def test_single_edge(self):
         g = build_graph(2, [(0, 1)])
-        c = EdgeColoring({(0, 1): 1}, 1)
+        c = coloring_of({(0, 1): 1}, 1)
         assert palette(g, c, 0) == palette(g, c, 1) == frozenset({1})
 
     def test_unknown_vertex(self, k4):
@@ -200,7 +203,7 @@ class TestExactChromaticIndex:
 
     def test_empty(self):
         chi, witness = exact_chromatic_index(build_graph(2, []))
-        assert chi == 0 and witness.assignment == {}
+        assert chi == 0 and assignment_of(witness) == {}
 
     @given(bipartite_graphs(max_part=4))
     def test_bipartite_is_class_one(self, g):
@@ -304,14 +307,14 @@ class TestColoringText:
         "t=2\n2 1 2\n1 0 1",
     ])
     def test_blank_lines_and_line_ends(self, text):
-        assert parse_coloring(text) == EdgeColoring({(0, 1): 1, (1, 2): 2}, 2)
+        assert parse_coloring(text).lines() == coloring_of({(0, 1): 1, (1, 2): 2}, 2).lines()
 
 
 class TestColoringMasks:
     def test_star_with_repeated_color(self, star3):
         # The center's mask 0b110 is a run from bit 1, but of two colors at a
         # degree-3 vertex: a clash, so neither proper nor sequential there.
-        coloring = EdgeColoring({(0, 1): 1, (0, 2): 2, (0, 3): 2}, 2)
+        coloring = coloring_of({(0, 1): 1, (0, 2): 2, (0, 3): 2}, 2)
         colors, masks, clashes = coloring_module.coloring_masks(star3, coloring)
         assert colors == [1, 2, 2]
         assert masks == [0b110, 0b10, 0b100, 0b100]
@@ -323,9 +326,61 @@ class TestColoringMasks:
 
     def test_colors_outside_one_to_m_keep_their_bits_apart(self):
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
-        coloring = EdgeColoring({(0, 1): 1, (1, 2): 10**12, (2, 3): -3, (2, 4): 2}, 10**12)
+        coloring = coloring_of({(0, 1): 1, (1, 2): 10**12, (2, 3): -3, (2, 4): 2}, 10**12)
         colors, masks, clashes = coloring_module.coloring_masks(g, coloring)
         # m = 4: colors 1..4 keep bits 1..4; -3 and 10**12 get bits 5 and 6.
         assert colors == [1, 10**12, -3, 2]
         assert masks == [0b10, 0b1000010, 0b1100100, 0b100000, 0b100]
         assert not clashes
+
+
+def _prism():
+    # Two triangles joined by a perfect matching: not bipartite, and the
+    # max_degree+1 heuristic stays within 3 colors on it.
+    return build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+
+
+class TestOneRepresentation:
+    @pytest.mark.parametrize("make", [
+        lambda: (generate_complete_bipartite(2, 3), konig_color_bipartite),
+        lambda: (petersen_graph(), misra_gries),
+        lambda: (generate_complete_bipartite(2, 3), obtain_r_coloring),
+        lambda: (_prism(), obtain_r_coloring),
+        lambda: (generate_complete_bipartite(2, 3),
+                 lambda g: swap_colors(konig_color_bipartite(g), 1, 3)),
+        lambda: (complete_graph(4), lambda g: exact_edge_chromatic_sum(g).witness),
+        lambda: (complete_graph(4), lambda g: exact_max_sequential_set(g, 3).witness),
+    ], ids=["konig", "misra", "obtain-bipartite", "obtain-misra", "swap", "oracle-sum",
+            "oracle-sequential"])
+    def test_built_colorings_share_the_graph_edges(self, make):
+        g, build = make()
+        c = build(g)
+        assert c.edges is g.edges
+        assert coloring_module.edge_colors(g, c) is c.colors
+
+    def test_misra_path_is_taken_on_the_prism(self):
+        g = _prism()
+        assert g.sides is None and misra_gries(g).color_count == 3
+
+    def test_lengths_must_match(self):
+        with pytest.raises(PreconditionError, match="1 edges but 2 colors"):
+            EdgeColoring(((0, 1),), (1, 2), 2)
+
+    def test_edge_named_twice_is_rejected(self):
+        g = build_graph(3, [(0, 1), (1, 2)])
+        twice = EdgeColoring(((0, 1), (1, 2), (0, 1)), (1, 2, 1), 2)
+        with pytest.raises(PreconditionError, match="names an edge more than once"):
+            coloring_module.edge_colors(g, twice)
+        with pytest.raises(PreconditionError):
+            verify_proper(g, twice)
+
+    @given(graphs(max_n=9))
+    def test_text_roundtrip_in_any_edge_order(self, g):
+        c = misra_gries(g)
+        assert parse_coloring(emit_coloring(c)).lines() == c.lines()
+
+    def test_equality_is_edge_order_sensitive(self):
+        forward = coloring_of({(0, 1): 1, (1, 2): 2}, 2)
+        backward = coloring_of({(1, 2): 2, (0, 1): 1}, 2)
+        assert forward != backward
+        assert forward.lines() == backward.lines()

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from seqcolor import (
     GraphError,
+    PreconditionError,
     build_graph,
     complete_graph,
     emit_edge_list,
@@ -79,9 +80,15 @@ class TestGraph6:
             parse_graph6("A" + chr(63 + 0b110000))
 
     def test_emit_rejects_large(self):
+        # More than 62 vertices is an oversize refusal, not a parse error.
         g = build_graph(63, [])
-        with pytest.raises(GraphError, match="62"):
+        with pytest.raises(PreconditionError) as info:
             emit_graph6(g)
+        assert str(info.value) == "graph6 output supports at most 62 vertices, got 63"
+
+    def test_emit_accepts_62_vertices(self):
+        g = build_graph(62, [(0, 61)])
+        assert parse_graph6(emit_graph6(g)).edges == ((0, 61),)
 
 
 class TestEdgeList:

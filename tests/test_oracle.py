@@ -23,7 +23,7 @@ from seqcolor import (
 )
 
 from .conftest import path_graph
-from .reference import enumerate_proper_colorings
+from .reference import coloring_of, enumerate_proper_colorings
 
 
 def count_colorings(g, cap):
@@ -49,13 +49,11 @@ class TestEnumerate:
         assert seen == [{}]
 
     def test_visitor_sees_proper_colorings(self, k4):
-        from seqcolor import EdgeColoring
-
         collected = []
         total = enumerate_proper_colorings(k4, 3, collected.append)
         assert total == len(collected) > 0
         for assignment in collected:
-            assert verify_proper(k4, EdgeColoring(assignment, 3))
+            assert verify_proper(k4, coloring_of(assignment, 3))
 
     def test_disjoint_union_multiplies(self):
         triangle = cycle_graph(3)
@@ -140,12 +138,12 @@ class TestMaxSequentialSet:
         assert verify_sequential(k23, result.witness, result.sequential_vertices)
 
     def test_k23_matches_full_enumeration(self, k23):
-        from seqcolor import EdgeColoring, palette
+        from seqcolor import palette
 
         best = [0]
 
         def tally(assignment, best=best):
-            coloring = EdgeColoring(assignment, 3)
+            coloring = coloring_of(assignment, 3)
             good = sum(
                 1
                 for v in k23.vertices

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from seqcolor import (
     ClassTwoError,
-    EdgeColoring,
     GraphError,
     MissingColorPartition,
     PreconditionError,
@@ -31,13 +30,13 @@ from seqcolor import (
 )
 
 from .conftest import class_one_near_regular, graphs
-from .reference import color_of, deficient_total
+from .reference import assignment_of, color_of, coloring_of, deficient_total
 from .test_coloring import K4_MATCHING_COLORING
 
 # Hand-checked proper 3-coloring of the complete bipartite graph on parts
 # {0,1} and {2,3,4}: vertex 2 misses color 3, vertex 3 misses 1, vertex 4
 # misses 2.
-K23_COLORING = EdgeColoring(
+K23_COLORING = coloring_of(
     {(0, 2): 1, (0, 3): 2, (0, 4): 3, (1, 2): 2, (1, 3): 3, (1, 4): 1}, 3
 )
 
@@ -59,15 +58,15 @@ class TestMissingColorPartition:
             missing_color_partition(star3, c)
 
     def test_rejects_wrong_color_count(self, k4):
-        widened = EdgeColoring(dict(K4_MATCHING_COLORING.assignment), 4)
+        widened = coloring_of(assignment_of(K4_MATCHING_COLORING), 4)
         with pytest.raises(PreconditionError, match="colors"):
             missing_color_partition(k4, widened)
 
     def test_rejects_improper(self, k23):
-        bad = dict(K23_COLORING.assignment)
+        bad = assignment_of(K23_COLORING)
         bad[(0, 2)] = 2  # clashes with (1, 2) at vertex 2 and (0, 3) at vertex 0
         with pytest.raises(PreconditionError, match="not proper"):
-            missing_color_partition(k23, EdgeColoring(bad, 3))
+            missing_color_partition(k23, coloring_of(bad, 3))
 
     def test_rejects_small_degree(self):
         g = cycle_graph(6)
@@ -153,7 +152,7 @@ class TestVerifySequential:
 
     def test_gap_in_palette_reported(self):
         g = build_graph(3, [(0, 1), (1, 2)])
-        c = EdgeColoring({(0, 1): 1, (1, 2): 3}, 3)
+        c = coloring_of({(0, 1): 1, (1, 2): 3}, 3)
         verdict = verify_sequential(g, c, [0, 1, 2])
         assert not verdict
         assert verdict.violations == (1, 2)  # vertex 1 sees {1,3}; vertex 2 sees {3}
@@ -207,9 +206,9 @@ class TestBounds:
             (lambda: biregular_set_bound(-1, 2), "degree parameter must be at least 3, got 2"),
             (lambda: sequentialize(generate_complete_bipartite(1, 3)), "degree spread 2 exceeds 1"),
             (lambda: sequentialize(cycle_graph(5)), "max degree must be at least 3, got 2"),
-            (lambda: missing_color_partition(generate_complete_bipartite(1, 3), EdgeColoring({}, 3)),
+            (lambda: missing_color_partition(generate_complete_bipartite(1, 3), coloring_of({}, 3)),
              "degree spread 2 exceeds 1"),
-            (lambda: missing_color_partition(cycle_graph(6), EdgeColoring({}, 2)),
+            (lambda: missing_color_partition(cycle_graph(6), coloring_of({}, 2)),
              "max degree must be at least 3, got 2"),
         ],
     )
@@ -294,7 +293,7 @@ def test_forced_swap_path():
     # K4 minus the edge (2,3), colored so both degree-2 vertices miss color 1:
     # the swap with color 3 must fire and make them sequential.
     g = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    alpha = EdgeColoring({(0, 1): 1, (0, 2): 2, (0, 3): 3, (1, 2): 3, (1, 3): 2}, 3)
+    alpha = coloring_of({(0, 1): 1, (0, 2): 2, (0, 3): 3, (1, 2): 3, (1, 3): 2}, 3)
     cert = sequentialize(g, coloring=alpha)
     assert cert.swapped and cert.swap_color == 1
     assert cert.sequential_vertices == frozenset(range(4))
@@ -334,16 +333,16 @@ class TestInternalChecks:
 
 class TestBitmaskEdgeCases:
     def test_partition_rejects_colors_outside_range(self, k23):
-        bad = dict(K23_COLORING.assignment)
+        bad = assignment_of(K23_COLORING)
         bad[(0, 2)] = 7
         with pytest.raises(PreconditionError, match="outside 1..3"):
-            missing_color_partition(k23, EdgeColoring(bad, 3))
+            missing_color_partition(k23, coloring_of(bad, 3))
 
     def test_verify_sequential_with_huge_and_zero_colors(self, k23):
-        colors = dict(K23_COLORING.assignment)
+        colors = assignment_of(K23_COLORING)
         colors[(0, 2)] = 10**9
         colors[(1, 3)] = 0
-        coloring = EdgeColoring(colors, 3)
+        coloring = coloring_of(colors, 3)
         verdict = verify_sequential(k23, coloring, k23.vertices)
         # The set-based palette is the reference the masks must agree with.
         expected = tuple(v for v in k23.vertices
@@ -351,8 +350,8 @@ class TestBitmaskEdgeCases:
         assert verdict.violations == expected == (0, 1, 2, 3, 4)
 
     def test_verify_sequential_requires_total_coloring(self, k23):
-        partial = dict(K23_COLORING.assignment)
+        partial = assignment_of(K23_COLORING)
         del partial[(0, 2)]
         with pytest.raises(PreconditionError, match="does not cover"):
-            verify_sequential(k23, EdgeColoring(partial, 3), [4])
+            verify_sequential(k23, coloring_of(partial, 3), [4])
 

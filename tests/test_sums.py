@@ -1,8 +1,9 @@
+import random
 import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from seqcolor import (
     EdgeColoring,
@@ -14,13 +15,16 @@ from seqcolor import (
     generate_complete_bipartite,
     konig_color_bipartite,
     misra_gries,
+    missing_color_partition,
     palette,
     sequentialize,
     sum_report,
+    verify_certificate,
     vertex_sum_decomposition,
 )
 
 from .conftest import class_one_near_regular, graphs
+from .reference import assignment_of, coloring_of
 from .test_coloring import K4_MATCHING_COLORING
 from .test_sequential import K23_COLORING
 
@@ -31,7 +35,7 @@ class TestColoringSum:
 
     def test_single_edge(self):
         g = build_graph(2, [(0, 1)])
-        assert coloring_sum(g, EdgeColoring({(0, 1): 1}, 1)) == 1
+        assert coloring_sum(g, coloring_of({(0, 1): 1}, 1)) == 1
 
     def test_k33(self, k33):
         # Every proper 3-coloring of K_{3,3} has three edges per color.
@@ -39,12 +43,12 @@ class TestColoringSum:
 
     def test_incomplete_rejected(self, k4):
         with pytest.raises(PreconditionError, match="does not cover 5 edge"):
-            coloring_sum(k4, EdgeColoring({(0, 1): 1}, 1))
+            coloring_sum(k4, coloring_of({(0, 1): 1}, 1))
 
     def test_extra_edge_rejected(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         with pytest.raises(PreconditionError, match="names 1 edge"):
-            coloring_sum(g, EdgeColoring({(0, 1): 1, (1, 2): 2, (0, 2): 3}, 3))
+            coloring_sum(g, coloring_of({(0, 1): 1, (1, 2): 2, (0, 2): 3}, 3))
 
 
 class TestChromaticSumBound:
@@ -80,7 +84,7 @@ class TestVertexSumDecomposition:
 
     def test_single_edge(self):
         g = build_graph(2, [(0, 1)])
-        dec = vertex_sum_decomposition(g, EdgeColoring({(0, 1): 1}, 1))
+        dec = vertex_sum_decomposition(g, coloring_of({(0, 1): 1}, 1))
         assert dec.doubled_total == 2
         assert dec.full_palette == frozenset({0, 1})
 
@@ -98,7 +102,7 @@ class TestVertexSumDecomposition:
     def test_cost_does_not_grow_with_color_count(self, k4):
         # Palettes are summed bit by bit, so a huge color_count costs nothing.
         started = time.perf_counter()
-        coloring = EdgeColoring(K4_MATCHING_COLORING.assignment, 10**9)
+        coloring = coloring_of(assignment_of(K4_MATCHING_COLORING), 10**9)
         dec = vertex_sum_decomposition(k4, coloring)
         assert time.perf_counter() - started < 1.0
         assert dec.per_vertex == (6, 6, 6, 6)
@@ -108,25 +112,25 @@ class TestVertexSumDecomposition:
     def test_empty_palettes(self):
         # The empty palette is 1..0: full with no colors, missing the top with one.
         edgeless = build_graph(2, [])
-        dec = vertex_sum_decomposition(edgeless, EdgeColoring({}, 0))
+        dec = vertex_sum_decomposition(edgeless, coloring_of({}, 0))
         assert dec.full_palette == frozenset({0, 1})
         g = build_graph(3, [(0, 1)])
-        dec = vertex_sum_decomposition(g, EdgeColoring({(0, 1): 1}, 1))
+        dec = vertex_sum_decomposition(g, coloring_of({(0, 1): 1}, 1))
         assert dec.full_palette == frozenset({0, 1})
         assert dec.missing_top == frozenset({2})
-        dec = vertex_sum_decomposition(g, EdgeColoring({(0, 1): 1}, 2))
+        dec = vertex_sum_decomposition(g, coloring_of({(0, 1): 1}, 2))
         assert dec.missing_top == frozenset({0, 1})
         assert dec.other_deficient == frozenset({2})
 
     def test_improper_rejected(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         with pytest.raises(PreconditionError, match="not proper"):
-            vertex_sum_decomposition(g, EdgeColoring({(0, 1): 1, (1, 2): 1}, 1))
+            vertex_sum_decomposition(g, coloring_of({(0, 1): 1, (1, 2): 1}, 1))
 
     def test_color_outside_range_rejected(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         with pytest.raises(PreconditionError, match="outside 1..2"):
-            vertex_sum_decomposition(g, EdgeColoring({(0, 1): 1, (1, 2): 3}, 2))
+            vertex_sum_decomposition(g, coloring_of({(0, 1): 1, (1, 2): 3}, 2))
 
     @given(graphs())
     def test_double_counting(self, g):
@@ -197,3 +201,19 @@ class TestSumReport:
             assert report.exact_sum <= report.actual_sum
         profile = degree_profile(g)
         assert report.bound == chromatic_sum_bound(profile.n, profile.n_r, profile.max_degree)
+
+
+@given(class_one_near_regular(), st.integers(0, 2**32 - 1))
+def test_readers_ignore_the_edge_order(g, seed):
+    # A coloring in another edge order than the graph's is re-indexed by its
+    # edges: every reader gives the same answer as on the edge-id order.
+    coloring = sequentialize(g).coloring
+    pairs = list(zip(coloring.edges, coloring.colors))
+    random.Random(seed).shuffle(pairs)
+    edges, colors = zip(*pairs)
+    shuffled = EdgeColoring(edges, colors, coloring.color_count)
+    vertices = list(g.vertices)
+    assert verify_certificate(g, shuffled, vertices) == verify_certificate(g, coloring, vertices)
+    assert coloring_sum(g, shuffled) == coloring_sum(g, coloring)
+    assert missing_color_partition(g, shuffled) == missing_color_partition(g, coloring)
+    assert vertex_sum_decomposition(g, shuffled) == vertex_sum_decomposition(g, coloring)
