@@ -8,6 +8,7 @@ oversize refusal, 3 Class-2 input, 4 undecided class, 5 I/O or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -241,7 +242,11 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one in the process: parsing leaves it unchanged, and building it costs
+    more than most commands."""
     parser = argparse.ArgumentParser(
         prog="seqcolor",
         description="Sequential edge colorings of near-regular Class-1 graphs.",

@@ -205,47 +205,60 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
     edges = g.edges
     m = len(edges)
     n = g.vertex_count
+    # Colors are bits 1..r of a palette mask. Per edge: its endpoints, their
+    # vertex bits and the lowest color bit that loses each (1 << (deg + 1));
+    # a color at or above that bit puts the endpoint in the lost mask.
+    full = (1 << (r + 1)) - 2
+    plan = [
+        (u, v, 1 << u, 1 << v, 2 << degree[u], 2 << degree[v]) for u, v in edges
+    ]
     used = [0] * n
     assign = [0] * m
-    lost = [False] * n
-    lost_count = 0
-    best = -1
+    # The root is the first node; without edges it is also the only leaf.
+    best = n if not m else -1
     best_assign: list[int] = []
-    nodes = 0
+    nodes = 1
 
-    def descend(index: int) -> None:
-        nonlocal best, best_assign, nodes, lost_count
-        nodes += 1
-        alive = n - lost_count
-        if alive <= best:
-            return
-        if index == m:
-            best = alive
-            best_assign = assign.copy()
-            return
-        u, v = edges[index]
-        taken = used[u] | used[v]
-        for c in range(1, r + 1):
-            bit = 1 << c
-            if taken & bit:
-                continue
-            newly_lost = []
-            for w in (u, v):
-                if c > degree[w] and not lost[w]:
-                    lost[w] = True
-                    newly_lost.append(w)
-            lost_count += len(newly_lost)
-            used[u] |= bit
-            used[v] |= bit
-            assign[index] = c
-            descend(index + 1)
-            used[u] &= ~bit
-            used[v] &= ~bit
-            for w in newly_lost:
-                lost[w] = False
-            lost_count -= len(newly_lost)
+    def descend(index: int, lost: int, alive: int) -> None:
+        # Children are counted, cut or recorded here rather than on entry.
+        # Losses only grow with the color and the incumbent only rises, so
+        # once one child is cut every higher color would be cut too: those
+        # are counted in one step.
+        nonlocal best, best_assign, nodes
+        u, v, u_bit, v_bit, u_loses, v_loses = plan[index]
+        used_u = used[u]
+        used_v = used[v]
+        free = full & ~(used_u | used_v)
+        leaf = index + 1 == m
+        while free:
+            bit = free & -free
+            free ^= bit
+            nodes += 1
+            child_alive = alive
+            child_lost = lost
+            if bit >= u_loses and not lost & u_bit:
+                child_lost |= u_bit
+                child_alive -= 1
+            if bit >= v_loses and not lost & v_bit:
+                child_lost |= v_bit
+                child_alive -= 1
+            if child_alive <= best:
+                nodes += free.bit_count()
+                break
+            assign[index] = bit.bit_length() - 1
+            if leaf:
+                best = child_alive
+                best_assign = assign.copy()
+                nodes += free.bit_count()
+                break
+            used[u] = used_u | bit
+            used[v] = used_v | bit
+            descend(index + 1, child_lost, child_alive)
+        used[u] = used_u
+        used[v] = used_v
 
-    descend(0)
+    if m:
+        descend(0, 0, n)
     witness = EdgeColoring(edges, tuple(best_assign), r)
     masks, _ = palette_masks(g, best_assign)
     sequential = frozenset(v for v in g.vertices if masks[v] == (1 << (degree[v] + 1)) - 2)

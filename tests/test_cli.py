@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -22,7 +25,7 @@ from seqcolor import (
     verify_proper,
     verify_sequential,
 )
-from seqcolor.cli import run
+from seqcolor.cli import build_parser, run
 
 from .conftest import class_one_near_regular, petersen_graph
 from .reference import assignment_of, coloring_of
@@ -202,6 +205,52 @@ class TestSequentialize:
 
         monkeypatch.setattr("sys.stdin", io.StringIO(emit_edge_list(complete_graph(4))))
         assert run(["sequentialize", "-"]) == 0
+
+
+def run_alone(argv):
+    """stdout, stderr and exit code of ``seqcolor argv`` in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "seqcolor.cli", *argv], capture_output=True, text=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
+    return done.stdout, done.stderr, done.returncode
+
+
+def run_here(argv):
+    """The same triple from :func:`run` in this process, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+class TestParserReuse:
+    """run() keeps one parser per process; no call may see an earlier one."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        # argparse wraps usage text to the terminal width.
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_report_then_plain(self, k23_file):
+        first = ["sequentialize", k23_file, "--report"]
+        second = ["sequentialize", k23_file]
+        assert [run_here(first), run_here(second)] == [run_alone(first), run_alone(second)]
+
+    def test_usage_error_then_good_call(self, k23_file):
+        bad = ["oracle", k23_file, "--cap", "three"]
+        good = ["oracle", k23_file, "--report"]
+        here = [run_here(bad), run_here(good)]
+        assert here == [run_alone(bad), run_alone(good)]
+        assert here[0][2] == 2 and "invalid int value" in here[0][1]
+        assert here[1][2] == 0
 
 
 class TestBound:

@@ -6,6 +6,7 @@ from networkx.generators.atlas import graph_atlas_g
 
 from seqcolor import (
     ClassTwoError,
+    EdgeColoring,
     OversizeError,
     PreconditionError,
     build_graph,
@@ -16,6 +17,7 @@ from seqcolor import (
     degree_profile,
     exact_edge_chromatic_sum,
     exact_max_sequential_set,
+    generate_complete_bipartite,
     palette,
     sequentialize,
     verify_proper,
@@ -23,7 +25,7 @@ from seqcolor import (
 )
 
 from .conftest import path_graph
-from .reference import coloring_of, enumerate_proper_colorings
+from .reference import coloring_of, enumerate_proper_colorings, reference_max_sequential_search
 
 
 def count_colorings(g, cap):
@@ -189,6 +191,64 @@ class TestMaxSequentialSet:
             oracle = exact_max_sequential_set(g, cert.r)
             assert oracle.value >= cert.size
             assert exact_edge_chromatic_sum(g).value <= coloring_sum(g, cert.coloring)
+
+
+class TestMaxSequentialKernel:
+    """The bitmask kernel against the list-based search it replaced: same
+    optimum, same node count, same witness."""
+
+    @staticmethod
+    def assert_matches_reference(g, r):
+        result = exact_max_sequential_set(g, r)
+        value, explored, colors = reference_max_sequential_search(g, r)
+        witness = EdgeColoring(g.edges, tuple(colors), r)
+        sequential = {
+            v for v in g.vertices
+            if palette(g, witness, v) == frozenset(range(1, g.degree(v) + 1))
+        }
+        assert (result.value, result.explored, list(result.witness.colors)) == (
+            value, explored, colors
+        ), g.edges
+        assert result.sequential_vertices == sequential, g.edges
+
+    def test_census_up_to_12_edges_at_r_and_r_plus_1(self):
+        compared = refused = 0
+        for g in connected_near_regular_graphs(12):
+            r = degree_profile(g).max_degree
+            for cap in (r, r + 1):
+                try:
+                    self.assert_matches_reference(g, cap)
+                    compared += 1
+                except ClassTwoError:
+                    # No proper r-coloring: the reference search finds none either.
+                    assert cap == r and reference_max_sequential_search(g, cap)[0] == -1
+                    refused += 1
+        assert (compared, refused) == (781, 11)
+
+    def test_edgeless(self):
+        for r in (0, 2):
+            self.assert_matches_reference(build_graph(3, []), r)
+        result = exact_max_sequential_set(build_graph(3, []), 0)
+        assert (result.value, result.explored) == (3, 1)
+
+    def test_k34(self):
+        g = generate_complete_bipartite(3, 4)
+        for r in (4, 5):
+            self.assert_matches_reference(g, r)
+
+    def test_petersen_is_class_two(self, petersen):
+        with pytest.raises(ClassTwoError):
+            exact_max_sequential_set(petersen, 3)
+
+    def test_k45_node_count(self):
+        result = exact_max_sequential_set(generate_complete_bipartite(4, 5), 5)
+        assert (result.value, result.explored) == (5, 999_452)
+
+    def test_wide_cap_on_a_matching(self):
+        # Root, 20000 first-edge colors, 20000 second-edge colors under color 1.
+        result = exact_max_sequential_set(build_graph(4, [(0, 1), (2, 3)]), 20_000)
+        assert (result.value, result.explored) == (4, 40_001)
+        assert result.witness.colors == (1, 1)
 
 
 class TestNearRegularEnumeration:
