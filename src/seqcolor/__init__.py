@@ -21,7 +21,6 @@ from .coloring import (
     verify_proper,
 )
 from .errors import (
-    CapExceededError,
     ClassTwoError,
     GraphError,
     OversizeError,
@@ -73,7 +72,6 @@ from .sums import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapExceededError",
     "ClassTwoError",
     "DegreeProfile",
     "EdgeColoring",

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
-    CapExceededError,
     ClassTwoError,
     GraphError,
     OversizeError,
@@ -80,31 +80,10 @@ def edge_colors(g: Graph, coloring: EdgeColoring) -> Sequence[int]:
     return colors
 
 
-def palette_masks(g: Graph, colors: Sequence[int]) -> tuple[list[int], set[int]]:
-    """Per vertex, the OR of ``1 << color`` over its edges, and the vertices at
-    which two edges share a color.
-
-    ``colors`` is indexed by edge id and must hold small non-negative ints.
-    """
-    masks = [0] * g.vertex_count
-    clashes: set[int] = set()
-    for (u, v), c in zip(g.edges, colors):
-        bit = 1 << c
-        mask = masks[u]
-        if mask & bit:
-            clashes.add(u)
-        masks[u] = mask | bit
-        mask = masks[v]
-        if mask & bit:
-            clashes.add(v)
-        masks[v] = mask | bit
-    return masks, clashes
-
-
 def coloring_masks(g: Graph, coloring: EdgeColoring) -> tuple[Sequence[int], list[int], set[int]]:
     """One read of ``coloring`` on ``g``: its edge colors (see
-    :func:`edge_colors`), each vertex's palette bitmask and the clash vertices
-    (see :func:`palette_masks`).
+    :func:`edge_colors`), each vertex's palette bitmask (bit c set for each
+    color c at it) and the vertices at which two edges share a color.
 
     Colors 1..m (m edges) keep their bits; any other color c gets bit
     m + 1 + (rank of c among them), so a huge or non-positive color cannot
@@ -117,7 +96,18 @@ def coloring_masks(g: Graph, coloring: EdgeColoring) -> tuple[Sequence[int], lis
         outside = sorted({c for c in colors if not 1 <= c <= m})
         bit_of = {c: m + 1 + i for i, c in enumerate(outside)}
         bits = [bit_of.get(c, c) for c in colors]
-    masks, clashes = palette_masks(g, bits)
+    masks = [0] * g.vertex_count
+    clashes: set[int] = set()
+    for (u, v), c in zip(g.edges, bits):
+        bit = 1 << c
+        mask = masks[u]
+        if mask & bit:
+            clashes.add(u)
+        masks[u] = mask | bit
+        mask = masks[v]
+        if mask & bit:
+            clashes.add(v)
+        masks[v] = mask | bit
     return colors, masks, clashes
 
 
@@ -141,21 +131,21 @@ def verify_proper(g: Graph, coloring: EdgeColoring) -> Verdict:
     return clash_verdict(g, colors, clashes)
 
 
-def proper_masks(g: Graph, coloring: EdgeColoring, t: int) -> list[int]:
-    """Per vertex, the bitmask of its colors under ``coloring``, which must be a
-    proper coloring of exactly ``g.edges`` with colors in 1..t.
+def proper_masks(g: Graph, coloring: EdgeColoring, t: int) -> tuple[Sequence[int], list[int]]:
+    """The edge colors and palette bitmasks of one :func:`coloring_masks`
+    read of ``coloring``, which must be a proper coloring of exactly
+    ``g.edges`` with colors in 1..t.
 
     Raises :class:`PreconditionError` otherwise, naming the clashes as
     :func:`verify_proper` does.
     """
-    colors = edge_colors(g, coloring)
+    colors, masks, clashes = coloring_masks(g, coloring)
     if colors and not 1 <= min(colors) <= max(colors) <= t:
         raise PreconditionError(f"coloring uses colors outside 1..{t}")
-    masks, clashes = palette_masks(g, colors)
     if clashes:
         verdict = clash_verdict(g, colors, clashes)
         raise PreconditionError(f"coloring is not proper: clashes {verdict.violations[:3]}")
-    return masks
+    return colors, masks
 
 
 def palette(g: Graph, coloring: EdgeColoring, v: int) -> frozenset[int]:
@@ -318,35 +308,33 @@ def konig_color_bipartite(g: Graph) -> EdgeColoring:
 
 def check_exhaustive_size(g: Graph, override_size: bool) -> None:
     """Refuse an exhaustive search on more than :data:`EXHAUSTIVE_EDGE_LIMIT`
-    edges unless ``override_size`` is set."""
+    edges unless ``override_size`` is set, and always refuse one that would
+    recurse (one frame per edge) into the last 100 frames of the recursion
+    limit, which are left to the callers: the CLI, a test runner, a tracer."""
     if g.edge_count > EXHAUSTIVE_EDGE_LIMIT and not override_size:
         raise OversizeError(
             f"{g.edge_count} edges exceeds the exhaustive-search guard of "
             f"{EXHAUSTIVE_EDGE_LIMIT}; pass override_size=True to force"
         )
+    depth = sys.getrecursionlimit() - 100
+    if g.edge_count >= depth:
+        raise OversizeError(f"{g.edge_count} edges reach the recursion depth of the exhaustive "
+                            f"searches ({depth} levels); override_size cannot lift this limit")
 
 
-def exact_chromatic_index(
-    g: Graph, max_colors: int | None = None, *, override_size: bool = False
-) -> tuple[int, EdgeColoring]:
+def exact_chromatic_index(g: Graph, *, override_size: bool = False) -> tuple[int, EdgeColoring]:
     """Smallest t admitting a proper t-coloring, with a witness coloring.
 
     Backtracking over edges sorted by descending endpoint degree sum. Color
     symmetry is broken by allowing color c+1 only once colors 1..c appear,
-    which in particular pins the first edge to color 1. ``max_colors`` defaults
-    to max_degree + 1 (always sufficient); if the search exhausts a smaller
-    cap, :class:`CapExceededError` reports the lower bound established.
+    which in particular pins the first edge to color 1. By Vizing's theorem t
+    is max_degree or max_degree + 1, so only those two are tried.
     """
     check_exhaustive_size(g, override_size)
     if not g.edges:
         return 0, EdgeColoring(g.edges, (), 0)
     degree = [g.degree(v) for v in g.vertices]
     max_degree = max(degree)
-    cap = max_degree + 1 if max_colors is None else max_colors
-    if cap < max_degree:
-        raise PreconditionError(
-            f"color cap {cap} is below the trivial lower bound {max_degree}"
-        )
     ordered = sorted(g.edges, key=lambda e: -(degree[e[0]] + degree[e[1]]))
     m = len(ordered)
     used = [0] * g.vertex_count
@@ -370,10 +358,10 @@ def exact_chromatic_index(
             used[v] &= ~bit
         return False
 
-    for t in range(max_degree, cap + 1):
+    for t in (max_degree, max_degree + 1):
         if feasible(t, 0, 0):
             return t, EdgeColoring(tuple(ordered), tuple(assign), t)
-    raise CapExceededError(cap=cap, lower_bound=cap + 1)
+    raise RuntimeError("internal error: no proper coloring with max degree + 1 colors")
 
 
 def obtain_r_coloring(g: Graph) -> EdgeColoring:

@@ -30,16 +30,5 @@ class UnknownClassError(SeqcolorError):
     """Heuristics needed an extra color and the instance is too large to decide exactly."""
 
 
-class CapExceededError(SeqcolorError):
-    """Exact color search exhausted its cap; carries the best lower bound found."""
-
-    def __init__(self, cap: int, lower_bound: int):
-        self.cap = cap
-        self.lower_bound = lower_bound
-        super().__init__(
-            f"no proper coloring with at most {cap} colors; chromatic index is at least {lower_bound}"
-        )
-
-
 class OversizeError(SeqcolorError):
     """Refusal to run an exhaustive search on an oversized instance."""

@@ -15,11 +15,11 @@ from typing import Iterator, Sequence
 from .coloring import (
     EdgeColoring,
     check_exhaustive_size,
+    coloring_masks,
     edge_colors,
     exact_chromatic_index,
-    palette_masks,
 )
-from .errors import CapExceededError, ClassTwoError, PreconditionError
+from .errors import ClassTwoError, PreconditionError
 from .graph import Graph, build_graph
 
 
@@ -196,11 +196,9 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
         raise PreconditionError(
             f"no proper {r}-coloring exists: max degree is {max_degree}"
         )
-    if g.edges:
-        try:
-            exact_chromatic_index(g, max_colors=r, override_size=True)
-        except CapExceededError:
-            raise ClassTwoError(chi_prime=r + 1, max_degree=max_degree) from None
+    # With r > max_degree colors a proper coloring exists (Vizing).
+    if g.edges and r == max_degree and exact_chromatic_index(g, override_size=True)[0] > r:
+        raise ClassTwoError(chi_prime=r + 1, max_degree=max_degree)
 
     edges = g.edges
     m = len(edges)
@@ -260,7 +258,7 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
     if m:
         descend(0, 0, n)
     witness = EdgeColoring(edges, tuple(best_assign), r)
-    masks, _ = palette_masks(g, best_assign)
+    _, masks, _ = coloring_masks(g, witness)
     sequential = frozenset(v for v in g.vertices if masks[v] == (1 << (degree[v] + 1)) - 2)
     if len(sequential) != best:
         raise RuntimeError("internal error: witness disagrees with the searched optimum")

@@ -136,7 +136,7 @@ def missing_color_partition(
         raise PreconditionError(
             f"coloring uses {coloring.color_count} colors, expected exactly {r}"
         )
-    masks = proper_masks(g, coloring, r)
+    _, masks = proper_masks(g, coloring, r)
     # Degree r-1 and a proper r-coloring leave exactly one absent color.
     full = (1 << (r + 1)) - 2
     classes: dict[int, list[int]] = {i: [] for i in range(1, r + 1)}

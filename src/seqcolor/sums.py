@@ -48,22 +48,17 @@ class PaletteSumDecomposition:
 def vertex_sum_decomposition(g: Graph, coloring: EdgeColoring) -> PaletteSumDecomposition:
     """Sum each vertex's palette and classify vertices for the bound's terms.
 
-    The coloring must be proper with colors in 1..color_count. Sums are read
-    from palette bitmasks, apart from :func:`coloring_sum`'s edge colors.
+    The coloring must be proper with colors in 1..color_count. Sums add the
+    edge colors at each vertex; classes are read from palette bitmasks.
     """
     t = coloring.color_count
-    masks = proper_masks(g, coloring, t)
-    sums = []
+    colors, masks = proper_masks(g, coloring, t)
+    sums = [sum([colors[e] for e in incident]) for incident in g.incidence]
     full, missing_top, other = set(), set(), set()
     for v, mask in enumerate(masks):
-        total, rest = 0, mask
-        while rest:
-            low = rest & -rest
-            total += low.bit_length() - 1
-            rest ^= low
-        sums.append(total)
         # The palette 1..k (k = 0 when empty) is a run of set bits from bit 1:
-        # adding 2 clears such a run, and only such a run, out of the mask.
+        # adding 2 clears such a run, and only such a run, out of the mask. A
+        # color renamed to a bit above m never ends such a run: deg(v) <= m.
         top = (mask | 1).bit_length() - 1 if mask & (mask + 2) == 0 else None
         if top == t:
             full.add(v)
@@ -72,7 +67,7 @@ def vertex_sum_decomposition(g: Graph, coloring: EdgeColoring) -> PaletteSumDeco
         else:
             other.add(v)
     doubled = sum(sums)
-    if doubled != 2 * coloring_sum(g, coloring):
+    if doubled != 2 * sum(colors):
         raise RuntimeError("internal error: palette sums do not double-count the edges")
     return PaletteSumDecomposition(
         per_vertex=tuple(sums),

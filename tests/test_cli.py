@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seqcolor import (
+    build_graph,
     complete_graph,
     emit_edge_list,
     generate_complete_bipartite,
@@ -415,6 +416,17 @@ class TestOracle:
 
         big = write(tmp_path, "big.txt", emit_edge_list(path_graph(30)))
         assert run(["oracle", big]) == 2
+
+    @pytest.mark.parametrize("mode", ["--max-sequential", "--sum"])
+    def test_recursion_depth_refusal(self, tmp_path, capsys, mode):
+        # Past the interpreter's recursion depth even --override-size is
+        # refused as oversize (exit 2), not left to a RecursionError.
+        pairs = [(2 * i, 2 * i + 1) for i in range(1500)]
+        path = write(tmp_path, "matching.txt", emit_edge_list(build_graph(3000, pairs)))
+        assert run(["oracle", "--override-size", mode, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 1500 edges reach the recursion depth")
 
     def test_report(self, k23_file, capsys):
         assert run(["oracle", k23_file, "--report"]) == 0

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seqcolor import (
-    CapExceededError,
     ClassTwoError,
     EdgeColoring,
     GraphError,
@@ -188,15 +187,6 @@ class TestExactChromaticIndex:
         chi, witness = exact_chromatic_index(petersen)
         assert chi == 4
         assert verify_proper(petersen, witness)
-
-    def test_cap_exceeded_reports_lower_bound(self):
-        with pytest.raises(CapExceededError) as info:
-            exact_chromatic_index(cycle_graph(5), max_colors=2)
-        assert info.value.lower_bound == 3
-
-    def test_cap_below_max_degree_rejected(self, k4):
-        with pytest.raises(PreconditionError):
-            exact_chromatic_index(k4, max_colors=2)
 
     def test_deterministic(self, k4):
         assert exact_chromatic_index(k4) == exact_chromatic_index(k4)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -15,6 +16,7 @@ from seqcolor import (
     connected_near_regular_graphs,
     cycle_graph,
     degree_profile,
+    exact_chromatic_index,
     exact_edge_chromatic_sum,
     exact_max_sequential_set,
     generate_complete_bipartite,
@@ -23,6 +25,8 @@ from seqcolor import (
     verify_proper,
     verify_sequential,
 )
+from seqcolor import oracle as oracle_module
+from seqcolor.coloring import check_exhaustive_size
 
 from .conftest import path_graph
 from .reference import coloring_of, enumerate_proper_colorings, reference_max_sequential_search
@@ -237,8 +241,20 @@ class TestMaxSequentialKernel:
             self.assert_matches_reference(g, r)
 
     def test_petersen_is_class_two(self, petersen):
-        with pytest.raises(ClassTwoError):
+        with pytest.raises(ClassTwoError) as info:
             exact_max_sequential_set(petersen, 3)
+        assert str(info.value) == "graph is Class 2: chromatic index 4 > max degree 3"
+
+    def test_no_chromatic_index_above_max_degree(self, monkeypatch, petersen, k4, k33):
+        # With one color more than the max degree a coloring exists (Vizing),
+        # so the Class-2 precheck does not run.
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact_chromatic_index called above the max degree")
+
+        monkeypatch.setattr(oracle_module, "exact_chromatic_index", refuse)
+        for g, value, explored in ((petersen, 6, 45_128), (k4, 4, 16), (k33, 6, 30)):
+            result = exact_max_sequential_set(g, degree_profile(g).max_degree + 1)
+            assert (result.value, result.explored) == (value, explored)
 
     def test_k45_node_count(self):
         result = exact_max_sequential_set(generate_complete_bipartite(4, 5), 5)
@@ -249,6 +265,37 @@ class TestMaxSequentialKernel:
         result = exact_max_sequential_set(build_graph(4, [(0, 1), (2, 3)]), 20_000)
         assert (result.value, result.explored) == (4, 40_001)
         assert result.witness.colors == (1, 1)
+
+
+def matching(edge_count):
+    return build_graph(2 * edge_count, [(2 * i, 2 * i + 1) for i in range(edge_count)])
+
+
+class TestRecursionGuard:
+    def test_refused_even_with_override(self):
+        g = matching(1500)
+        for search in (exact_edge_chromatic_sum, exact_chromatic_index):
+            with pytest.raises(OversizeError, match="recursion depth"):
+                search(g, override_size=True)
+        with pytest.raises(OversizeError, match="recursion depth"):
+            exact_max_sequential_set(g, 1, override_size=True)
+
+    def test_depth_follows_the_recursion_limit(self):
+        # One edge below the refused depth, the searches still fit under a
+        # test runner's frames.
+        depth = sys.getrecursionlimit() - 100
+        g = matching(depth - 1)
+        assert exact_max_sequential_set(g, 1, override_size=True).value == 2 * (depth - 1)
+        assert exact_edge_chromatic_sum(g, override_size=True).value == depth - 1
+        with pytest.raises(OversizeError, match=f"[(]{depth} levels[)]"):
+            check_exhaustive_size(matching(depth), override_size=True)
+
+    def test_300_edge_matching_still_answers(self):
+        g = matching(300)
+        result = exact_max_sequential_set(g, 1, override_size=True)
+        assert (result.value, result.explored) == (600, 301)
+        result = exact_edge_chromatic_sum(g, override_size=True)
+        assert (result.value, result.explored) == (300, 2)
 
 
 class TestNearRegularEnumeration:

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -107,6 +108,21 @@ class TestVertexSumDecomposition:
         assert time.perf_counter() - started < 1.0
         assert dec.per_vertex == (6, 6, 6, 6)
         assert dec.other_deficient == frozenset(range(4))
+        assert dec.full_palette == dec.missing_top == frozenset()
+
+    def test_huge_color_builds_no_huge_mask(self):
+        # Color 10**8 on the one edge of K_2 takes bit 2 (m = 1), not bit 10**8.
+        g = build_graph(2, [(0, 1)])
+        coloring = coloring_of({(0, 1): 10**8}, 10**8)
+        tracemalloc.start()
+        try:
+            dec = vertex_sum_decomposition(g, coloring)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert dec.per_vertex == (10**8, 10**8)
+        assert dec.other_deficient == frozenset({0, 1})
         assert dec.full_palette == dec.missing_top == frozenset()
 
     def test_empty_palettes(self):
