@@ -328,22 +328,24 @@ def exact_chromatic_index(g: Graph, *, override_size: bool = False) -> tuple[int
     Backtracking over edges sorted by descending endpoint degree sum. Color
     symmetry is broken by allowing color c+1 only once colors 1..c appear,
     which in particular pins the first edge to color 1. By Vizing's theorem t
-    is max_degree or max_degree + 1, so only those two are tried.
+    is max_degree or max_degree + 1, so only those two are tried. The witness
+    shares ``g.edges``: its colors are indexed by edge id.
     """
     check_exhaustive_size(g, override_size)
     if not g.edges:
         return 0, EdgeColoring(g.edges, (), 0)
     degree = [g.degree(v) for v in g.vertices]
     max_degree = max(degree)
-    ordered = sorted(g.edges, key=lambda e: -(degree[e[0]] + degree[e[1]]))
-    m = len(ordered)
+    plan = [(e, u, v) for e, (u, v) in enumerate(g.edges)]
+    plan.sort(key=lambda p: -(degree[p[1]] + degree[p[2]]))
+    m = len(plan)
     used = [0] * g.vertex_count
     assign = [0] * m
 
     def feasible(t: int, index: int, introduced: int) -> bool:
         if index == m:
             return True
-        u, v = ordered[index]
+        e, u, v = plan[index]
         taken = used[u] | used[v]
         for c in range(1, min(t, introduced + 1) + 1):
             bit = 1 << c
@@ -351,7 +353,7 @@ def exact_chromatic_index(g: Graph, *, override_size: bool = False) -> tuple[int
                 continue
             used[u] |= bit
             used[v] |= bit
-            assign[index] = c
+            assign[e] = c
             if feasible(t, index + 1, max(introduced, c)):
                 return True
             used[u] &= ~bit
@@ -360,7 +362,7 @@ def exact_chromatic_index(g: Graph, *, override_size: bool = False) -> tuple[int
 
     for t in (max_degree, max_degree + 1):
         if feasible(t, 0, 0):
-            return t, EdgeColoring(tuple(ordered), tuple(assign), t)
+            return t, EdgeColoring(g.edges, tuple(assign), t)
     raise RuntimeError("internal error: no proper coloring with max degree + 1 colors")
 
 

@@ -1,9 +1,9 @@
 """Exhaustive ground-truth engines for small instances.
 
 Everything here walks the full space of proper colorings, so callers are
-guarded by :func:`~seqcolor.coloring.check_exhaustive_size` (soft limit,
-overridable). Edge order is always the graph's input order, keeping node
-counts reproducible.
+guarded by :func:`~seqcolor.coloring.check_exhaustive_size`: its edge limit
+can be overridden, its recursion-depth refusal cannot. Edge order is always
+the graph's input order, keeping node counts reproducible.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .coloring import (
     EdgeColoring,
     check_exhaustive_size,
     coloring_masks,
-    edge_colors,
     exact_chromatic_index,
 )
 from .errors import ClassTwoError, PreconditionError
@@ -167,8 +166,7 @@ def exact_edge_chromatic_sum(g: Graph, *, override_size: bool = False) -> Oracle
     if not g.edges:
         return OracleResult(0, EdgeColoring(g.edges, (), 0), explored=0)
     chi_prime, seed = exact_chromatic_index(g, override_size=True)
-    seed_colors = edge_colors(g, seed)
-    value, best_assign, explored = _min_sum_search(g, chi_prime, sum(seed_colors), seed_colors)
+    value, best_assign, explored = _min_sum_search(g, chi_prime, sum(seed.colors), seed.colors)
     cap = chi_prime
     while True:
         next_value, next_assign, nodes = _min_sum_search(g, cap + 1, value, best_assign)

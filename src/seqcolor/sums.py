@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import EXHAUSTIVE_EDGE_LIMIT, EdgeColoring, edge_colors, proper_masks
+from .coloring import EdgeColoring, edge_colors, proper_masks
 from .graph import Graph
-from .oracle import exact_edge_chromatic_sum
 from .sequential import SequentialCertificate, _check_bound_args, sequentialize
 
 
@@ -83,7 +82,7 @@ class SumReport:
     """Achieved sum of the constructed coloring against the closed-form bound.
 
     The bound's n, n_r and r are the certificate's. ``exact_sum`` is the
-    brute-force minimum when the oracle ran, else None. Whenever all fields
+    brute-force minimum when one was attached, else None. Whenever all fields
     are present, exact_sum <= actual_sum <= bound; every construction,
     :func:`dataclasses.replace` included, checks this.
     """
@@ -112,17 +111,14 @@ class SumReport:
         }
 
 
-def sum_report(g: Graph, run_oracle: bool = False) -> SumReport:
+def sum_report(g: Graph) -> SumReport:
     """Run the sequential pipeline and compare its sum against the bound.
 
-    The exact minimum is attached when ``run_oracle`` is set and the instance
-    has at most :data:`~seqcolor.coloring.EXHAUSTIVE_EDGE_LIMIT` edges.
+    ``exact_sum`` is None; attach the exact minimum with
+    ``replace(report, exact_sum=exact_edge_chromatic_sum(g).value)``.
     Precondition and class failures propagate from :func:`sequentialize`.
     """
     certificate = sequentialize(g)
     actual = coloring_sum(g, certificate.coloring)
     bound = chromatic_sum_bound(certificate.n, certificate.n_r, certificate.r)
-    exact = None
-    if run_oracle and g.edge_count <= EXHAUSTIVE_EDGE_LIMIT:
-        exact = exact_edge_chromatic_sum(g).value
-    return SumReport(actual_sum=actual, bound=bound, exact_sum=exact, certificate=certificate)
+    return SumReport(actual_sum=actual, bound=bound, exact_sum=None, certificate=certificate)

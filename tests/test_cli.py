@@ -157,6 +157,18 @@ class TestSequentialize:
         assert osum["value"] == 12 and osum["cap_stable"] is True
         assert oseq["value"] == 3
 
+    def test_oracle_skipped_when_oversize(self, tmp_path, capsys):
+        # K_{5,5} has 25 edges, above the exhaustive-search guard: the
+        # pipeline still runs and the oracle is skipped, not refused.
+        path = write(tmp_path, "k55.txt", emit_edge_list(generate_complete_bipartite(5, 5)))
+        assert run(["sequentialize", path, "--oracle"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "oracle: skipped (25 edges > 20; use --override-size)" in lines
+        assert run(["sequentialize", path, "--report", "--oracle"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [json.loads(line)["record"] for line in lines] == ["certificate", "sum_report"]
+        assert lines[1].endswith('"exact_sum":null}')
+
     def test_reports_byte_identical(self, k23_file, capsys):
         run(["sequentialize", k23_file, "--report", "--oracle"])
         first = capsys.readouterr().out

@@ -12,6 +12,7 @@ from seqcolor import (
     UnknownClassError,
     build_graph,
     complete_graph,
+    connected_near_regular_graphs,
     cycle_graph,
     degree_profile,
     emit_coloring,
@@ -330,6 +331,15 @@ def _prism():
     return build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
 
 
+def _first_exact_path_class():
+    # The first census class that obtain_r_coloring hands to the exact
+    # solver: not bipartite, Class 1, and the heuristic needs a spare color.
+    for g in connected_near_regular_graphs(12):
+        r = degree_profile(g).max_degree
+        if g.sides is None and misra_gries(g).color_count > r and exact_chromatic_index(g)[0] == r:
+            return g
+
+
 class TestOneRepresentation:
     @pytest.mark.parametrize("make", [
         lambda: (generate_complete_bipartite(2, 3), konig_color_bipartite),
@@ -340,8 +350,11 @@ class TestOneRepresentation:
                  lambda g: swap_colors(konig_color_bipartite(g), 1, 3)),
         lambda: (complete_graph(4), lambda g: exact_edge_chromatic_sum(g).witness),
         lambda: (complete_graph(4), lambda g: exact_max_sequential_set(g, 3).witness),
+        lambda: (petersen_graph(), lambda g: exact_chromatic_index(g)[1]),
+        lambda: (complete_graph(4), lambda g: exact_chromatic_index(g)[1]),
+        lambda: (_first_exact_path_class(), obtain_r_coloring),
     ], ids=["konig", "misra", "obtain-bipartite", "obtain-misra", "swap", "oracle-sum",
-            "oracle-sequential"])
+            "oracle-sequential", "exact-petersen", "exact-k4", "obtain-exact"])
     def test_built_colorings_share_the_graph_edges(self, make):
         g, build = make()
         c = build(g)
@@ -351,6 +364,18 @@ class TestOneRepresentation:
     def test_misra_path_is_taken_on_the_prism(self):
         g = _prism()
         assert g.sides is None and misra_gries(g).color_count == 3
+
+    def test_exact_path_is_taken_on_the_first_such_census_class(self, monkeypatch):
+        g = _first_exact_path_class()
+        assert g.edge_count <= coloring_module.EXHAUSTIVE_EDGE_LIMIT
+        answers = []
+
+        def spy(graph):
+            answers.append(exact_chromatic_index(graph))
+            return answers[-1]
+
+        monkeypatch.setattr(coloring_module, "exact_chromatic_index", spy)
+        assert obtain_r_coloring(g) is answers[0][1] and len(answers) == 1
 
     def test_lengths_must_match(self):
         with pytest.raises(PreconditionError, match="1 edges but 2 colors"):

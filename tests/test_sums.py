@@ -13,7 +13,7 @@ from seqcolor import (
     chromatic_sum_bound,
     coloring_sum,
     degree_profile,
-    generate_complete_bipartite,
+    exact_edge_chromatic_sum,
     konig_color_bipartite,
     misra_gries,
     missing_color_partition,
@@ -23,6 +23,7 @@ from seqcolor import (
     verify_certificate,
     vertex_sum_decomposition,
 )
+from seqcolor.coloring import EXHAUSTIVE_EDGE_LIMIT
 
 from .conftest import class_one_near_regular, graphs
 from .reference import assignment_of, coloring_of
@@ -170,35 +171,35 @@ class TestVertexSumDecomposition:
             assert dec.per_vertex[v] <= (r + 2) * (r - 1) // 2
 
 
+def exact_report(g):
+    # The one way an exact minimum reaches a SumReport, as the CLI does it.
+    return replace(sum_report(g), exact_sum=exact_edge_chromatic_sum(g).value)
+
+
 class TestSumReport:
     def test_k4(self, k4):
-        report = sum_report(k4, run_oracle=True)
+        report = exact_report(k4)
         assert (report.actual_sum, report.bound, report.exact_sum) == (12, 12, 12)
         assert (report.certificate.n, report.certificate.n_r, report.certificate.r) == (4, 4, 3)
 
     def test_k23(self, k23):
-        report = sum_report(k23, run_oracle=True)
+        report = exact_report(k23)
         assert report.bound == 12 and report.exact_sum == 12
         assert report.exact_sum <= report.actual_sum <= report.bound
 
     def test_k33(self, k33):
-        report = sum_report(k33, run_oracle=True)
+        report = exact_report(k33)
         assert (report.actual_sum, report.bound, report.exact_sum) == (18, 18, 18)
 
-    def test_oracle_skipped_when_oversize(self):
-        # K_{5,5} has 25 edges, above the exhaustive-search guard.
-        report = sum_report(generate_complete_bipartite(5, 5), run_oracle=True)
-        assert report.exact_sum is None
-
     def test_replace_checks_invariants(self, k23):
-        report = sum_report(k23, run_oracle=True)
+        report = exact_report(k23)
         with pytest.raises(RuntimeError, match="oracle minimum exceeded"):
             replace(report, exact_sum=report.actual_sum + 1)
         with pytest.raises(RuntimeError, match="exceeded the closed-form bound"):
             replace(report, actual_sum=report.bound + 1)
 
     def test_record(self, k23):
-        record = sum_report(k23, run_oracle=True).to_record()
+        record = exact_report(k23).to_record()
         assert record == {
             "record": "sum_report",
             "n": 5,
@@ -211,7 +212,7 @@ class TestSumReport:
 
     @given(class_one_near_regular())
     def test_chain_invariant(self, g):
-        report = sum_report(g, run_oracle=True)
+        report = exact_report(g) if g.edge_count <= EXHAUSTIVE_EDGE_LIMIT else sum_report(g)
         assert report.actual_sum <= report.bound
         if report.exact_sum is not None:
             assert report.exact_sum <= report.actual_sum
