@@ -103,12 +103,10 @@ def cmd_generate(args) -> int:
         if args.seed is None:
             raise PreconditionError("biregular generation requires --seed")
         g = generate_random_biregular(params[0], params[1], args.seed)
-    elif family == "regular-class1":
+    else:  # regular-class1: argparse restricts the choices
         if len(params) != 1:
             raise PreconditionError("regular-class1 takes one parameter: r")
         g = generate_regular_class1(params[0], kind="complete" if args.complete else "bipartite")
-    else:  # pragma: no cover - argparse restricts choices
-        raise PreconditionError(f"unknown family {family!r}")
     _write_text(args.output, _emit_graph(g, args.format))
     return EXIT_OK
 

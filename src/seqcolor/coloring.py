@@ -219,9 +219,9 @@ def misra_gries(g: Graph) -> EdgeColoring:
     """Proper edge coloring with at most max_degree + 1 colors.
 
     Classic fan-rotation construction: for each uncolored edge (u, v) grow a
-    maximal fan at u, invert one two-colored path through u, then rotate a fan
-    prefix so the freed color closes the edge. Edges are processed in input
-    order, so the result is deterministic.
+    maximal fan at u, invert one two-colored path through u, then rotate the
+    fan up to its first vertex missing the freed color, which then closes the
+    edge. Edges are processed in input order, so the result is deterministic.
     """
     if not g.edges:
         return EdgeColoring(g.edges, (), 0)
@@ -256,11 +256,9 @@ def misra_gries(g: Graph) -> EdgeColoring:
         if c != d:
             # After the swap d is free at u (c was, and the path leaves u on d).
             state.flip_path(u, d, c)
+        # Misra & Gries' lemma: after the flip the fan up to its first vertex missing d is a fan.
         for i, (w, _) in enumerate(fan):
             if used[w] >> d & 1:
-                continue
-            # The prefix fan[0..i] must still be a fan under the flipped colors.
-            if any(used[fan[j - 1][0]] >> color[fan[j][1]] & 1 for j in range(1, i + 1)):
                 continue
             for j in range(i + 1):
                 x, ex = fan[j]

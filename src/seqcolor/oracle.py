@@ -1,9 +1,11 @@
 """Exhaustive ground-truth engines for small instances.
 
-Everything here walks the full space of proper colorings, so callers are
-guarded by :func:`~seqcolor.coloring.check_exhaustive_size`: its edge limit
-can be overridden, its recursion-depth refusal cannot. Edge order is always
-the graph's input order, keeping node counts reproducible.
+The two oracles walk the full space of proper colorings in the graph's
+input edge order, keeping node counts reproducible. They are guarded by
+:func:`~seqcolor.coloring.check_exhaustive_size` (its edge limit can be
+overridden, its recursion-depth refusal cannot), and a witness that clashes
+or misses the searched optimum is an internal error. The census walks
+adjacency rows, not colorings, and has no size guard.
 """
 
 from __future__ import annotations
@@ -58,10 +60,12 @@ def _min_sum_search(
     # admissible lower bounds on the uncolored remainder, combined by max:
     # per edge, the smallest color legal at both endpoints right now; per
     # vertex, its k uncolored incident edges need k distinct colors outside
-    # its palette (summed over vertices this counts every edge twice); per
-    # color class, every class is a matching, so color c can absorb at most
-    # floor(active/2) more edges and floor(n/2) in total, and the remainder is
-    # priced by filling the cheapest colors within those capacities.
+    # its palette (summed over vertices this counts every edge twice), and the
+    # palette holds deg(v) - k colors with cap >= chi' >= deg(v), so k of them
+    # are free at or below the cap; per color class, every class is a matching,
+    # so color c can absorb at most floor(active/2) more edges and floor(n/2)
+    # in total, and the remainder is priced by filling the cheapest colors
+    # within those capacities.
     edges = g.edges
     m = len(edges)
     n = g.vertex_count
@@ -96,8 +100,6 @@ def _min_sum_search(
             mask = used[v]
             c = 1
             while need:
-                if c > color_cap:
-                    return None
                 if not (mask >> c) & 1:
                     doubled += c
                     need -= 1
@@ -125,9 +127,9 @@ def _min_sum_search(
         nonlocal best_value, best_assign, nodes
         nodes += 1
         if index == m:
-            if partial < best_value:
-                best_value = partial
-                best_assign = assign.copy()
+            # Entered only when partial + remaining_bound(m) = partial beats the incumbent.
+            best_value = partial
+            best_assign = assign.copy()
             return
         u, v = edges[index]
         taken = used[u] | used[v]
@@ -162,10 +164,9 @@ def exact_edge_chromatic_sum(g: Graph, *, override_size: bool = False) -> Oracle
     nothing: every result is cap-stable. (Any coloring can be improved until every
     edge color is below deg(u)+deg(v), so the escalation always terminates.)
     """
-    check_exhaustive_size(g, override_size)
+    chi_prime, seed = exact_chromatic_index(g, override_size=override_size)
     if not g.edges:
-        return OracleResult(0, EdgeColoring(g.edges, (), 0), explored=0)
-    chi_prime, seed = exact_chromatic_index(g, override_size=True)
+        return OracleResult(0, seed, explored=0)
     value, best_assign, explored = _min_sum_search(g, chi_prime, sum(seed.colors), seed.colors)
     cap = chi_prime
     while True:
@@ -176,6 +177,9 @@ def exact_edge_chromatic_sum(g: Graph, *, override_size: bool = False) -> Oracle
         value, best_assign = next_value, next_assign
         cap += 1
     witness = EdgeColoring(g.edges, tuple(best_assign), max(best_assign))
+    _, _, clashes = coloring_masks(g, witness)
+    if clashes or sum(best_assign) != value:
+        raise RuntimeError("internal error: witness clashes or misses the searched optimum")
     return OracleResult(value, witness, explored=explored)
 
 
@@ -256,10 +260,10 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
     if m:
         descend(0, 0, n)
     witness = EdgeColoring(edges, tuple(best_assign), r)
-    _, masks, _ = coloring_masks(g, witness)
+    _, masks, clashes = coloring_masks(g, witness)
     sequential = frozenset(v for v in g.vertices if masks[v] == (1 << (degree[v] + 1)) - 2)
-    if len(sequential) != best:
-        raise RuntimeError("internal error: witness disagrees with the searched optimum")
+    if clashes or len(sequential) != best:
+        raise RuntimeError("internal error: witness clashes or misses the searched optimum")
     return OracleResult(best, witness, explored=nodes, sequential_vertices=sequential)
 
 
@@ -386,9 +390,8 @@ def connected_near_regular_graphs(max_edges: int) -> Iterator[Graph]:
                 degree_total = r * n_top + (r - 1) * n_low
                 if degree_total % 2:
                     continue
+                # The n_low range keeps degree_total <= 2 * max_edges.
                 m = degree_total // 2
-                if m > max_edges:
-                    break
                 n = n_top + n_low
                 if n < r + 1 or m < n - 1:
                     continue

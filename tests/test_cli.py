@@ -116,6 +116,14 @@ class TestGenerate:
     def test_bad_param_count(self, capsys):
         assert run(["generate", "complete-bipartite", "2"]) == 2
 
+    @pytest.mark.parametrize("argv, stderr", [
+        (["biregular", "3", "--seed", "1"], "error: biregular takes two parameters: r k\n"),
+        (["regular-class1"], "error: regular-class1 takes one parameter: r\n"),
+    ], ids=["biregular", "regular-class1"])
+    def test_param_count_message(self, capsys, argv, stderr):
+        assert run(["generate", *argv]) == 2
+        assert capsys.readouterr() == ("", stderr)
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "out.txt"
         assert run(["generate", "complete-bipartite", "1", "1", "-o", str(target)]) == 0

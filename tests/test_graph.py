@@ -45,6 +45,10 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="out of range"):
             build_graph(2, [(0, 2)])
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(GraphError, match="^vertex count must be non-negative, got -1$"):
+            build_graph(-1, [])
+
 
 class TestIncidence:
     def test_hand_example(self):
@@ -184,6 +188,17 @@ class TestGenerators:
             generate_regular_class1(4, kind="complete")
         with pytest.raises(PreconditionError):
             generate_regular_class1(3, kind="prism")
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: complete_graph(0), "complete graph needs at least one vertex"),
+        (lambda: cycle_graph(2), "cycle needs at least three vertices"),
+        (lambda: generate_random_biregular(3, 0, 1), "scale must be at least 1, got 0"),
+        (lambda: generate_regular_class1(2), "degree parameter must be at least 3, got 2"),
+    ], ids=["complete-0", "cycle-2", "biregular-scale-0", "regular-class1-2"])
+    def test_family_parameters_rejected(self, make, message):
+        with pytest.raises(PreconditionError) as info:
+            make()
+        assert str(info.value) == message
 
     def test_regular_class1_is_class_one(self):
         from seqcolor import exact_chromatic_index, konig_color_bipartite

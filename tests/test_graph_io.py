@@ -73,6 +73,17 @@ class TestGraph6:
         with pytest.raises(GraphError, match="trailing"):
             parse_graph6("C~~")
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty graph6 string"),
+        (">>graph6<<", "empty graph6 string"),
+        # ">" (62) is below the payload range 63..126.
+        ("C>", "invalid graph6 payload byte '>'"),
+    ], ids=["empty", "header-only", "payload-byte"])
+    def test_rejected(self, text, message):
+        with pytest.raises(GraphError) as info:
+            parse_graph6(text)
+        assert str(info.value) == message
+
     def test_noncanonical_padding(self):
         # Two vertices, one edge: only the first of six payload bits may be set.
         assert parse_graph6("A_").edge_count == 1
@@ -111,6 +122,10 @@ class TestEdgeList:
     def test_non_integer(self):
         with pytest.raises(GraphError, match="non-integer"):
             parse_edge_list("2 1\n0 x")
+
+    def test_negative_edge_count(self):
+        with pytest.raises(GraphError, match="^negative edge count -1$"):
+            parse_edge_list("3 -1")
 
     def test_missing_header(self):
         with pytest.raises(GraphError, match="header"):

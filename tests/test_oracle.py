@@ -267,6 +267,31 @@ class TestMaxSequentialKernel:
         assert result.witness.colors == (1, 1)
 
 
+class TestWitnessCheck:
+    # The oracles read their witness back once; a search that broke
+    # properness or lost track of its optimum is an internal error.
+    @pytest.mark.parametrize("value, assign", [(2, [1, 1]), (4, [1, 2])], ids=["clash", "sum"])
+    def test_sum_oracle_rejects_a_bad_search_result(self, monkeypatch, value, assign):
+        monkeypatch.setattr(oracle_module, "_min_sum_search", lambda *args: (value, assign, 1))
+        with pytest.raises(RuntimeError, match="^internal error: witness clashes or misses"):
+            exact_edge_chromatic_sum(path_graph(2))
+
+    @pytest.mark.parametrize("oracle", [
+        exact_edge_chromatic_sum,
+        lambda g: exact_max_sequential_set(g, 2),
+    ], ids=["sum", "max-sequential"])
+    def test_reported_clash_is_an_internal_error(self, monkeypatch, oracle):
+        real = oracle_module.coloring_masks
+
+        def clashing(g, coloring):
+            colors, masks, _ = real(g, coloring)
+            return colors, masks, {0}
+
+        monkeypatch.setattr(oracle_module, "coloring_masks", clashing)
+        with pytest.raises(RuntimeError, match="^internal error: witness clashes or misses"):
+            oracle(path_graph(2))
+
+
 def matching(edge_count):
     return build_graph(2 * edge_count, [(2 * i, 2 * i + 1) for i in range(edge_count)])
 
