@@ -213,16 +213,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    """Run the requested oracles and print the sum result before the
+    sequential one. The max-sequential oracle runs first: it refuses a cap
+    below the max degree, or a Class-2 graph at that cap, before the sum
+    search starts. Both oracles begin with the same size guard and nothing
+    prints until both finish, so the order changes no output."""
     g = _read_graph(args.input, args.format)
     run_sum = args.sum or not args.max_sequential
     run_seq = args.max_sequential or not args.sum
     records = []
     lines = []
-    if run_sum:
-        result = exact_edge_chromatic_sum(g, override_size=args.override_size)
-        records.append(result.to_record("sum"))
-        # "cap stable: True" is constant text that the output format keeps.
-        lines.append(f"exact sum: {result.value} (explored {result.explored}, cap stable: True)")
     if run_seq:
         r = args.cap if args.cap is not None else degree_profile(g).max_degree
         result = exact_max_sequential_set(g, r, override_size=args.override_size)
@@ -232,6 +232,11 @@ def cmd_oracle(args) -> int:
             f"max sequential set ({r} colors): {result.value} "
             f"(explored {result.explored}): {members}"
         )
+    if run_sum:
+        result = exact_edge_chromatic_sum(g, override_size=args.override_size)
+        records.insert(0, result.to_record("sum"))
+        # "cap stable: True" is constant text that the output format keeps.
+        lines.insert(0, f"exact sum: {result.value} (explored {result.explored}, cap stable: True)")
     if args.report:
         _print_records(records)
     else:

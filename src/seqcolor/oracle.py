@@ -56,103 +56,139 @@ class OracleResult:
 def _min_sum_search(
     g: Graph, color_cap: int, best_value: int, best_assign: Sequence[int]
 ) -> tuple[int, Sequence[int], int]:
-    # Branch and bound over edges in input order, colors ascending. Three
-    # admissible lower bounds on the uncolored remainder, combined by max:
-    # per edge, the smallest color legal at both endpoints right now; per
-    # vertex, its k uncolored incident edges need k distinct colors outside
-    # its palette (summed over vertices this counts every edge twice), and the
-    # palette holds deg(v) - k colors with cap >= chi' >= deg(v), so k of them
-    # are free at or below the cap; per color class, every class is a matching,
-    # so color c can absorb at most floor(active/2) more edges and floor(n/2)
-    # in total, and the remainder is priced by filling the cheapest colors
-    # within those capacities.
+    """Branch and bound over edges in input order, colors ascending; returns
+    (best value, best colors by edge id, nodes), or the incumbent passed in
+    if nothing beats it.
+
+    Three admissible lower bounds on the uncolored remainder, combined by
+    max: per edge, the smallest color legal at both endpoints right now; per
+    vertex, its k uncolored incident edges need k distinct colors outside its
+    palette (summed over vertices this counts every edge twice), and the
+    palette holds deg(v) - k colors with cap >= chi' >= deg(v), so k of them
+    are free at or below the cap; per color class, every class is a matching,
+    so color c can absorb at most floor(active/2) more edges and floor(n/2)
+    in total, and the remainder is priced by filling the cheapest colors
+    within those capacities.
+
+    The bounds are kept up to date as edges are colored, not recomputed, and
+    take the same values as a rescan would, so the search visits the same
+    nodes. Edge: each remaining edge's lowest common free color bit is kept
+    in ``low``, and coloring uv with c moves only the later edges at u or v
+    whose lowest color was c. Vertex: the doubled sum travels down the
+    recursion; with top = the (k+1)-th smallest free color at u, where k
+    counts u's pending edges besides uv, coloring uv with c lowers u's share
+    by min(c, top). Class: the fill over the cheapest colors' rooms is
+    recomputed per child, in O(cap).
+    """
     edges = g.edges
+    incidence = g.incidence
     m = len(edges)
     n = g.vertex_count
+    full = (1 << (color_cap + 1)) - 2
+    # Per edge, the ids of the later edges at either endpoint.
+    later: list[tuple[int, ...]] = [()] * m
+    for ids in incidence:
+        for t, j in enumerate(ids, 1):
+            later[j] += ids[t:]
     used = [0] * n
-    pending = [0] * n
-    for u, v in edges:
-        pending[u] += 1
-        pending[v] += 1
-    matching_cap = sum(1 for v in range(n) if pending[v]) // 2
+    pending = [len(ids) for ids in incidence]
+    active = sum(1 for k in pending if k)
+    matching_cap = active // 2
     class_count = [0] * (color_cap + 1)
+    # Color 1 is free everywhere at the root (cap >= chi' >= 1 when m > 0).
+    low = [2] * m
     assign = [0] * m
-    nodes = 0
+    nodes = 1
 
-    def remaining_bound(start: int) -> int | None:
-        by_edge = 0
-        for idx in range(start, m):
-            u, v = edges[idx]
-            taken = used[u] | used[v]
-            c = 1
-            while c <= color_cap and (taken >> c) & 1:
-                c += 1
-            if c > color_cap:
-                return None
-            by_edge += c
-        doubled = 0
-        active = 0
-        for v in range(n):
-            need = pending[v]
-            if not need:
+    def descend(index: int, partial: int, by_edge: int, doubled: int, active: int) -> None:
+        # Children are counted in their parent, not on entry. ``by_edge`` and
+        # ``doubled`` cover edges index.., ``active`` counts the vertices with
+        # a pending edge.
+        nonlocal best_value, best_assign, nodes
+        if index == m:
+            # Every bound is 0 here, so the leaf was entered because it beats
+            # the incumbent.
+            best_value = partial
+            best_assign = assign.copy()
+            return
+        u, v = edges[index]
+        used_u = used[u]
+        used_v = used[v]
+        free = full & ~(used_u | used_v)
+        # The pending[w]-th smallest free color at w, for w = u and v.
+        x = ~(used_u | 1)
+        for _ in range(pending[u] - 1):
+            x &= x - 1
+        top_u = (x & -x).bit_length() - 1
+        x = ~(used_v | 1)
+        for _ in range(pending[v] - 1):
+            x &= x - 1
+        top_v = (x & -x).bit_length() - 1
+        pending[u] -= 1
+        pending[v] -= 1
+        active -= (not pending[u]) + (not pending[v])
+        slack = active // 2
+        base = by_edge - (low[index].bit_length() - 1)
+        while free:
+            bit = free & -free
+            free ^= bit
+            c = bit.bit_length() - 1
+            limit = best_value - partial - c
+            if base >= limit:
                 continue
-            active += 1
-            mask = used[v]
-            c = 1
-            while need:
-                if not (mask >> c) & 1:
-                    doubled += c
-                    need -= 1
-                c += 1
-        by_class = 0
-        left = m - start
-        if left:
-            slack = active // 2
-            for c in range(1, color_cap + 1):
-                room = matching_cap - class_count[c]
+            child_doubled = (
+                doubled - (c if c < top_u else top_u) - (c if c < top_v else top_v)
+            )
+            if child_doubled >= 2 * limit - 1:
+                continue
+            class_count[c] += 1
+            by_class = 0
+            left = m - index - 1
+            for k in range(1, color_cap + 1):
+                room = matching_cap - class_count[k]
                 if room > slack:
                     room = slack
                 if room <= 0:
                     continue
                 take = room if room < left else left
-                by_class += c * take
+                by_class += k * take
                 left -= take
                 if not left:
                     break
-            if left:
-                return None
-        return max(by_edge, (doubled + 1) // 2, by_class)
-
-    def descend(index: int, partial: int) -> None:
-        nonlocal best_value, best_assign, nodes
-        nodes += 1
-        if index == m:
-            # Entered only when partial + remaining_bound(m) = partial beats the incumbent.
-            best_value = partial
-            best_assign = assign.copy()
-            return
-        u, v = edges[index]
-        taken = used[u] | used[v]
-        pending[u] -= 1
-        pending[v] -= 1
-        for c in range(1, color_cap + 1):
-            bit = 1 << c
-            if taken & bit:
-                continue
-            used[u] |= bit
-            used[v] |= bit
-            assign[index] = c
-            class_count[c] += 1
-            rest = remaining_bound(index + 1)
-            if rest is not None and partial + c + rest < best_value:
-                descend(index + 1, partial + c)
             class_count[c] -= 1
-            used[u] &= ~bit
-            used[v] &= ~bit
+            if left or by_class >= limit:
+                continue
+            used[u] = used_u | bit
+            used[v] = used_v | bit
+            # Later edges whose lowest color was c move up in place, and
+            # go back to c when the child is done or cut.
+            edge_bound = base
+            moved = []
+            for j in later[index]:
+                if low[j] == bit:
+                    a, b = edges[j]
+                    lowest = full & ~(used[a] | used[b])
+                    lowest &= -lowest
+                    low[j] = lowest
+                    moved.append(j)
+                    if not lowest:
+                        edge_bound = limit
+                        break
+                    edge_bound += lowest.bit_length() - 1 - c
+            if edge_bound < limit:
+                assign[index] = c
+                class_count[c] += 1
+                nodes += 1
+                descend(index + 1, partial + c, edge_bound, child_doubled, active)
+                class_count[c] -= 1
+            for j in moved:
+                low[j] = bit
+        used[u] = used_u
+        used[v] = used_v
         pending[u] += 1
         pending[v] += 1
 
-    descend(0, 0)
+    descend(0, 0, m, sum(k * (k + 1) // 2 for k in pending), active)
     return best_value, best_assign, nodes
 
 

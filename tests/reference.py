@@ -1,6 +1,6 @@
 """Reference helpers that only the tests use, kept apart from the library."""
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from seqcolor import EdgeColoring, Graph, MissingColorPartition, PreconditionError, edge_key
 
@@ -121,3 +121,114 @@ def reference_max_sequential_search(g: Graph, r: int) -> tuple[int, int, list[in
 
     descend(0)
     return best, nodes, best_assign
+
+
+def reference_min_sum_search(
+    g: Graph, color_cap: int, best_value: int, best_assign: Sequence[int]
+) -> tuple[int, Sequence[int], int]:
+    """The rescanning min-sum search the library's incremental kernel replaced.
+
+    Same visit order, node definition and bounds as ``oracle._min_sum_search``:
+    edges in input order, colors ascending, one node per call, and a child
+    entered only when its partial sum plus the largest of the three lower
+    bounds, recomputed from scratch for each child, beats the incumbent.
+    Returns (best value, best colors by edge id, nodes). No size guard.
+    """
+    # Branch and bound over edges in input order, colors ascending. Three
+    # admissible lower bounds on the uncolored remainder, combined by max:
+    # per edge, the smallest color legal at both endpoints right now; per
+    # vertex, its k uncolored incident edges need k distinct colors outside
+    # its palette (summed over vertices this counts every edge twice), and the
+    # palette holds deg(v) - k colors with cap >= chi' >= deg(v), so k of them
+    # are free at or below the cap; per color class, every class is a matching,
+    # so color c can absorb at most floor(active/2) more edges and floor(n/2)
+    # in total, and the remainder is priced by filling the cheapest colors
+    # within those capacities.
+    edges = g.edges
+    m = len(edges)
+    n = g.vertex_count
+    used = [0] * n
+    pending = [0] * n
+    for u, v in edges:
+        pending[u] += 1
+        pending[v] += 1
+    matching_cap = sum(1 for v in range(n) if pending[v]) // 2
+    class_count = [0] * (color_cap + 1)
+    assign = [0] * m
+    nodes = 0
+
+    def remaining_bound(start: int) -> int | None:
+        by_edge = 0
+        for idx in range(start, m):
+            u, v = edges[idx]
+            taken = used[u] | used[v]
+            c = 1
+            while c <= color_cap and (taken >> c) & 1:
+                c += 1
+            if c > color_cap:
+                return None
+            by_edge += c
+        doubled = 0
+        active = 0
+        for v in range(n):
+            need = pending[v]
+            if not need:
+                continue
+            active += 1
+            mask = used[v]
+            c = 1
+            while need:
+                if not (mask >> c) & 1:
+                    doubled += c
+                    need -= 1
+                c += 1
+        by_class = 0
+        left = m - start
+        if left:
+            slack = active // 2
+            for c in range(1, color_cap + 1):
+                room = matching_cap - class_count[c]
+                if room > slack:
+                    room = slack
+                if room <= 0:
+                    continue
+                take = room if room < left else left
+                by_class += c * take
+                left -= take
+                if not left:
+                    break
+            if left:
+                return None
+        return max(by_edge, (doubled + 1) // 2, by_class)
+
+    def descend(index: int, partial: int) -> None:
+        nonlocal best_value, best_assign, nodes
+        nodes += 1
+        if index == m:
+            # Entered only when partial + remaining_bound(m) = partial beats the incumbent.
+            best_value = partial
+            best_assign = assign.copy()
+            return
+        u, v = edges[index]
+        taken = used[u] | used[v]
+        pending[u] -= 1
+        pending[v] -= 1
+        for c in range(1, color_cap + 1):
+            bit = 1 << c
+            if taken & bit:
+                continue
+            used[u] |= bit
+            used[v] |= bit
+            assign[index] = c
+            class_count[c] += 1
+            rest = remaining_bound(index + 1)
+            if rest is not None and partial + c + rest < best_value:
+                descend(index + 1, partial + c)
+            class_count[c] -= 1
+            used[u] &= ~bit
+            used[v] &= ~bit
+        pending[u] += 1
+        pending[v] += 1
+
+    descend(0, 0)
+    return best_value, best_assign, nodes

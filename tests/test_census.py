@@ -8,7 +8,7 @@ from itertools import permutations
 import pytest
 
 from seqcolor import connected_near_regular_graphs, degree_profile
-from seqcolor.oracle import _is_canonical, _is_connected
+from seqcolor.oracle import _graphs_with_degrees, _is_canonical, _is_connected
 
 # sha256 of repr([(g.vertex_count, g.edges) for g in census(E)]), recorded
 # from the census that tried every block-preserving relabeling at each leaf.
@@ -130,3 +130,7 @@ def test_counts_against_oeis():
     # A002851 (connected cubic graphs) and A006820 (connected quartic graphs);
     # no other regular graph with r >= 3 fits in 12 edges.
     assert regular == {(3, 4): 1, (3, 6): 2, (3, 8): 5, (4, 5): 1, (4, 6): 1}
+    # Past 12 edges, straight from the degree-sequence enumerator (every
+    # vertex in the top block): 10 cubic vertices and 7 quartic ones.
+    assert sum(1 for _ in _graphs_with_degrees([3] * 10, 10)) == 19
+    assert sum(1 for _ in _graphs_with_degrees([4] * 7, 7)) == 2

@@ -26,6 +26,7 @@ from seqcolor import (
     verify_proper,
     verify_sequential,
 )
+from seqcolor import oracle as oracle_module
 from seqcolor.cli import build_parser, run
 
 from .conftest import class_one_near_regular, petersen_graph
@@ -461,3 +462,45 @@ class TestOracle:
         path = write(tmp_path, "k4.g6", "C~\n")
         assert run(["oracle", path, "--format", "graph6"]) == 0
         assert "exact sum: 12" in capsys.readouterr().out
+
+
+class TestOracleOrder:
+    """The max-sequential oracle runs before the sum search, so its refusals
+    come before any sum search starts; the output is what it was when the
+    sum oracle ran first."""
+
+    CLASS_TWO = "error: graph is Class 2: chromatic index 4 > max degree 3\n"
+    OVERSIZE = ("error: 21 edges exceeds the exhaustive-search guard of 20; "
+                "pass override_size=True to force\n")
+    NO_TWO_COLORING = "error: no proper 2-coloring exists: max degree is 3\n"
+
+    @pytest.fixture
+    def no_sum_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the sum search ran")
+
+        monkeypatch.setattr(oracle_module, "_min_sum_search", refuse)
+
+    @pytest.mark.parametrize("extra", [[], ["--report"]])
+    def test_class_two_exits_before_the_sum_search(
+        self, petersen_file, capsys, no_sum_search, extra
+    ):
+        assert run(["oracle", petersen_file, *extra]) == 3
+        assert capsys.readouterr() == ("", self.CLASS_TWO)
+
+    def test_sum_alone_still_searches_a_class_two_graph(self, petersen_file, capsys):
+        assert run(["oracle", petersen_file, "--sum"]) == 0
+        assert capsys.readouterr() == ("exact sum: 33 (explored 8379, cap stable: True)\n", "")
+
+    @pytest.mark.parametrize("extra", [[], ["--report"], ["--sum"], ["--max-sequential"]])
+    def test_oversize(self, tmp_path, capsys, no_sum_search, extra):
+        from .conftest import path_graph
+
+        path = write(tmp_path, "path.txt", emit_edge_list(path_graph(21)))
+        assert run(["oracle", path, *extra]) == 2
+        assert capsys.readouterr() == ("", self.OVERSIZE)
+
+    @pytest.mark.parametrize("extra", [[], ["--report"], ["--max-sequential"]])
+    def test_cap_below_max_degree(self, petersen_file, capsys, no_sum_search, extra):
+        assert run(["oracle", petersen_file, "--cap", "2", *extra]) == 2
+        assert capsys.readouterr() == ("", self.NO_TWO_COLORING)

@@ -29,7 +29,12 @@ from seqcolor import oracle as oracle_module
 from seqcolor.coloring import check_exhaustive_size
 
 from .conftest import path_graph
-from .reference import coloring_of, enumerate_proper_colorings, reference_max_sequential_search
+from .reference import (
+    coloring_of,
+    enumerate_proper_colorings,
+    reference_max_sequential_search,
+    reference_min_sum_search,
+)
 
 
 def count_colorings(g, cap):
@@ -265,6 +270,37 @@ class TestMaxSequentialKernel:
         result = exact_max_sequential_set(build_graph(4, [(0, 1), (2, 3)]), 20_000)
         assert (result.value, result.explored) == (4, 40_001)
         assert result.witness.colors == (1, 1)
+
+
+class TestMinSumKernel:
+    """The incremental min-sum kernel against the rescanning search it
+    replaced: same optimum, same node count, same witness."""
+
+    @staticmethod
+    def assert_matches_reference(g):
+        # The caps and incumbents the oracle passes: chi' from the
+        # chromatic-index seed, then chi' + 1 from the first optimum.
+        chi_prime, seed = exact_chromatic_index(g, override_size=True)
+        value, colors = sum(seed.colors), seed.colors
+        for cap in (chi_prime, chi_prime + 1):
+            got = oracle_module._min_sum_search(g, cap, value, colors)
+            want = reference_min_sum_search(g, cap, value, colors)
+            assert (got[0], got[2], list(got[1])) == (want[0], want[2], list(want[1])), (
+                g.edges, cap)
+            value, colors = want[0], want[1]
+
+    def test_census_up_to_13_edges_and_named_graphs(self, petersen):
+        named = [
+            petersen,
+            generate_complete_bipartite(4, 5),
+            generate_complete_bipartite(4, 4),
+            complete_graph(6),
+        ]
+        compared = 0
+        for g in [*connected_near_regular_graphs(13), *named]:
+            self.assert_matches_reference(g)
+            compared += 1
+        assert compared == 875 + 4
 
 
 class TestWitnessCheck:
