@@ -215,9 +215,10 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     """Run the requested oracles and print the sum result before the
     sequential one. The max-sequential oracle runs first: it refuses a cap
-    below the max degree, or a Class-2 graph at that cap, before the sum
-    search starts. Both oracles begin with the same size guard and nothing
-    prints until both finish, so the order changes no output."""
+    below the max degree, or a Class-2 graph at that cap (its search finds
+    no coloring), before the sum search starts. Both oracles begin with the
+    same size guard and nothing prints until both finish, so the order
+    changes no output."""
     g = _read_graph(args.input, args.format)
     run_sum = args.sum or not args.max_sequential
     run_seq = args.max_sequential or not args.sum

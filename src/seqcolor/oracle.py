@@ -1,7 +1,9 @@
 """Exhaustive ground-truth engines for small instances.
 
-The two oracles walk the full space of proper colorings in the graph's
-input edge order, keeping node counts reproducible. They are guarded by
+The two oracles walk the proper colorings in the graph's input edge order,
+colors ascending, so node counts are reproducible. The max-sequential
+search skips colorings that only relabel interchangeable colors (its block
+rule); the min-sum search walks them all. They are guarded by
 :func:`~seqcolor.coloring.check_exhaustive_size` (its edge limit can be
 overridden, its recursion-depth refusal cannot), and a witness that clashes
 or misses the searched optimum is an internal error. The census walks
@@ -53,12 +55,25 @@ class OracleResult:
         return record
 
 
+def _later_edges(g: Graph) -> list[tuple[int, ...]]:
+    """Per edge id, the ids of the later edges at either endpoint."""
+    later: list[tuple[int, ...]] = [()] * len(g.edges)
+    for ids in g.incidence:
+        for t, j in enumerate(ids, 1):
+            later[j] += ids[t:]
+    return later
+
+
 def _min_sum_search(
-    g: Graph, color_cap: int, best_value: int, best_assign: Sequence[int]
+    g: Graph,
+    later: Sequence[tuple[int, ...]],
+    color_cap: int,
+    best_value: int,
+    best_assign: Sequence[int],
 ) -> tuple[int, Sequence[int], int]:
     """Branch and bound over edges in input order, colors ascending; returns
     (best value, best colors by edge id, nodes), or the incumbent passed in
-    if nothing beats it.
+    if nothing beats it. ``later`` is :func:`_later_edges` of ``g``.
 
     Three admissible lower bounds on the uncolored remainder, combined by
     max: per edge, the smallest color legal at both endpoints right now; per
@@ -85,11 +100,6 @@ def _min_sum_search(
     m = len(edges)
     n = g.vertex_count
     full = (1 << (color_cap + 1)) - 2
-    # Per edge, the ids of the later edges at either endpoint.
-    later: list[tuple[int, ...]] = [()] * m
-    for ids in incidence:
-        for t, j in enumerate(ids, 1):
-            later[j] += ids[t:]
     used = [0] * n
     pending = [len(ids) for ids in incidence]
     active = sum(1 for k in pending if k)
@@ -203,10 +213,13 @@ def exact_edge_chromatic_sum(g: Graph, *, override_size: bool = False) -> Oracle
     chi_prime, seed = exact_chromatic_index(g, override_size=override_size)
     if not g.edges:
         return OracleResult(0, seed, explored=0)
-    value, best_assign, explored = _min_sum_search(g, chi_prime, sum(seed.colors), seed.colors)
+    later = _later_edges(g)
+    value, best_assign, explored = _min_sum_search(
+        g, later, chi_prime, sum(seed.colors), seed.colors
+    )
     cap = chi_prime
     while True:
-        next_value, next_assign, nodes = _min_sum_search(g, cap + 1, value, best_assign)
+        next_value, next_assign, nodes = _min_sum_search(g, later, cap + 1, value, best_assign)
         explored += nodes
         if next_value == value:
             break
@@ -226,6 +239,16 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
     i.e. no incident edge ever receives a color above deg(v). The search
     marks a vertex lost the moment that happens, and prunes branches whose
     surviving count cannot beat the incumbent.
+
+    Colors split into blocks at each vertex degree d < r (a block starts at
+    1 and at each d + 1). A vertex of degree d loses on exactly the colors
+    above d, so the colors of one block are interchangeable, and a color may
+    open only once the color below it in its block is in use. Renumbering a
+    coloring's blocks by first use keeps its lost set and makes it no larger
+    in lex order (edges in input order), so the lex-first optimum, which is
+    the witness, is among the colorings searched. Finding no coloring at
+    r = max degree proves the graph Class 2; above it one always exists
+    (Vizing).
     """
     check_exhaustive_size(g, override_size)
     degree = [g.degree(v) for v in g.vertices]
@@ -234,10 +257,6 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
         raise PreconditionError(
             f"no proper {r}-coloring exists: max degree is {max_degree}"
         )
-    # With r > max_degree colors a proper coloring exists (Vizing).
-    if g.edges and r == max_degree and exact_chromatic_index(g, override_size=True)[0] > r:
-        raise ClassTwoError(chi_prime=r + 1, max_degree=max_degree)
-
     edges = g.edges
     m = len(edges)
     n = g.vertex_count
@@ -248,6 +267,11 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
     plan = [
         (u, v, 1 << u, 1 << v, 2 << degree[u], 2 << degree[v]) for u, v in edges
     ]
+    # The first color of each block; the others open one by one as the color
+    # below them is used.
+    starts = 2
+    for d in degree:
+        starts |= 2 << d
     used = [0] * n
     assign = [0] * m
     # The root is the first node; without edges it is also the only leaf.
@@ -255,7 +279,7 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
     best_assign: list[int] = []
     nodes = 1
 
-    def descend(index: int, lost: int, alive: int) -> None:
+    def descend(index: int, lost: int, alive: int, allowed: int) -> None:
         # Children are counted, cut or recorded here rather than on entry.
         # Losses only grow with the color and the incumbent only rises, so
         # once one child is cut every higher color would be cut too: those
@@ -264,7 +288,7 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
         u, v, u_bit, v_bit, u_loses, v_loses = plan[index]
         used_u = used[u]
         used_v = used[v]
-        free = full & ~(used_u | used_v)
+        free = allowed & ~(used_u | used_v)
         leaf = index + 1 == m
         while free:
             bit = free & -free
@@ -289,12 +313,14 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
                 break
             used[u] = used_u | bit
             used[v] = used_v | bit
-            descend(index + 1, child_lost, child_alive)
+            descend(index + 1, child_lost, child_alive, (allowed | bit << 1) & full)
         used[u] = used_u
         used[v] = used_v
 
     if m:
-        descend(0, 0, n)
+        descend(0, 0, n, starts & full)
+    if best < 0:
+        raise ClassTwoError(chi_prime=r + 1, max_degree=max_degree)
     witness = EdgeColoring(edges, tuple(best_assign), r)
     _, masks, clashes = coloring_masks(g, witness)
     sequential = frozenset(v for v in g.vertices if masks[v] == (1 << (degree[v] + 1)) - 2)

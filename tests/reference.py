@@ -71,9 +71,11 @@ def reference_max_sequential_search(g: Graph, r: int) -> tuple[int, int, list[in
     Same visit order and node definition as ``exact_max_sequential_set``:
     edges in input order, colors ascending, one node per call, a vertex lost
     once an incident edge takes a color above its degree, and a node cut when
-    its surviving count cannot beat the incumbent. Returns (best, nodes,
-    best colors by edge id); best is -1 and the colors empty when no proper
-    r-coloring exists. No size guard and no Class-2 precheck.
+    its surviving count cannot beat the incumbent. Unlike the library, it
+    tries every color at every edge, with no block rule, so it visits every
+    relabeling of interchangeable colors and at least as many nodes. Returns
+    (best, nodes, best colors by edge id); best is -1 and the colors empty
+    when no proper r-coloring exists. No size guard.
     """
     degree = [g.degree(v) for v in g.vertices]
     edges = g.edges

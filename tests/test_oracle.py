@@ -203,11 +203,13 @@ class TestMaxSequentialSet:
 
 
 class TestMaxSequentialKernel:
-    """The bitmask kernel against the list-based search it replaced: same
-    optimum, same node count, same witness."""
+    """The bitmask kernel against the list-based search it replaced, which
+    walks every relabeling of the colors: same optimum, same witness, same
+    sequential set, and no more nodes."""
 
     @staticmethod
     def assert_matches_reference(g, r):
+        """Compare at cap ``r``; returns the kernel's node count."""
         result = exact_max_sequential_set(g, r)
         value, explored, colors = reference_max_sequential_search(g, r)
         witness = EdgeColoring(g.edges, tuple(colors), r)
@@ -215,24 +217,64 @@ class TestMaxSequentialKernel:
             v for v in g.vertices
             if palette(g, witness, v) == frozenset(range(1, g.degree(v) + 1))
         }
-        assert (result.value, result.explored, list(result.witness.colors)) == (
-            value, explored, colors
-        ), g.edges
+        assert (result.value, list(result.witness.colors)) == (value, colors), g.edges
         assert result.sequential_vertices == sequential, g.edges
+        assert result.explored <= explored, g.edges
+        return result.explored
+
+    def compare_or_refuse(self, g, extra_colors):
+        """Compare at the max degree plus each of ``extra_colors``; returns
+        (compared, refused, nodes)."""
+        compared = refused = nodes = 0
+        max_degree = degree_profile(g).max_degree
+        for cap in (max_degree + k for k in extra_colors):
+            try:
+                nodes += self.assert_matches_reference(g, cap)
+                compared += 1
+            except ClassTwoError as error:
+                # No proper coloring at the max degree: the reference search
+                # finds none either.
+                assert cap == max_degree and reference_max_sequential_search(g, cap)[0] == -1
+                assert str(error) == (
+                    f"graph is Class 2: chromatic index {cap + 1} > max degree {cap}"
+                )
+                refused += 1
+        return compared, refused, nodes
+
+    def census_totals(self, extra_colors):
+        runs = [self.compare_or_refuse(g, extra_colors) for g in connected_near_regular_graphs(12)]
+        return [sum(column) for column in zip(*runs)]
 
     def test_census_up_to_12_edges_at_r_and_r_plus_1(self):
+        # 182,730 nodes when every relabeling of the colors was searched.
+        assert self.census_totals((0, 1)) == [781, 11, 90_852]
+
+    def test_census_up_to_12_edges_at_r_plus_2(self):
+        # Two colors above the max degree form one block of their own.
+        assert self.census_totals((2,)) == [396, 0, 82_159]
+
+    def test_wide_degree_spread(self):
+        # Seeded graphs whose degrees span at least three blocks, which the
+        # near-regular census never reaches; Class-2 ones are refused at r.
+        rng = random.Random(13)
         compared = refused = 0
-        for g in connected_near_regular_graphs(12):
-            r = degree_profile(g).max_degree
-            for cap in (r, r + 1):
-                try:
-                    self.assert_matches_reference(g, cap)
-                    compared += 1
-                except ClassTwoError:
-                    # No proper r-coloring: the reference search finds none either.
-                    assert cap == r and reference_max_sequential_search(g, cap)[0] == -1
-                    refused += 1
-        assert (compared, refused) == (781, 11)
+        graphs = 0
+        while graphs < 40:
+            n = rng.randint(5, 9)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            g = build_graph(n, rng.sample(pairs, rng.randint(4, min(12, len(pairs)))))
+            if not 1 <= min(g.degree(v) for v in g.vertices) <= degree_profile(g).max_degree - 2:
+                continue
+            done, refuse, _ = self.compare_or_refuse(g, (0, 1, 2))
+            compared += done
+            refused += refuse
+            graphs += 1
+        assert (compared, refused) == (120, 0)
+
+    def test_stars_and_paths(self):
+        stars = [build_graph(k + 1, [(0, i) for i in range(1, k + 1)]) for k in range(1, 7)]
+        for g in stars + [path_graph(k) for k in range(1, 10)]:
+            assert self.compare_or_refuse(g, (0, 1, 2))[:2] == (3, 0)
 
     def test_edgeless(self):
         for r in (0, 2):
@@ -250,25 +292,45 @@ class TestMaxSequentialKernel:
             exact_max_sequential_set(petersen, 3)
         assert str(info.value) == "graph is Class 2: chromatic index 4 > max degree 3"
 
+    def test_class_two_proof_is_the_search(self, monkeypatch, petersen):
+        # Finding no coloring at the max degree is the proof; no separate
+        # chromatic-index search runs, and Petersen minus a vertex (degrees 2
+        # and 3, two blocks, not overfull) is refused the same way.
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact_chromatic_index called")
+
+        monkeypatch.setattr(oracle_module, "exact_chromatic_index", refuse)
+        minus_vertex = build_graph(
+            9, [(u - 1, v - 1) for u, v in petersen.edges if u and v]
+        )
+        for g in (petersen, minus_vertex):
+            with pytest.raises(ClassTwoError, match="chromatic index 4 > max degree 3"):
+                exact_max_sequential_set(g, 3)
+
     def test_no_chromatic_index_above_max_degree(self, monkeypatch, petersen, k4, k33):
         # With one color more than the max degree a coloring exists (Vizing),
-        # so the Class-2 precheck does not run.
+        # and the search finds one without a chromatic-index search.
         def refuse(*args, **kwargs):
             raise AssertionError("exact_chromatic_index called above the max degree")
 
         monkeypatch.setattr(oracle_module, "exact_chromatic_index", refuse)
-        for g, value, explored in ((petersen, 6, 45_128), (k4, 4, 16), (k33, 6, 30)):
+        # Without the block rule: 45,128, 16 and 30 nodes.
+        for g, value, explored in ((petersen, 6, 7_531), (k4, 4, 13), (k33, 6, 27)):
             result = exact_max_sequential_set(g, degree_profile(g).max_degree + 1)
             assert (result.value, result.explored) == (value, explored)
 
     def test_k45_node_count(self):
+        # 999,452 nodes when every relabeling of colors 1..4 was searched.
         result = exact_max_sequential_set(generate_complete_bipartite(4, 5), 5)
-        assert (result.value, result.explored) == (5, 999_452)
+        assert (result.value, result.explored) == (5, 41_656)
 
     def test_wide_cap_on_a_matching(self):
-        # Root, 20000 first-edge colors, 20000 second-edge colors under color 1.
+        # Colors 2..20000 form one block, so each edge may take color 1 or 2:
+        # root, color 1 on the first edge, colors 1 (the leaf) and 2 (counted
+        # as cut) on the second, and color 2 on the first edge, cut.
+        # 40,001 nodes when every color of the block was tried.
         result = exact_max_sequential_set(build_graph(4, [(0, 1), (2, 3)]), 20_000)
-        assert (result.value, result.explored) == (4, 40_001)
+        assert (result.value, result.explored) == (4, 5)
         assert result.witness.colors == (1, 1)
 
 
@@ -282,8 +344,9 @@ class TestMinSumKernel:
         # chromatic-index seed, then chi' + 1 from the first optimum.
         chi_prime, seed = exact_chromatic_index(g, override_size=True)
         value, colors = sum(seed.colors), seed.colors
+        later = oracle_module._later_edges(g)
         for cap in (chi_prime, chi_prime + 1):
-            got = oracle_module._min_sum_search(g, cap, value, colors)
+            got = oracle_module._min_sum_search(g, later, cap, value, colors)
             want = reference_min_sum_search(g, cap, value, colors)
             assert (got[0], got[2], list(got[1])) == (want[0], want[2], list(want[1])), (
                 g.edges, cap)
@@ -301,6 +364,19 @@ class TestMinSumKernel:
             self.assert_matches_reference(g)
             compared += 1
         assert compared == 875 + 4
+
+    def test_later_edges_built_once(self, monkeypatch, k4):
+        # Every cap the oracle tries (at least chi' and chi' + 1) shares them.
+        real = oracle_module._later_edges
+        built = []
+        monkeypatch.setattr(oracle_module, "_later_edges", lambda g: built.append(g) or real(g))
+        searches = []
+        search = oracle_module._min_sum_search
+        monkeypatch.setattr(
+            oracle_module, "_min_sum_search", lambda *args: searches.append(args) or search(*args)
+        )
+        assert exact_edge_chromatic_sum(k4).value == 12
+        assert len(built) == 1 and len(searches) >= 2
 
 
 class TestWitnessCheck:
