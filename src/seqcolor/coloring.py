@@ -175,21 +175,6 @@ class _EdgeIndexedColoring:
         self.stride = max_color + 1
         self.at = [-1] * (g.vertex_count * self.stride)
 
-    def smallest_free(self, v: int) -> int:
-        taken = self.used[v] | 1
-        return (~taken & (taken + 1)).bit_length() - 1
-
-    def recolor(self, e: int, x: int, c: int) -> None:
-        """Move edge ``e`` to color ``c`` at its end ``x`` only; the caller
-        updates the other end and ``color[e]``."""
-        old = self.color[e]
-        base = x * self.stride
-        if old and self.at[base + old] == e:
-            self.at[base + old] = -1
-            self.used[x] &= ~(1 << old)
-        self.at[base + c] = e
-        self.used[x] |= 1 << c
-
     def flip_path(self, start: int, first: int, second: int) -> int:
         """Swap ``first``/``second`` along the maximal alternating path that
         leaves ``start`` on its ``first`` edge; return the path's far end.
@@ -222,53 +207,84 @@ def misra_gries(g: Graph) -> EdgeColoring:
     maximal fan at u, invert one two-colored path through u, then rotate the
     fan up to its first vertex missing the freed color, which then closes the
     edge. Edges are processed in input order, so the result is deterministic.
+
+    Each fan step reads its candidates from the color table: the colors at u
+    that are free at the fan's last vertex and not yet on a fan edge (a
+    neighbor of u is in the fan exactly when its edge's color is, since the
+    only uncolored edge at u leads to v). Among their edges ``at[u, c]`` the
+    lowest id wins, which is the first match a scan of ``g.incidence[u]``
+    (in edge-id order) would find. In the common case v already misses the
+    freed color and the edge takes it at both ends without a rotation.
     """
     if not g.edges:
         return EdgeColoring(g.edges, (), 0)
-    edges, incidence = g.edges, g.incidence
-    cap = max(map(len, incidence)) + 1
+    edges = g.edges
+    cap = max(map(len, g.incidence)) + 1
     state = _EdgeIndexedColoring(g, cap)
-    color, used = state.color, state.used
+    color, used, at, stride = state.color, state.used, state.at, state.stride
+    beyond = len(edges)
 
     for e0, (u, v0) in enumerate(edges):
-        # The fan: neighbors w of u, each with its edge to u, such that the
-        # color of each fan edge is free at the previous fan vertex.
-        fan = [(v0, e0)]
-        in_fan = {v0}
-        grown = True
-        while grown:
-            grown = False
-            for e in incidence[u]:
-                cw = color[e]
-                if not cw:
-                    continue
-                a, b = edges[e]
-                w = a + b - u
-                if w in in_fan:
-                    continue
-                if not used[fan[-1][0]] >> cw & 1:
-                    fan.append((w, e))
-                    in_fan.add(w)
-                    grown = True
-                    break
-        c = state.smallest_free(u)
-        d = state.smallest_free(fan[-1][0])
+        base = u * stride
+        colors_at_u = used[u]
+        # The fan: v0, then neighbors w of u, each with its edge to u, such
+        # that the color of each fan edge is free at the previous fan vertex.
+        fan_vertices, fan_edges = [v0], [e0]
+        fan_colors = 0
+        last = v0
+        candidates = colors_at_u & ~used[v0]
+        while candidates:
+            e = beyond
+            while candidates:
+                low = candidates & -candidates
+                candidate = at[base + low.bit_length() - 1]
+                if candidate < e:
+                    e = candidate
+                candidates ^= low
+            a, b = edges[e]
+            last = a + b - u
+            fan_vertices.append(last)
+            fan_edges.append(e)
+            fan_colors |= 1 << color[e]
+            candidates = colors_at_u & ~used[last] & ~fan_colors
+        # Lowest zero bit above bit 0: the smallest free color at each end.
+        taken = colors_at_u | 1
+        c = (~taken & (taken + 1)).bit_length() - 1
+        taken = used[last] | 1
+        d = (~taken & (taken + 1)).bit_length() - 1
         if c != d:
             # After the swap d is free at u (c was, and the path leaves u on d).
             state.flip_path(u, d, c)
+        bit = 1 << d
+        if not used[v0] & bit:
+            color[e0] = d
+            used[u] |= bit
+            used[v0] |= bit
+            at[base + d] = e0
+            at[v0 * stride + d] = e0
+            continue
         # Misra & Gries' lemma: after the flip the fan up to its first vertex missing d is a fan.
-        for i, (w, _) in enumerate(fan):
-            if used[w] >> d & 1:
-                continue
-            for j in range(i + 1):
-                x, ex = fan[j]
-                shifted = color[fan[j + 1][1]] if j < i else d
-                state.recolor(ex, x, shifted)
-                state.recolor(ex, u, shifted)
-                color[ex] = shifted
-            break
+        for i in range(1, len(fan_vertices)):
+            if not used[fan_vertices[i]] & bit:
+                break
         else:
             raise RuntimeError("internal error: no rotatable fan prefix")
+        # Each fan edge up to i takes the next one's color, edge i takes d.
+        # At u every color stays taken but d, which is added; at each fan
+        # vertex the old color leaves and the new one arrives.
+        for j in range(i + 1):
+            ex, x = fan_edges[j], fan_vertices[j]
+            old = color[ex]
+            new = color[fan_edges[j + 1]] if j < i else d
+            xbase = x * stride
+            if old:
+                at[xbase + old] = -1
+                used[x] ^= 1 << old
+            at[xbase + new] = ex
+            used[x] |= 1 << new
+            at[base + new] = ex
+            color[ex] = new
+        used[u] |= bit
     return EdgeColoring(edges, tuple(color), max(color))
 
 

@@ -3,6 +3,7 @@
 from typing import Callable, Sequence
 
 from seqcolor import EdgeColoring, Graph, MissingColorPartition, PreconditionError, edge_key
+from seqcolor.coloring import _EdgeIndexedColoring
 
 
 def enumerate_proper_colorings(
@@ -234,3 +235,76 @@ def reference_min_sum_search(
 
     descend(0, 0)
     return best_value, best_assign, nodes
+
+
+def reference_misra_gries(g: Graph) -> EdgeColoring:
+    """The Misra–Gries colorer the library's table-driven fan step replaced.
+
+    Each fan extension rescans ``g.incidence[u]`` from its start for the
+    first colored edge to a vertex outside the fan whose color is free at the
+    fan's last vertex, and every rotated edge is moved one end at a time by
+    a helper call; only the Kempe walker ``flip_path`` is the library's. The
+    library must return the same coloring, bit for bit.
+    """
+    if not g.edges:
+        return EdgeColoring(g.edges, (), 0)
+    edges, incidence = g.edges, g.incidence
+    cap = max(map(len, incidence)) + 1
+    state = _EdgeIndexedColoring(g, cap)
+    color, used, at, stride = state.color, state.used, state.at, state.stride
+
+    def smallest_free_color(v: int) -> int:
+        taken = used[v] | 1
+        return (~taken & (taken + 1)).bit_length() - 1
+
+    def recolor_one_end(e: int, x: int, c: int) -> None:
+        """Move edge ``e`` to color ``c`` at its end ``x`` only; the caller
+        updates the other end and ``color[e]``."""
+        old = color[e]
+        base = x * stride
+        if old and at[base + old] == e:
+            at[base + old] = -1
+            used[x] &= ~(1 << old)
+        at[base + c] = e
+        used[x] |= 1 << c
+
+    for e0, (u, v0) in enumerate(edges):
+        # The fan: neighbors w of u, each with its edge to u, such that the
+        # color of each fan edge is free at the previous fan vertex.
+        fan = [(v0, e0)]
+        in_fan = {v0}
+        grown = True
+        while grown:
+            grown = False
+            for e in incidence[u]:
+                cw = color[e]
+                if not cw:
+                    continue
+                a, b = edges[e]
+                w = a + b - u
+                if w in in_fan:
+                    continue
+                if not used[fan[-1][0]] >> cw & 1:
+                    fan.append((w, e))
+                    in_fan.add(w)
+                    grown = True
+                    break
+        c = smallest_free_color(u)
+        d = smallest_free_color(fan[-1][0])
+        if c != d:
+            # After the swap d is free at u (c was, and the path leaves u on d).
+            state.flip_path(u, d, c)
+        # Misra & Gries' lemma: after the flip the fan up to its first vertex missing d is a fan.
+        for i, (w, _) in enumerate(fan):
+            if used[w] >> d & 1:
+                continue
+            for j in range(i + 1):
+                x, ex = fan[j]
+                shifted = color[fan[j + 1][1]] if j < i else d
+                recolor_one_end(ex, x, shifted)
+                recolor_one_end(ex, u, shifted)
+                color[ex] = shifted
+            break
+        else:
+            raise RuntimeError("internal error: no rotatable fan prefix")
+    return EdgeColoring(edges, tuple(color), max(color))

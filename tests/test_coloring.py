@@ -15,6 +15,7 @@ from seqcolor import (
     connected_near_regular_graphs,
     cycle_graph,
     degree_profile,
+    edge_key,
     emit_coloring,
     exact_chromatic_index,
     exact_edge_chromatic_sum,
@@ -34,7 +35,7 @@ from seqcolor import (
 from seqcolor import coloring as coloring_module
 
 from .conftest import bipartite_graphs, graphs, petersen_graph
-from .reference import assignment_of, color_of, coloring_of
+from .reference import assignment_of, color_of, coloring_of, reference_misra_gries
 
 K4_MATCHING_COLORING = coloring_of(
     {(0, 1): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2, (0, 3): 3, (1, 2): 3}, 3
@@ -141,6 +142,77 @@ class TestMisraGries:
         c = misra_gries(g)
         for v in g.vertices:
             assert len(palette(g, c, v)) == g.degree(v)
+
+
+def regular_matching_union(rng, n, r):
+    """r edge-disjoint random perfect matchings on n vertices, each edge in a
+    random orientation, in shuffled order."""
+    edges = set()
+    for _ in range(r):
+        while True:
+            order = list(range(n))
+            rng.shuffle(order)
+            matching = {edge_key(a, b) for a, b in zip(order[::2], order[1::2])}
+            if not matching & edges:
+                break
+        edges |= matching
+    out = [e if rng.random() < 0.5 else e[::-1] for e in sorted(edges)]
+    rng.shuffle(out)
+    return out
+
+
+class TestMisraGriesKernel:
+    """The table-driven fan step and the inlined rotation against the
+    fan-rescan Misra–Gries they replaced: the same coloring, bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(g):
+        result, expected = misra_gries(g), reference_misra_gries(g)
+        assert (result.edges, result.colors, result.color_count) == (
+            expected.edges, expected.colors, expected.color_count), g.edges
+
+    def test_census_up_to_12_edges(self):
+        classes = 0
+        for g in connected_near_regular_graphs(12):
+            self.assert_matches_reference(g)
+            classes += 1
+        assert classes == 396
+
+    def test_seeded_random_graphs_in_any_edge_order(self):
+        rng = random.Random(14)
+        for _ in range(1_000):
+            n = rng.randint(2, 40)
+            p = rng.random()
+            pairs = [(i, j) if rng.random() < 0.5 else (j, i)
+                     for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            rng.shuffle(pairs)
+            self.assert_matches_reference(build_graph(n, pairs))
+
+    @pytest.mark.parametrize("r", [3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matching_unions(self, r, seed):
+        rng = random.Random(100 * seed + r)
+        self.assert_matches_reference(build_graph(120, regular_matching_union(rng, 120, r)))
+
+    @pytest.mark.parametrize("n", range(8, 34))
+    def test_complete_graphs(self, n):
+        self.assert_matches_reference(complete_graph(n))
+
+    @pytest.mark.parametrize("n", [7, 8, 25, 64, 101])
+    def test_circulants(self, n):
+        # C_n(1, 2) in its natural edge order, then relabeled and shuffled.
+        edges = [(i, (i + s) % n) for i in range(n) for s in (1, 2)]
+        self.assert_matches_reference(build_graph(n, edges))
+        rng = random.Random(n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabeled = [(perm[u], perm[v]) for u, v in edges]
+        rng.shuffle(relabeled)
+        self.assert_matches_reference(build_graph(n, relabeled))
+
+    @given(graphs(max_n=16))
+    def test_property(self, g):
+        self.assert_matches_reference(g)
 
 
 class TestKonig:

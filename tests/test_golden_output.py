@@ -6,7 +6,8 @@ in-process and compares the sha256 of stdout and the exit code with values
 recorded from the dict-based coloring core that preceded the edge-indexed
 one; the ``generate``, ``oracle`` and text-mode ``--oracle`` cases were
 recorded from the code that still stored a bipartition per graph and a
-``cap_stable`` field per oracle result. A rewrite of the core that changes a
+``cap_stable`` field per oracle result, and ``vizing-union-r5`` from the
+Misra–Gries that rescanned the edges at u for every fan step. A rewrite of the core that changes a
 single output byte fails here.
 """
 
@@ -111,6 +112,7 @@ GRAPHS = {
     "k10": lambda: complete(10),
     "k16": lambda: complete(16),
     "cubic-200": lambda: matching_union(7, 200, 3),
+    "union-80-5": lambda: matching_union(8, 80, 5),
 }
 
 # (graph, command, extra arguments, graph6 input?); a case without a graph
@@ -141,6 +143,7 @@ CASES = {
     "vizing-k10": ("k10", "color", ["--vizing"], False),
     "vizing-k16": ("k16", "color", ["--vizing"], False),
     "vizing-cubic-200": ("cubic-200", "color", ["--vizing"], False),
+    "vizing-union-r5": ("union-80-5", "color", ["--vizing"], False),
 }
 
 # sha256 of stdout and the exit code of each case. The max-sequential
@@ -176,6 +179,7 @@ GOLDEN = {
     "vizing-cubic-200": (0, "dc518d1139933cd22f4fbece6d76115a430728121cd672e48961fb9c504bf340"),
     "vizing-k10": (0, "0dc75d7d710052b64141452a03ab04f1ddc2f2890ca659a050c67b4e91cb5c13"),
     "vizing-k16": (0, "470b512176a75616ae260cb9010ed5dcb67ef70c70295648e6d5f4426e735285"),
+    "vizing-union-r5": (0, "bc5c00c29200f9f34bb0ed82402b32867a7d8ba6e83b03e66e1e8492d25f31a4"),
 }
 
 
