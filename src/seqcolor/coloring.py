@@ -200,7 +200,7 @@ class _EdgeIndexedColoring:
         return x
 
 
-def misra_gries(g: Graph) -> EdgeColoring:
+def misra_gries(g: Graph, *, within_max_degree: bool = False) -> EdgeColoring | None:
     """Proper edge coloring with at most max_degree + 1 colors.
 
     Classic fan-rotation construction: for each uncolored edge (u, v) grow a
@@ -215,6 +215,20 @@ def misra_gries(g: Graph) -> EdgeColoring:
     lowest id wins, which is the first match a scan of ``g.incidence[u]``
     (in edge-id order) would find. In the common case v already misses the
     freed color and the edge takes it at both ends without a rotation.
+
+    With ``within_max_degree`` set (Δ = max_degree), return ``None`` at the
+    first edge whose d, the smallest color free at the fan's last vertex, is
+    Δ+1, before its flip; the colored edges then form a proper partial
+    Δ-coloring. The full run would have ended with exactly Δ+1 colors, since
+    the number of (Δ+1)-edges never falls:
+
+    - c, the smallest color free at u, is ≤ Δ: u has at most Δ−1 colored edges;
+    - a step with d ≤ Δ flips two colors ≤ Δ, and its rotation only permutes
+      the fan's colors before one edge takes d;
+    - a step with d = Δ+1 lowers the count by at most one in its d/c flip from
+      u, then one edge takes d.
+
+    When no edge needs Δ+1 the result is the full run's coloring.
     """
     if not g.edges:
         return EdgeColoring(g.edges, (), 0)
@@ -252,6 +266,8 @@ def misra_gries(g: Graph) -> EdgeColoring:
         c = (~taken & (taken + 1)).bit_length() - 1
         taken = used[last] | 1
         d = (~taken & (taken + 1)).bit_length() - 1
+        if d == cap and within_max_degree:
+            return None
         if c != d:
             # After the swap d is free at u (c was, and the path leaves u on d).
             state.flip_path(u, d, c)
@@ -387,7 +403,9 @@ def obtain_r_coloring(g: Graph) -> EdgeColoring:
     edges, so max_degree matchings cannot cover it) is Class 2 at once;
     bipartite graphs get the exact-max-degree constructor; otherwise the
     max_degree+1 heuristic is accepted whenever it happens to stay within
-    max_degree; small leftovers go to the exact solver. Raises
+    max_degree; it stops at the first edge that needs color max_degree + 1,
+    since the full run would then end with exactly that many colors; small
+    leftovers go to the exact solver. Raises
     :class:`ClassTwoError` when the graph provably needs an extra color and
     :class:`UnknownClassError` when nothing could certify the instance either
     way.
@@ -399,16 +417,16 @@ def obtain_r_coloring(g: Graph) -> EdgeColoring:
         raise ClassTwoError(chi_prime=r + 1, max_degree=r)
     if g.sides is not None:
         return konig_color_bipartite(g)
-    heuristic = misra_gries(g)
-    if heuristic.color_count <= r:
-        return EdgeColoring(heuristic.edges, heuristic.colors, r)
+    heuristic = misra_gries(g, within_max_degree=True)
+    if heuristic is not None:
+        return heuristic
     if g.edge_count <= EXHAUSTIVE_EDGE_LIMIT:
         chi_prime, witness = exact_chromatic_index(g)
         if chi_prime == r:
             return witness
         raise ClassTwoError(chi_prime=chi_prime, max_degree=r)
     raise UnknownClassError(
-        f"heuristic used {heuristic.color_count} colors and the graph is too large "
+        f"heuristic used {r + 1} colors and the graph is too large "
         f"({g.edge_count} edges) for the exact solver"
     )
 

@@ -194,7 +194,11 @@ class TestSequentialize:
     def test_unknown_class_exit(self, tmp_path, capsys):
         # K_10 is not overfull, and the heuristic needs a tenth color on it.
         path = write(tmp_path, "k10.txt", emit_edge_list(complete_graph(10)))
-        assert run(["sequentialize", path]) == 4
+        for command in ("sequentialize", "color"):
+            assert run([command, path]) == 4
+            assert capsys.readouterr().err == (
+                "error: heuristic used 10 colors and the graph is too large (45 edges) "
+                "for the exact solver\n")
 
     @pytest.mark.parametrize("name", ["K9", "C9(1,2)", "C1001(1,2)", "3K5"])
     def test_overfull_class_two_exit(self, name, tmp_path, capsys, monkeypatch):

@@ -215,6 +215,38 @@ class TestMisraGriesKernel:
         self.assert_matches_reference(g)
 
 
+class TestMisraGriesWithinMaxDegree:
+    """The early stop of ``within_max_degree`` against the full run: ``None``
+    exactly when the full run needs color max_degree + 1, else its coloring."""
+
+    @staticmethod
+    def assert_stops_exactly_when_over(g):
+        result, expected = misra_gries(g, within_max_degree=True), reference_misra_gries(g)
+        if expected.color_count > max(map(len, g.incidence), default=0):
+            assert result is None, g.edges
+        else:
+            assert result is not None, g.edges
+            assert (result.edges, result.colors, result.color_count) == (
+                expected.edges, expected.colors, expected.color_count), g.edges
+
+    def test_census_up_to_12_edges(self):
+        classes = 0
+        for g in connected_near_regular_graphs(12):
+            self.assert_stops_exactly_when_over(g)
+            classes += 1
+        assert classes == 396
+
+    @given(graphs())
+    def test_any_graph(self, g):
+        self.assert_stops_exactly_when_over(g)
+
+    @pytest.mark.parametrize("r", [3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matching_unions(self, r, seed):
+        rng = random.Random(100 * seed + r)
+        self.assert_stops_exactly_when_over(build_graph(120, regular_matching_union(rng, 120, r)))
+
+
 class TestKonig:
     @pytest.mark.parametrize("a,b", [(2, 3), (3, 3), (1, 1)])
     def test_exact_max_degree(self, a, b):
