@@ -61,12 +61,10 @@ from .sequential import (
     verify_sequential,
 )
 from .sums import (
-    PaletteSumDecomposition,
     SumReport,
     chromatic_sum_bound,
     coloring_sum,
     sum_report,
-    vertex_sum_decomposition,
 )
 
 __version__ = "0.1.0"
@@ -80,7 +78,6 @@ __all__ = [
     "MissingColorPartition",
     "OracleResult",
     "OversizeError",
-    "PaletteSumDecomposition",
     "PreconditionError",
     "SeqcolorError",
     "SequentialCertificate",
@@ -122,5 +119,4 @@ __all__ = [
     "verify_certificate",
     "verify_proper",
     "verify_sequential",
-    "vertex_sum_decomposition",
 ]

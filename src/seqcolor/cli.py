@@ -62,10 +62,18 @@ EXIT_CODES = (
 
 
 def _read_text(path: str) -> str:
+    """The UTF-8 text of the file at ``path``, or of stdin for "-"; bytes
+    that are not UTF-8 are a GraphError, whatever the locale."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        source = "standard input" if path == "-" else path
+        raise GraphError(f"{source} is not UTF-8 text: {exc}") from None
 
 
 def _write_text(path: str | None, text: str) -> None:

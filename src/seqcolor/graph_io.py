@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+from itertools import compress
+
 from .errors import GraphError, PreconditionError
 from .graph import Graph, build_graph
 
@@ -9,11 +12,18 @@ GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_VERTICES = 62
 
 
-def _upper_triangle_pairs(n: int):
-    # Column-major order of the strict upper triangle: the graph6 bit layout.
-    for j in range(1, n):
-        for i in range(j):
-            yield (i, j)
+# Each payload character's six bits, most significant first, as 0/1 bytes,
+# and the inverse map for encoding.
+_SIX_BITS = {chr(63 + val): bytes((val >> shift) & 1 for shift in range(5, -1, -1))
+             for val in range(64)}
+_PAYLOAD_CHAR = {bits: ch for ch, bits in _SIX_BITS.items()}
+
+
+@functools.cache
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The strict upper triangle in column-major order: the graph6 bit layout,
+    and so the order of a decoded graph's edges."""
+    return tuple((i, j) for j in range(1, n) for i in range(j))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -36,16 +46,14 @@ def parse_graph6(text: str) -> Graph:
         raise GraphError(f"truncated graph6 payload: need {nbytes} bytes, got {len(payload)}")
     if len(payload) > nbytes:
         raise GraphError("trailing data after graph6 payload")
-    bits: list[int] = []
-    for ch in payload:
-        val = ord(ch) - 63
-        if not 0 <= val <= 63:
-            raise GraphError(f"invalid graph6 payload byte {ch!r}")
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
+    try:
+        # map stops at the first character outside the table.
+        bits = b"".join(map(_SIX_BITS.__getitem__, payload))
+    except KeyError as exc:
+        raise GraphError(f"invalid graph6 payload byte {exc.args[0]!r}") from None
     if any(bits[nbits:]):
         raise GraphError("non-canonical graph6 padding bits")
-    edges = [pair for pair, bit in zip(_upper_triangle_pairs(n), bits) if bit]
-    return build_graph(n, edges)
+    return build_graph(n, list(compress(_pairs(n), bits)))
 
 
 def emit_graph6(g: Graph) -> str:
@@ -53,17 +61,9 @@ def emit_graph6(g: Graph) -> str:
     n = g.vertex_count
     if n > GRAPH6_MAX_VERTICES:
         raise PreconditionError(f"graph6 output supports at most {GRAPH6_MAX_VERTICES} vertices, got {n}")
-    present = g.edge_set
-    bits = [1 if pair in present else 0 for pair in _upper_triangle_pairs(n)]
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(63 + n)]
-    for pos in range(0, len(bits), 6):
-        val = 0
-        for bit in bits[pos:pos + 6]:
-            val = (val << 1) | bit
-        out.append(chr(63 + val))
-    return "".join(out)
+    bits = bytes(map(g.edge_set.__contains__, _pairs(n)))
+    bits += bytes(-len(bits) % 6)
+    return chr(63 + n) + "".join(_PAYLOAD_CHAR[bits[pos:pos + 6]] for pos in range(0, len(bits), 6))
 
 
 def parse_edge_list(text: str) -> Graph:

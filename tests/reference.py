@@ -1,9 +1,19 @@
 """Reference helpers that only the tests use, kept apart from the library."""
 
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from seqcolor import EdgeColoring, Graph, MissingColorPartition, PreconditionError, edge_key
-from seqcolor.coloring import _EdgeIndexedColoring
+from seqcolor import (
+    EdgeColoring,
+    Graph,
+    GraphError,
+    MissingColorPartition,
+    PreconditionError,
+    build_graph,
+    edge_key,
+)
+from seqcolor.coloring import _EdgeIndexedColoring, proper_masks
+from seqcolor.graph_io import GRAPH6_HEADER, GRAPH6_MAX_VERTICES
 
 
 def enumerate_proper_colorings(
@@ -308,3 +318,111 @@ def reference_misra_gries(g: Graph) -> EdgeColoring:
         else:
             raise RuntimeError("internal error: no rotatable fan prefix")
     return EdgeColoring(edges, tuple(color), max(color))
+
+
+@dataclass(frozen=True)
+class PaletteSumDecomposition:
+    """Per-vertex palette sums and the vertex classes behind the sum bound.
+
+    ``doubled_total`` equals twice the coloring sum (every edge is counted at
+    both endpoints). With t colors, ``full_palette`` holds vertices seeing all
+    of 1..t (each contributes t(t+1)/2), ``missing_top`` those seeing exactly
+    1..t-1 (each contributes t(t-1)/2), and ``other_deficient`` the rest.
+    """
+
+    per_vertex: tuple[int, ...]
+    doubled_total: int
+    full_palette: frozenset[int]
+    missing_top: frozenset[int]
+    other_deficient: frozenset[int]
+
+
+def vertex_sum_decomposition(g: Graph, coloring: EdgeColoring) -> PaletteSumDecomposition:
+    """Sum each vertex's palette and classify vertices for the bound's terms.
+
+    The coloring must be proper with colors in 1..color_count. Sums add the
+    edge colors at each vertex; classes are read from palette bitmasks.
+    """
+    t = coloring.color_count
+    colors, masks = proper_masks(g, coloring, t)
+    sums = [sum([colors[e] for e in incident]) for incident in g.incidence]
+    full, missing_top, other = set(), set(), set()
+    for v, mask in enumerate(masks):
+        # The palette 1..k (k = 0 when empty) is a run of set bits from bit 1:
+        # adding 2 clears such a run, and only such a run, out of the mask. A
+        # color renamed to a bit above m never ends such a run: deg(v) <= m.
+        top = (mask | 1).bit_length() - 1 if mask & (mask + 2) == 0 else None
+        if top == t:
+            full.add(v)
+        elif top == t - 1:
+            missing_top.add(v)
+        else:
+            other.add(v)
+    doubled = sum(sums)
+    if doubled != 2 * sum(colors):
+        raise RuntimeError("internal error: palette sums do not double-count the edges")
+    return PaletteSumDecomposition(
+        per_vertex=tuple(sums),
+        doubled_total=doubled,
+        full_palette=frozenset(full),
+        missing_top=frozenset(missing_top),
+        other_deficient=frozenset(other),
+    )
+
+
+def _upper_triangle_pairs(n: int):
+    # Column-major order of the strict upper triangle: the graph6 bit layout.
+    for j in range(1, n):
+        for i in range(j):
+            yield (i, j)
+
+
+def reference_parse_graph6(text: str) -> Graph:
+    """The per-bit graph6 decoder the library's table-driven one replaced:
+    the same edges in the same order, and the same errors in the same order."""
+    s = text.strip()
+    if s.startswith(GRAPH6_HEADER):
+        s = s[len(GRAPH6_HEADER):]
+    if not s:
+        raise GraphError("empty graph6 string")
+    head = ord(s[0])
+    if head == 126:
+        raise GraphError("multi-byte graph6 sizes (n > 62) are not supported")
+    if not 63 <= head <= 63 + GRAPH6_MAX_VERTICES:
+        raise GraphError(f"malformed graph6 length byte {s[0]!r}")
+    n = head - 63
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    payload = s[1:]
+    if len(payload) < nbytes:
+        raise GraphError(f"truncated graph6 payload: need {nbytes} bytes, got {len(payload)}")
+    if len(payload) > nbytes:
+        raise GraphError("trailing data after graph6 payload")
+    bits: list[int] = []
+    for ch in payload:
+        val = ord(ch) - 63
+        if not 0 <= val <= 63:
+            raise GraphError(f"invalid graph6 payload byte {ch!r}")
+        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
+    if any(bits[nbits:]):
+        raise GraphError("non-canonical graph6 padding bits")
+    edges = [pair for pair, bit in zip(_upper_triangle_pairs(n), bits) if bit]
+    return build_graph(n, edges)
+
+
+def reference_emit_graph6(g: Graph) -> str:
+    """The per-bit graph6 encoder the library's table-driven one replaced."""
+    n = g.vertex_count
+    if n > GRAPH6_MAX_VERTICES:
+        raise PreconditionError(f"graph6 output supports at most {GRAPH6_MAX_VERTICES} vertices, got {n}")
+    present = g.edge_set
+    bits = [1 if pair in present else 0 for pair in _upper_triangle_pairs(n)]
+    while len(bits) % 6:
+        bits.append(0)
+    out = [chr(63 + n)]
+    for pos in range(0, len(bits), 6):
+        val = 0
+        for bit in bits[pos:pos + 6]:
+            val = (val << 1) | bit
+        out.append(chr(63 + val))
+    return "".join(out)

@@ -35,11 +35,11 @@ from seqcolor import (
     sum_report,
     swap_colors,
     verify_proper,
-    vertex_sum_decomposition,
 )
 from seqcolor.cli import run as cli_run
 
 from .conftest import petersen_graph, random_bipartite_graph, random_simple_graph
+from .reference import vertex_sum_decomposition
 
 
 @contextmanager

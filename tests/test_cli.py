@@ -227,10 +227,46 @@ class TestSequentialize:
         assert run(["sequentialize", path]) == 5
 
     def test_stdin(self, k4_file, capsys, monkeypatch):
-        import io
-
-        monkeypatch.setattr("sys.stdin", io.StringIO(emit_edge_list(complete_graph(4))))
+        # The CLI decodes stdin's bytes itself, as it does a file's.
+        text = emit_edge_list(complete_graph(4))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
         assert run(["sequentialize", "-"]) == 0
+
+
+NOT_UTF8 = b"\xff\xfe4 6\n"
+NOT_UTF8_REASON = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+class TestNonUtf8Input:
+    """Bytes that are not UTF-8 in any input are a parse error (exit 5), not a crash."""
+
+    @pytest.mark.parametrize("source", ["graph", "coloring", "vertices", "stdin"])
+    def test_parse_error_exit(self, source, tmp_path, capsys, monkeypatch, k4_file):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(NOT_UTF8)
+        coloring_file = write(tmp_path, "c.txt", emit_coloring(K4_MATCHING_COLORING))
+        vertices_file = write(tmp_path, "r.txt", "0 1\n")
+        argv = {
+            "graph": ["verify", str(bad), coloring_file, vertices_file],
+            "coloring": ["verify", k4_file, str(bad), vertices_file],
+            "vertices": ["verify", k4_file, coloring_file, str(bad)],
+            "stdin": ["sequentialize", "-"],
+        }[source]
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8)))
+        assert run(argv) == 5
+        name = "standard input" if source == "stdin" else str(bad)
+        assert capsys.readouterr() == ("", f"error: {name} is not UTF-8 text: {NOT_UTF8_REASON}\n")
+
+    def test_real_stdin(self):
+        # A fresh interpreter's stdin may decode with surrogateescape; the
+        # CLI still refuses the bytes instead of parsing the escapes.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "seqcolor.cli", "sequentialize", "-"],
+            input=NOT_UTF8, capture_output=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (done.returncode, done.stdout) == (5, b"")
+        assert done.stderr.decode() == f"error: standard input is not UTF-8 text: {NOT_UTF8_REASON}\n"
 
 
 def run_alone(argv):

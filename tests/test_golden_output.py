@@ -7,7 +7,8 @@ recorded from the dict-based coloring core that preceded the edge-indexed
 one; the ``generate``, ``oracle`` and text-mode ``--oracle`` cases were
 recorded from the code that still stored a bipartition per graph and a
 ``cap_stable`` field per oracle result, and ``vizing-union-r5`` from the
-Misra–Gries that rescanned the edges at u for every fan step. A rewrite of the core that changes a
+Misra–Gries that rescanned the edges at u for every fan step, and ``seq-report-62-g6``
+from the per-bit graph6 decoder. A rewrite of the core that changes a
 single output byte fails here.
 """
 
@@ -113,6 +114,7 @@ GRAPHS = {
     "k16": lambda: complete(16),
     "cubic-200": lambda: matching_union(7, 200, 3),
     "union-80-5": lambda: matching_union(8, 80, 5),
+    "minus-matching-62-r4": lambda: regular_minus_matching(62, 4, 31, 11),
 }
 
 # (graph, command, extra arguments, graph6 input?); a case without a graph
@@ -126,6 +128,7 @@ CASES = {
     "seq-report-swap": ("minus-matching-r3-swap", "sequentialize", ["--report"], False),
     "seq-text-swap": ("minus-matching-r3-swap", "sequentialize", [], False),
     "seq-report-swap1-g6": ("minus-matching-r3-swap1", "sequentialize", ["--report"], True),
+    "seq-report-62-g6": ("minus-matching-62-r4", "sequentialize", ["--report"], True),
     "seq-report-k6": ("k6", "sequentialize", ["--report"], False),
     "seq-text-k6-g6": ("k6", "sequentialize", [], True),
     "seq-report-union-8-3": ("union-8-3", "sequentialize", ["--report"], False),
@@ -160,6 +163,7 @@ GOLDEN = {
     "oracle-union-8-3": (0, "e56d78fa659d421f14c6485e142ac5813c5280ab1371c6979e437842fd9f2790"),
     "seq-oracle-text-union-8-3": (0, "41dc599a44f82f17a68dedfab428fc4788e470ceb8233929315a85adce9f6298"),
     "seq-oracle-union-8-3": (0, "37eaad3b1571e8bdc37feed0555d218be9d0c1c2ccdd473fc8946d22008328b6"),
+    "seq-report-62-g6": (0, "fdee9a2c177d05f4e348191986966ae9365f74e3b96b76651c4ee10cc46cb8e6"),
     "seq-report-biregular-r3": (0, "3ed911ed569f555e6280788e1dc9c56ad21d6725fbb0f4e2a909ca36d65355a2"),
     "seq-report-biregular-r5-g6": (0, "e1ecd2d28475a6bae5c8cb4a800f3d666d8a00e2341750a36442d2678f5b4be8"),
     "seq-report-k6": (0, "d9ee7416b52c215e9e49cbbc42965d6908b98ceb8b9458f05d1231a8e4e3a823"),

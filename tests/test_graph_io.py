@@ -14,8 +14,10 @@ from seqcolor import (
     parse_edge_list,
     parse_graph6,
 )
+from seqcolor.graph_io import GRAPH6_MAX_VERTICES
 
 from .conftest import graphs
+from .reference import reference_emit_graph6, reference_parse_graph6
 
 
 class TestGraph6:
@@ -100,6 +102,56 @@ class TestGraph6:
     def test_emit_accepts_62_vertices(self):
         g = build_graph(62, [(0, 61)])
         assert parse_graph6(emit_graph6(g)).edges == ((0, 61),)
+
+
+def seeded_graph(n, seed):
+    """A graph on n vertices at a seeded random density, edges in random order."""
+    rng = random.Random(seed)
+    density = rng.random()
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    rng.shuffle(pairs)
+    return build_graph(n, pairs)
+
+
+def error_text(decode, text):
+    with pytest.raises(GraphError) as info:
+        decode(text)
+    return str(info.value)
+
+
+class TestGraph6AgainstReference:
+    """The table-driven codec against the per-bit one it replaced, at every
+    single-byte size: same edge order, same strings, same error texts."""
+
+    @pytest.mark.parametrize("n", range(GRAPH6_MAX_VERTICES + 1))
+    def test_same_graphs(self, n):
+        for seed in range(3):
+            g = seeded_graph(n, 1000 * n + seed)
+            text = reference_emit_graph6(g)
+            assert emit_graph6(g) == text
+            decoded, expected = parse_graph6(text), reference_parse_graph6(text)
+            assert decoded.vertex_count == expected.vertex_count == n
+            assert decoded.edges == expected.edges
+
+    @pytest.mark.parametrize("n", range(GRAPH6_MAX_VERTICES + 1))
+    def test_same_errors(self, n):
+        rng = random.Random(n)
+        text = reference_emit_graph6(seeded_graph(n, n))
+        # Truncated, one byte too long, and a padding bit set.
+        faults = [text[:-1], text + "?"]
+        if n * (n - 1) // 2 % 6:
+            faults.append(text[:-1] + chr(63 + ((ord(text[-1]) - 63) | 1)))
+        corrupted = list(faults)
+        if len(text) > 1:
+            for bad in (">", "\x7f", "é"):
+                pos = rng.randrange(1, len(text))
+                corrupted.append(text[:pos] + bad + text[pos + 1:])
+            # Two bad characters: the error names the first.
+            corrupted.append(text[:1] + "é" + text[2:-1] + ">")
+        # A bad character beside each other fault: the checks fire in order.
+        corrupted += [fault[:1] + ">" + fault[2:] for fault in faults if len(fault) > 2]
+        for bad_text in corrupted:
+            assert error_text(parse_graph6, bad_text) == error_text(reference_parse_graph6, bad_text)
 
 
 class TestEdgeList:

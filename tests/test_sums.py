@@ -21,12 +21,11 @@ from seqcolor import (
     sequentialize,
     sum_report,
     verify_certificate,
-    vertex_sum_decomposition,
 )
 from seqcolor.coloring import EXHAUSTIVE_EDGE_LIMIT
 
 from .conftest import class_one_near_regular, graphs
-from .reference import assignment_of, coloring_of
+from .reference import assignment_of, coloring_of, vertex_sum_decomposition
 from .test_coloring import K4_MATCHING_COLORING
 from .test_sequential import K23_COLORING
 
