@@ -34,7 +34,6 @@ from .graph import (
     bipartition_of,
     build_graph,
     complete_graph,
-    cycle_graph,
     degree_profile,
     edge_key,
     generate_complete_bipartite,
@@ -91,7 +90,6 @@ __all__ = [
     "coloring_sum",
     "complete_graph",
     "connected_near_regular_graphs",
-    "cycle_graph",
     "degree_profile",
     "edge_key",
     "emit_coloring",

@@ -162,12 +162,6 @@ def complete_graph(n: int) -> Graph:
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise PreconditionError("cycle needs at least three vertices")
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def generate_complete_bipartite(a: int, b: int) -> Graph:
     """Complete bipartite graph K_{a,b}.
 

@@ -3,11 +3,11 @@
 The two oracles walk the proper colorings in the graph's input edge order,
 colors ascending, so node counts are reproducible. The max-sequential
 search skips colorings that only relabel interchangeable colors (its block
-rule); the min-sum search walks them all. They are guarded by
-:func:`~seqcolor.coloring.check_exhaustive_size` (its edge limit can be
-overridden, its recursion-depth refusal cannot), and a witness that clashes
-or misses the searched optimum is an internal error. The census walks
-adjacency rows, not colorings, and has no size guard.
+rule) and stops at a proven ceiling; the min-sum search walks them all.
+They are guarded by :func:`~seqcolor.coloring.check_exhaustive_size` (its
+edge limit can be overridden, its recursion-depth refusal cannot), and a
+witness that clashes or misses the searched optimum is an internal error.
+The census walks adjacency rows, not colorings, and has no size guard.
 """
 
 from __future__ import annotations
@@ -249,6 +249,16 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
     the witness, is among the colorings searched. Finding no coloring at
     r = max degree proves the graph Class 2; above it one always exists
     (Vizing).
+
+    The search stops once the incumbent reaches the ceiling
+    n - n_r + 2 min(floor(n_r / 2), e_top), where n_r counts the vertices of
+    degree r and e_top the edges joining two of them. Proof: each degree-r
+    vertex carries color r, and the color-r class is a matching; a color-r
+    edge with one degree-r end loses its other end, whose degree is below
+    r, so at most the 2 nu(G[top]) <= 2 min(floor(n_r / 2), e_top) degree-r
+    vertices matched to each other escape that loss. Above the max degree
+    n_r = 0 and the ceiling is n. The first leaf at the ceiling is the
+    lex-first optimum, so only ``explored`` falls.
     """
     check_exhaustive_size(g, override_size)
     degree = [g.degree(v) for v in g.vertices]
@@ -274,8 +284,13 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
         starts |= 2 << d
     used = [0] * n
     assign = [0] * m
+    # With edges r >= 1, so every degree-r vertex carries color r.
+    ceiling = _sequential_ceiling(degree, edges, r) if m else n
     # The root is the first node; without edges it is also the only leaf.
     best = n if not m else -1
+    # A child is cut at or below ``bar``: the incumbent, or n once the
+    # incumbent is at the ceiling, so every later child is cut.
+    bar = best
     best_assign: list[int] = []
     nodes = 1
 
@@ -284,7 +299,7 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
         # Losses only grow with the color and the incumbent only rises, so
         # once one child is cut every higher color would be cut too: those
         # are counted in one step.
-        nonlocal best, best_assign, nodes
+        nonlocal best, bar, best_assign, nodes
         u, v, u_bit, v_bit, u_loses, v_loses = plan[index]
         used_u = used[u]
         used_v = used[v]
@@ -302,12 +317,13 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
             if bit >= v_loses and not lost & v_bit:
                 child_lost |= v_bit
                 child_alive -= 1
-            if child_alive <= best:
+            if child_alive <= bar:
                 nodes += free.bit_count()
                 break
             assign[index] = bit.bit_length() - 1
             if leaf:
                 best = child_alive
+                bar = n if best == ceiling else best
                 best_assign = assign.copy()
                 nodes += free.bit_count()
                 break
@@ -326,7 +342,25 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
     sequential = frozenset(v for v in g.vertices if masks[v] == (1 << (degree[v] + 1)) - 2)
     if clashes or len(sequential) != best:
         raise RuntimeError("internal error: witness clashes or misses the searched optimum")
+    if best > ceiling:
+        raise RuntimeError(
+            f"internal error: {best} sequential vertices exceed the proven ceiling {ceiling}"
+        )
     return OracleResult(best, witness, explored=nodes, sequential_vertices=sequential)
+
+
+def _sequential_ceiling(degree: list[int], edges: Sequence[tuple[int, int]], r: int) -> int:
+    """n - n_r + 2 min(floor(n_r / 2), e_top): no proper r-coloring (r >= 1)
+    has more sequential vertices; see :func:`exact_max_sequential_set`."""
+    n_top = degree.count(r)
+    # Top edges are counted only until min(floor(n_r / 2), e_top) is known.
+    short = pairs = n_top // 2
+    for u, v in edges:
+        if not short:
+            break
+        if degree[u] == r == degree[v]:
+            short -= 1
+    return len(degree) - n_top + 2 * (pairs - short)
 
 
 def _graphs_with_degrees(degrees: list[int], n_top: int) -> Iterator[tuple[tuple[int, int], ...]]:

@@ -56,6 +56,13 @@ def enumerate_proper_colorings(
     return count
 
 
+def cycle_graph(n: int) -> Graph:
+    """The cycle C_n, edges (i, i + 1 mod n) in order of i."""
+    if n < 3:
+        raise PreconditionError("cycle needs at least three vertices")
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
 def coloring_of(assignment: dict, t: int) -> EdgeColoring:
     """The coloring with ``assignment``'s edges and colors, in its key order."""
     return EdgeColoring(tuple(assignment), tuple(assignment.values()), t)
@@ -83,8 +90,9 @@ def reference_max_sequential_search(g: Graph, r: int) -> tuple[int, int, list[in
     edges in input order, colors ascending, one node per call, a vertex lost
     once an incident edge takes a color above its degree, and a node cut when
     its surviving count cannot beat the incumbent. Unlike the library, it
-    tries every color at every edge, with no block rule, so it visits every
-    relabeling of interchangeable colors and at least as many nodes. Returns
+    tries every color at every edge, with no block rule and no stop at the
+    matching ceiling, so it visits every relabeling of interchangeable colors
+    and at least as many nodes. Returns
     (best, nodes, best colors by edge id); best is -1 and the colors empty
     when no proper r-coloring exists. No size guard.
     """

@@ -13,7 +13,6 @@ from seqcolor import (
     build_graph,
     complete_graph,
     connected_near_regular_graphs,
-    cycle_graph,
     degree_profile,
     edge_key,
     emit_coloring,
@@ -35,7 +34,13 @@ from seqcolor import (
 from seqcolor import coloring as coloring_module
 
 from .conftest import bipartite_graphs, graphs, petersen_graph
-from .reference import assignment_of, color_of, coloring_of, reference_misra_gries
+from .reference import (
+    assignment_of,
+    color_of,
+    coloring_of,
+    cycle_graph,
+    reference_misra_gries,
+)
 
 K4_MATCHING_COLORING = coloring_of(
     {(0, 1): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2, (0, 3): 3, (1, 2): 3}, 3

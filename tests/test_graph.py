@@ -7,7 +7,6 @@ from seqcolor import (
     bipartition_of,
     build_graph,
     complete_graph,
-    cycle_graph,
     degree_profile,
     generate_complete_bipartite,
     generate_random_biregular,
@@ -15,6 +14,7 @@ from seqcolor import (
 )
 
 from .conftest import graphs
+from .reference import cycle_graph
 
 
 class TestBuildGraph:

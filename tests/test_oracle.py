@@ -14,12 +14,12 @@ from seqcolor import (
     coloring_sum,
     complete_graph,
     connected_near_regular_graphs,
-    cycle_graph,
     degree_profile,
     exact_chromatic_index,
     exact_edge_chromatic_sum,
     exact_max_sequential_set,
     generate_complete_bipartite,
+    generate_random_biregular,
     palette,
     sequentialize,
     verify_proper,
@@ -31,6 +31,7 @@ from seqcolor.coloring import check_exhaustive_size
 from .conftest import path_graph
 from .reference import (
     coloring_of,
+    cycle_graph,
     enumerate_proper_colorings,
     reference_max_sequential_search,
     reference_min_sum_search,
@@ -246,8 +247,9 @@ class TestMaxSequentialKernel:
         return [sum(column) for column in zip(*runs)]
 
     def test_census_up_to_12_edges_at_r_and_r_plus_1(self):
-        # 182,730 nodes when every relabeling of the colors was searched.
-        assert self.census_totals((0, 1)) == [781, 11, 90_852]
+        # 182,730 nodes when every relabeling of the colors was searched, and
+        # 90,852 with the block rule before the search stopped at the ceiling.
+        assert self.census_totals((0, 1)) == [781, 11, 88_850]
 
     def test_census_up_to_12_edges_at_r_plus_2(self):
         # Two colors above the max degree form one block of their own.
@@ -320,9 +322,10 @@ class TestMaxSequentialKernel:
             assert (result.value, result.explored) == (value, explored)
 
     def test_k45_node_count(self):
-        # 999,452 nodes when every relabeling of colors 1..4 was searched.
+        # 999,452 nodes when every relabeling of colors 1..4 was searched, and
+        # 41,656 with the block rule before the search stopped at the ceiling.
         result = exact_max_sequential_set(generate_complete_bipartite(4, 5), 5)
-        assert (result.value, result.explored) == (5, 41_656)
+        assert (result.value, result.explored) == (5, 49)
 
     def test_wide_cap_on_a_matching(self):
         # Colors 2..20000 form one block, so each edge may take color 1 or 2:
@@ -332,6 +335,78 @@ class TestMaxSequentialKernel:
         result = exact_max_sequential_set(build_graph(4, [(0, 1), (2, 3)]), 20_000)
         assert (result.value, result.explored) == (4, 5)
         assert result.witness.colors == (1, 1)
+
+
+class TestMaxSequentialCeiling:
+    """The search stops once the optimum reaches n - n_r + 2 min(floor(n_r/2),
+    e_top), which no proper r-coloring can beat."""
+
+    @pytest.mark.parametrize("g, r, ceiling, value", [
+        (build_graph(3, []), 0, 3, 3),
+        (complete_graph(4), 3, 4, 4),
+        (complete_graph(4), 4, 4, 4),
+        (generate_complete_bipartite(4, 5), 5, 5, 5),
+        # K_4 minus an edge: its two degree-3 vertices are joined, and color
+        # 3 on that edge loses no one.
+        (build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), 3, 4, 4),
+        # Two joined degree-3 vertices, five vertices: the ceiling is 5 but
+        # the optimum 3, since with color 3 on 0-1 the edge 3-4 needs it too.
+        (build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 4)]), 3, 5, 3),
+        # Degree-3 vertices 0..3 span 0-1, 0-2, 0-3 and 1-2: a greedy matching
+        # in edge order stops at 0-1, but 0-3 and 1-2 pair all four.
+        (build_graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5)]),
+         3, 6, 6),
+    ], ids=["edgeless", "k4", "k4-above", "k45", "k4-minus-edge", "below", "greedy-trap"])
+    def test_ceiling(self, g, r, ceiling, value):
+        degree = [g.degree(v) for v in g.vertices]
+        if g.edges:
+            assert oracle_module._sequential_ceiling(degree, g.edges, r) == ceiling
+        assert exact_max_sequential_set(g, r).value == value
+
+    def test_census_up_to_12_edges(self):
+        # The optimum reaches the ceiling on 164 of the 385 Class-1 classes.
+        reached = classes = 0
+        for g in connected_near_regular_graphs(12):
+            r = degree_profile(g).max_degree
+            degree = [g.degree(v) for v in g.vertices]
+            try:
+                value = exact_max_sequential_set(g, r).value
+            except ClassTwoError:
+                continue
+            ceiling = oracle_module._sequential_ceiling(degree, g.edges, r)
+            assert value <= ceiling, g.edges
+            reached += value == ceiling
+            classes += 1
+        assert (reached, classes) == (164, 385)
+
+    @pytest.mark.parametrize("a, explored", [(3, 22), (4, 49), (5, 88), (6, 180)])
+    def test_reached_on_complete_bipartite(self, a, explored):
+        # K_{a,a+1}: the a vertices of degree a + 1 pair with distinct
+        # vertices of degree a in color a + 1, so a + 1 stay sequential.
+        # Before the ceiling: 395, 41,656 and 48,921,009 nodes for a = 3..5.
+        g = generate_complete_bipartite(a, a + 1)
+        result = exact_max_sequential_set(g, a + 1, override_size=True)
+        assert (result.value, result.explored) == (a + 1, explored)
+        assert verify_sequential(g, result.witness, result.sequential_vertices)
+
+    @pytest.mark.parametrize("r, k, explored", [
+        (3, 1, 10), (3, 2, 24), (3, 3, 31), (4, 1, 21), (4, 2, 45), (5, 1, 46),
+    ])
+    def test_reached_on_random_biregular(self, r, k, explored):
+        # The degree-r part is matched into the other part, so the optimum is
+        # rk, the ceiling and the paper's bound. Before the ceiling (seed 1):
+        # 23, 311, 3,755, 393 and 41,654 nodes for the cases other than (4, 2).
+        g = generate_random_biregular(r, k, 1)
+        result = exact_max_sequential_set(g, r, override_size=True)
+        assert (result.value, result.explored) == (r * k, explored)
+        assert sequentialize(g).size == r * k
+        if g.edge_count <= 12:
+            TestMaxSequentialKernel.assert_matches_reference(g, r)
+
+    def test_search_above_the_ceiling_is_an_internal_error(self, monkeypatch, k4):
+        monkeypatch.setattr(oracle_module, "_sequential_ceiling", lambda *args: 0)
+        with pytest.raises(RuntimeError, match="^internal error: 4 sequential vertices exceed"):
+            exact_max_sequential_set(k4, 3)
 
 
 class TestMinSumKernel:

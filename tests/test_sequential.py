@@ -14,7 +14,6 @@ from seqcolor import (
     biregular_set_bound,
     build_graph,
     chromatic_sum_bound,
-    cycle_graph,
     degree_profile,
     generate_complete_bipartite,
     misra_gries,
@@ -30,7 +29,7 @@ from seqcolor import (
 )
 
 from .conftest import class_one_near_regular, graphs
-from .reference import assignment_of, color_of, coloring_of, deficient_total
+from .reference import assignment_of, color_of, coloring_of, cycle_graph, deficient_total
 from .test_coloring import K4_MATCHING_COLORING
 
 # Hand-checked proper 3-coloring of the complete bipartite graph on parts
