@@ -272,8 +272,10 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
     n = g.vertex_count
     # Colors are bits 1..r of a palette mask. Per edge: its endpoints, their
     # vertex bits and the lowest color bit that loses each (1 << (deg + 1));
-    # a color at or above that bit puts the endpoint in the lost mask.
-    full = (1 << (r + 1)) - 2
+    # a color at or above that bit puts the endpoint in the lost mask. The
+    # colors above the max degree are one block, so no search uses one
+    # above max degree + m, and the masks stop there even at a huge r.
+    full = (1 << (min(r, max_degree + m) + 1)) - 2
     plan = [
         (u, v, 1 << u, 1 << v, 2 << degree[u], 2 << degree[v]) for u, v in edges
     ]
@@ -370,20 +372,93 @@ def _graphs_with_degrees(degrees: list[int], n_top: int) -> Iterator[tuple[tuple
     # are the leading rows of any relabeling that draws its first labels from
     # those vertices: if one of them already outranks the identity, no
     # completion is canonical and the subtree is cut.
+    #
+    # The representative of a class is the relabeling with the greatest
+    # row-major upper-triangle adjacency string (equivalently the smallest
+    # sorted edge tuple) among those that permute the top-degree block
+    # 0..n_top-1 and the rest separately. The relabelings are searched label
+    # by label: label a goes to a vertex w of the first cell of an ordered
+    # partition of the unlabeled vertices, and every cell then splits by
+    # adjacency to w, neighbours first. The best row a below that choice is
+    # one run of ones per cell, as long as the cell's neighbour count, so it
+    # is compared with the identity's row a: greater refutes the identity,
+    # smaller drops the choice, equal goes one deeper.
+    #
+    # The check at row i allows labels only on vertices below i. It goes on
+    # from the previous check on the same branch instead of starting over:
+    # row i - 1's pairs touch no vertex below i - 1, so the earlier search
+    # tree is unchanged and holds no path that beats the identity. Only picks
+    # of the newly allowed vertices, taken at the nodes that tree reached by
+    # a tie, are new, and are searched in full.
     n = len(degrees)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     remaining = list(degrees)
     adj = [0] * n
+    # The identity's row a (columns a+1.., the first one highest), set by
+    # the first check after the row completes.
+    rows = [0] * n
+    # tied[k]: the nodes (label level, ordered cells) that the check allowing
+    # the vertices below k reached by a tie, kept only while their first cell
+    # holds a vertex some later check allows.
+    tied: list[list[tuple[int, list[int]]]] = [[] for _ in range(n + 1)]
+    top = (1 << n_top) - 1
+    tied[0].append((0, [cell for cell in (top, ((1 << n) - 1) ^ top) if cell]))
+
+    def refuted(a: int, cells: list[int], picks: int, known: int) -> bool:
+        # Label a goes to each vertex of ``picks`` (part of the first cell) in
+        # turn; each tie is kept in ``tied[known]`` and searched below in full.
+        first = cells[0]
+        target = rows[a]
+        while picks:
+            low = picks & -picks
+            picks ^= low
+            near_w = adj[low.bit_length() - 1]
+            row = 0
+            split = []
+            for cell in ([first ^ low] + cells[1:] if first ^ low else cells[1:]):
+                near = cell & near_w
+                size = cell.bit_count()
+                ones = near.bit_count()
+                row = row << size | ((1 << ones) - 1) << (size - ones)
+                if near:
+                    split.append(near)
+                if near != cell:
+                    split.append(cell ^ near)
+            if row > target:
+                return True
+            if row == target and split:
+                if split[0] >> known:
+                    tied[known].append((a + 1, split))
+                if refuted(a + 1, split, split[0] & ((1 << known) - 1), known):
+                    return True
+        return False
+
+    def canonical(known: int, before: int) -> bool:
+        # Rows 0..known-1 are complete, and the previous check on this branch
+        # allowed the vertices below ``before``.
+        for a in range(before, known):
+            row = 0
+            for b in range(a + 1, n):
+                row = row << 1 | (adj[a] >> b & 1)
+            rows[a] = row
+        fresh = (1 << known) - (1 << before)
+        tied[known] = []
+        for nodes in tied[:known]:
+            for a, cells in nodes:
+                picks = cells[0] & fresh
+                if picks and refuted(a, cells, picks, known):
+                    return False
+        return True
 
     def extend(k: int) -> Iterator[tuple[tuple[int, int], ...]]:
         if k == len(pairs):
-            if not any(remaining) and _is_connected(adj) and _is_canonical(adj, n_top, n):
+            if not any(remaining) and _is_connected(adj) and canonical(n, n - 2):
                 yield tuple((i, j) for i, j in pairs if adj[i] >> j & 1)
             return
         i, j = pairs[k]
         if remaining[i] > n - j:
             return
-        if j == i + 1 and not _is_canonical(adj, n_top, i):
+        if j == i + 1 and i and not canonical(i, i - 1):
             return
         row_done = j == n - 1
         if not (row_done and remaining[i] > 0):
@@ -413,56 +488,6 @@ def _is_connected(adj: list[int]) -> bool:
         reached |= new
         frontier |= new
     return reached == (1 << len(adj)) - 1
-
-
-def _is_canonical(adj: list[int], n_top: int, known: int) -> bool:
-    # The representative of a class is the relabeling with the greatest
-    # row-major upper-triangle adjacency string (equivalently the smallest
-    # sorted edge tuple) among those that permute the top-degree block
-    # 0..n_top-1 and the rest separately. ``adj`` holds neighbour bitmasks
-    # whose rows 0..known-1 are complete; the identity passes when no
-    # relabeling drawing its first labels from vertices below ``known``
-    # beats it on the rows those labels fix, so known == n is the full test.
-    #
-    # Labels go out in order 0, 1, ...: label a goes to a vertex w of the
-    # first cell of an ordered partition of the unlabeled vertices, and every
-    # cell then splits by adjacency to w, neighbours first. The best row a
-    # below that choice is one run of ones per cell, as long as the cell's
-    # neighbour count, so it is compared with the identity's row a: greater
-    # refutes the identity, smaller drops the choice, equal goes one deeper.
-    n = len(adj)
-    rows = []
-    for a in range(known):
-        row = 0
-        for b in range(a + 1, n):
-            row = row << 1 | (adj[a] >> b & 1)
-        rows.append(row)
-    allowed = (1 << known) - 1
-
-    def beaten(a: int, cells: list[int]) -> bool:
-        first = cells[0]
-        picks = first & allowed
-        while picks:
-            low = picks & -picks
-            picks ^= low
-            near_w = adj[low.bit_length() - 1]
-            row = 0
-            split = []
-            for cell in ([first ^ low] + cells[1:] if first ^ low else cells[1:]):
-                near = cell & near_w
-                size = cell.bit_count()
-                ones = near.bit_count()
-                row = row << size | ((1 << ones) - 1) << (size - ones)
-                if near:
-                    split.append(near)
-                if near != cell:
-                    split.append(cell ^ near)
-            if row > rows[a] or (row == rows[a] and split and beaten(a + 1, split)):
-                return True
-        return False
-
-    top = (1 << n_top) - 1
-    return not beaten(0, [cell for cell in (top, ((1 << n) - 1) ^ top) if cell])
 
 
 def connected_near_regular_graphs(max_edges: int) -> Iterator[Graph]:

@@ -14,6 +14,7 @@ from seqcolor import (
 )
 from seqcolor.coloring import _EdgeIndexedColoring, proper_masks
 from seqcolor.graph_io import GRAPH6_HEADER, GRAPH6_MAX_VERTICES
+from seqcolor.oracle import _is_connected
 
 
 def enumerate_proper_colorings(
@@ -434,3 +435,93 @@ def reference_emit_graph6(g: Graph) -> str:
             val = (val << 1) | bit
         out.append(chr(63 + val))
     return "".join(out)
+
+
+def reference_graphs_with_degrees(degrees: list[int], n_top: int):
+    """The census generator that ran :func:`reference_is_canonical` from
+    scratch at every row check; the library's continues the previous row's
+    search instead and must yield the same tuples in the same order."""
+    n = len(degrees)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    remaining = list(degrees)
+    adj = [0] * n
+
+    def extend(k):
+        if k == len(pairs):
+            if not any(remaining) and _is_connected(adj) and reference_is_canonical(adj, n_top, n):
+                yield tuple((i, j) for i, j in pairs if adj[i] >> j & 1)
+            return
+        i, j = pairs[k]
+        if remaining[i] > n - j:
+            return
+        if j == i + 1 and not reference_is_canonical(adj, n_top, i):
+            return
+        row_done = j == n - 1
+        if not (row_done and remaining[i] > 0):
+            yield from extend(k + 1)
+        if remaining[i] > 0 and remaining[j] > 0:
+            remaining[i] -= 1
+            remaining[j] -= 1
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            if not (row_done and remaining[i] > 0):
+                yield from extend(k + 1)
+            adj[i] ^= 1 << j
+            adj[j] ^= 1 << i
+            remaining[i] += 1
+            remaining[j] += 1
+
+    yield from extend(0)
+
+
+def reference_is_canonical(adj: list[int], n_top: int, known: int) -> bool:
+    """The census canonicity test, searched from scratch.
+
+    The representative of a class is the relabeling with the greatest
+    row-major upper-triangle adjacency string (equivalently the smallest
+    sorted edge tuple) among those that permute the top-degree block
+    0..n_top-1 and the rest separately. ``adj`` holds neighbour bitmasks
+    whose rows 0..known-1 are complete; the identity passes when no
+    relabeling drawing its first labels from vertices below ``known`` beats
+    it on the rows those labels fix, so known == n is the full test.
+
+    Labels go out in order 0, 1, ...: label a goes to a vertex w of the
+    first cell of an ordered partition of the unlabeled vertices, and every
+    cell then splits by adjacency to w, neighbours first. The best row a
+    below that choice is one run of ones per cell, as long as the cell's
+    neighbour count, so it is compared with the identity's row a: greater
+    refutes the identity, smaller drops the choice, equal goes one deeper.
+    """
+    n = len(adj)
+    rows = []
+    for a in range(known):
+        row = 0
+        for b in range(a + 1, n):
+            row = row << 1 | (adj[a] >> b & 1)
+        rows.append(row)
+    allowed = (1 << known) - 1
+
+    def beaten(a, cells):
+        first = cells[0]
+        picks = first & allowed
+        while picks:
+            low = picks & -picks
+            picks ^= low
+            near_w = adj[low.bit_length() - 1]
+            row = 0
+            split = []
+            for cell in ([first ^ low] + cells[1:] if first ^ low else cells[1:]):
+                near = cell & near_w
+                size = cell.bit_count()
+                ones = near.bit_count()
+                row = row << size | ((1 << ones) - 1) << (size - ones)
+                if near:
+                    split.append(near)
+                if near != cell:
+                    split.append(cell ^ near)
+            if row > rows[a] or (row == rows[a] and split and beaten(a + 1, split)):
+                return True
+        return False
+
+    top = (1 << n_top) - 1
+    return not beaten(0, [cell for cell in (top, ((1 << n) - 1) ^ top) if cell])

@@ -105,9 +105,9 @@ def test_criterion_3_k33():
 
 
 def test_criterion_4_exhaustive_small_graphs():
-    with criterion(4, "all Class-1 near-regular graphs with <= 14 edges satisfy the bound"):
+    with criterion(4, "all Class-1 near-regular graphs with <= 15 edges satisfy the bound"):
         started = time.perf_counter()
-        instances = small_class_one_instances(14)
+        instances = small_class_one_instances(15)
         checked = 0
         for g in instances:
             profile = degree_profile(g)
@@ -119,8 +119,8 @@ def test_criterion_4_exhaustive_small_graphs():
             assert oracle.value >= bound, g.edges
             assert oracle.value >= cert.size, g.edges
             checked += 1
-        # 1,990 connected near-regular graphs fit in 14 edges, 1,935 of them Class 1.
-        assert checked == 1935
+        # 4,698 connected near-regular graphs fit in 15 edges, 4,614 of them Class 1.
+        assert checked == 4614
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
         print(f"    swept {checked} instances")

@@ -1,5 +1,6 @@
-"""The near-regular census: byte-identical output, a brute-force reference for
-the canonicity test, and class counts against OEIS."""
+"""The near-regular census: byte-identical output, the from-scratch generator
+and a brute-force reference for the canonicity test, and class counts against
+OEIS and the networkx graph atlas."""
 
 import hashlib
 from collections import Counter
@@ -8,10 +9,14 @@ from itertools import permutations
 import pytest
 
 from seqcolor import connected_near_regular_graphs, degree_profile
-from seqcolor.oracle import _graphs_with_degrees, _is_canonical, _is_connected
+from seqcolor.oracle import _graphs_with_degrees, _is_connected
 
-# sha256 of repr([(g.vertex_count, g.edges) for g in census(E)]), recorded
-# from the census that tried every block-preserving relabeling at each leaf.
+from .reference import reference_graphs_with_degrees, reference_is_canonical
+
+# sha256 of repr([(g.vertex_count, g.edges) for g in census(E)]). E <= 11 were
+# recorded from the census that tried every block-preserving relabeling at
+# each leaf, E = 12 and 13 from the one that searched each row check from
+# scratch (reference_graphs_with_degrees).
 CENSUS_DIGESTS = {
     0: "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     1: "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
@@ -25,6 +30,8 @@ CENSUS_DIGESTS = {
     9: "676c3d5bc9e4f1508572acc98e68e7378cf5416b54674c798ce959f2131b36f1",
     10: "4ef0a341b15b3b59352995430a7ce813ebe4151a9e6712cd47b88c2b989e4008",
     11: "7c209ddceb482b15ef5ee5b3d0a88064ca102fa827647abb55348c01c3de219a",
+    12: "fadd09ee3ff9a63df6afea0d013c22827b6214fcb8b3f0dea1416039280b3986",
+    13: "bd16e6428f40a353eaab7f2834f32eec4176dc66feea60ace9c3df4137e945e9",
 }
 
 
@@ -107,14 +114,59 @@ def test_canonicity_matches_brute_force_up_to_9_edges():
                     if not _is_connected(adj):
                         continue
                     expected = brute_force_is_canonical(edges, n_top, n)
-                    assert _is_canonical(adj, n_top, n) == expected, edges
+                    assert reference_is_canonical(adj, n_top, n) == expected, edges
                     if expected:
                         # The row-boundary test must never cut a canonical graph.
-                        assert all(_is_canonical(adj, n_top, known) for known in range(n)), edges
+                        assert all(
+                            reference_is_canonical(adj, n_top, known) for known in range(n)
+                        ), edges
                         canonical += 1
                     checked += 1
     assert canonical == 43
     assert checked == 5279
+
+
+def near_regular_degree_sequences(max_edges):
+    # The (degrees, n_top) pairs the census enumerates, disconnected ones
+    # (n < r + 1 or m < n - 1) included.
+    for r in range(3, max_edges + 1):
+        for n_top in range(1, 2 * max_edges // r + 1):
+            for n_low in range(0, (2 * max_edges - r * n_top) // (r - 1) + 1):
+                if (r * n_top + (r - 1) * n_low) % 2 == 0:
+                    yield [r] * n_top + [r - 1] * n_low, n_top
+
+
+def test_continued_row_checks_match_the_from_scratch_generator():
+    sequences = yielded = 0
+    for degrees, n_top in near_regular_degree_sequences(12):
+        expected = list(reference_graphs_with_degrees(degrees, n_top))
+        assert list(_graphs_with_degrees(degrees, n_top)) == expected, degrees
+        sequences += 1
+        yielded += len(expected)
+    assert yielded == 396
+    assert sequences == 60
+
+
+def test_counts_against_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    # The atlas holds every graph on at most 7 vertices.
+    census_side = [g for g in connected_near_regular_graphs(12) if g.vertex_count <= 7]
+    atlas_side = []
+    for graph in nx.graph_atlas_g():
+        degrees = [d for _, d in graph.degree()]
+        if (
+            graph.number_of_nodes()
+            and nx.is_connected(graph)
+            and max(degrees) >= 3
+            and max(degrees) - min(degrees) <= 1
+            and graph.number_of_edges() <= 12
+        ):
+            atlas_side.append(graph)
+    assert len(census_side) == len(atlas_side) == 59
+    for g in census_side:
+        as_nx = nx.Graph(list(g.edges))
+        matches = [graph for graph in atlas_side if nx.is_isomorphic(as_nx, graph)]
+        assert len(matches) == 1, g.edges
 
 
 def test_counts_against_oeis():

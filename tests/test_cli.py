@@ -498,6 +498,16 @@ class TestOracle:
         assert run(["oracle", k4_file, "--max-sequential", "--cap", "4"]) == 0
         assert "max sequential set (4 colors): 4" in capsys.readouterr().out
 
+    def test_huge_cap(self, tmp_path, capsys):
+        # The search's color masks stop at max degree + m colors, so a cap
+        # of 10**11 answers as 10**6 does; only the printed cap differs.
+        path = write(tmp_path, "path.txt", "4 3\n0 1\n1 2\n2 3\n")
+        assert run(["oracle", path, "--cap", str(10**6)]) == 0
+        expected = capsys.readouterr().out.replace("(1000000 colors)", "(100000000000 colors)")
+        assert "(100000000000 colors)" in expected
+        assert run(["oracle", path, "--cap", str(10**11)]) == 0
+        assert capsys.readouterr() == (expected, "")
+
     def test_graph6_input(self, tmp_path, capsys):
         path = write(tmp_path, "k4.g6", "C~\n")
         assert run(["oracle", path, "--format", "graph6"]) == 0
