@@ -35,7 +35,6 @@ from .graph import (
     build_graph,
     complete_graph,
     degree_profile,
-    edge_key,
     generate_complete_bipartite,
     generate_random_biregular,
     generate_regular_class1,
@@ -91,7 +90,6 @@ __all__ = [
     "complete_graph",
     "connected_near_regular_graphs",
     "degree_profile",
-    "edge_key",
     "emit_coloring",
     "emit_edge_list",
     "emit_graph6",

@@ -131,48 +131,41 @@ def _sequentialize_graph(args):
     # the records are serialized.
     g = _read_graph(args.input, args.format)
     report = sum_report(g)
-    cert = report.certificate
-    oracle_lines = []
     oracle_records = []
-    if args.oracle:
-        if g.edge_count <= EXHAUSTIVE_EDGE_LIMIT or args.override_size:
-            sum_result = exact_edge_chromatic_sum(g, override_size=args.override_size)
-            seq_result = exact_max_sequential_set(g, cert.r, override_size=args.override_size)
-            report = replace(report, exact_sum=sum_result.value)
-            oracle_records = [sum_result.to_record("sum"), seq_result.to_record("sequential")]
-            # "cap stable: True" is constant text that the output format keeps.
-            oracle_lines.append(
-                f"oracle: exact sum {sum_result.value} (cap stable: True), "
-                f"max sequential set {seq_result.value}"
-            )
-        else:
-            oracle_lines.append(
-                f"oracle: skipped ({g.edge_count} edges > {EXHAUSTIVE_EDGE_LIMIT}; "
-                "use --override-size)"
-            )
-    return report, oracle_records, oracle_lines
+    if args.oracle and (g.edge_count <= EXHAUSTIVE_EDGE_LIMIT or args.override_size):
+        sum_result = exact_edge_chromatic_sum(g, override_size=args.override_size)
+        seq_result = exact_max_sequential_set(
+            g, report.certificate.r, override_size=args.override_size)
+        report = replace(report, exact_sum=sum_result.value)
+        oracle_records = [sum_result.to_record("sum"), seq_result.to_record("sequential")]
+    return report, oracle_records
 
 
 def cmd_sequentialize(args) -> int:
-    report, oracle_records, oracle_lines = _sequentialize_graph(args)
-    cert = report.certificate
-    records = [cert.to_record(), report.to_record(), *oracle_records]
+    report, oracle_records = _sequentialize_graph(args)
+    cert, sums = report.certificate.to_record(), report.to_record()
     if args.report:
-        _print_records(records)
+        _print_records([cert, sums, *oracle_records])
     else:
-        swap = "none" if not cert.swapped else str(cert.swap_color)
-        print(f"n={cert.n} r={cert.r} n_r={cert.n_r}")
+        swap = "none" if cert["swap_color"] is None else cert["swap_color"]
+        print(f"n={cert['n']} r={cert['r']} n_r={cert['n_r']}")
         print(f"swap color: {swap}")
-        members = " ".join(str(v) for v in sorted(cert.sequential_vertices))
-        print(f"sequential vertices ({cert.size}, bound {cert.bound}): {members}")
-        print(f"verified: {'yes' if cert.verified else 'no'}")
-        print(f"sum: actual={report.actual_sum} bound={report.bound}")
-        for line in oracle_lines:
-            print(line)
-        print(f"coloring (t={cert.coloring.color_count}):")
-        for line in cert.coloring.lines():
+        members = " ".join(map(str, cert["sequential_vertices"]))
+        print(f"sequential vertices ({cert['size']}, bound {cert['bound']}): {members}")
+        print(f"verified: {'yes' if cert['verified'] else 'no'}")
+        print(f"sum: actual={sums['actual_sum']} bound={sums['bound']}")
+        if oracle_records:
+            exact, sequential = oracle_records
+            print(f"oracle: exact sum {exact['value']} (cap stable: {exact['cap_stable']}), "
+                  f"max sequential set {sequential['value']}")
+        elif args.oracle:
+            # One coloring line per edge.
+            print(f"oracle: skipped ({len(cert['coloring'])} edges > {EXHAUSTIVE_EDGE_LIMIT}; "
+                  "use --override-size)")
+        print(f"coloring (t={cert['t']}):")
+        for line in cert["coloring"]:
             print(f"  {line}")
-    if cert.verified and cert.size >= cert.bound:
+    if cert["verified"] and cert["size"] >= cert["bound"]:
         return EXIT_OK
     return EXIT_VERIFY
 
@@ -231,26 +224,25 @@ def cmd_oracle(args) -> int:
     run_sum = args.sum or not args.max_sequential
     run_seq = args.max_sequential or not args.sum
     records = []
-    lines = []
     if run_seq:
         r = args.cap if args.cap is not None else degree_profile(g).max_degree
         result = exact_max_sequential_set(g, r, override_size=args.override_size)
         records.append(result.to_record("sequential"))
-        members = " ".join(str(v) for v in sorted(result.sequential_vertices))
-        lines.append(
-            f"max sequential set ({r} colors): {result.value} "
-            f"(explored {result.explored}): {members}"
-        )
     if run_sum:
         result = exact_edge_chromatic_sum(g, override_size=args.override_size)
         records.insert(0, result.to_record("sum"))
-        # "cap stable: True" is constant text that the output format keeps.
-        lines.insert(0, f"exact sum: {result.value} (explored {result.explored}, cap stable: True)")
     if args.report:
         _print_records(records)
-    else:
-        for line in lines:
-            print(line)
+        return EXIT_OK
+    for record in records:
+        if record["record"] == "oracle_sum":
+            print(f"exact sum: {record['value']} (explored {record['explored']}, "
+                  f"cap stable: {record['cap_stable']})")
+        else:
+            # The witness's color count is the cap searched.
+            members = " ".join(map(str, record["sequential_vertices"]))
+            print(f"max sequential set ({record['t']} colors): {record['value']} "
+                  f"(explored {record['explored']}): {members}")
     return EXIT_OK
 
 

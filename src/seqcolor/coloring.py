@@ -230,10 +230,8 @@ def misra_gries(g: Graph, *, within_max_degree: bool = False) -> EdgeColoring | 
 
     When no edge needs Δ+1 the result is the full run's coloring.
     """
-    if not g.edges:
-        return EdgeColoring(g.edges, (), 0)
     edges = g.edges
-    cap = max(map(len, g.incidence)) + 1
+    cap = max(map(len, g.incidence), default=0) + 1
     state = _EdgeIndexedColoring(g, cap)
     color, used, at, stride = state.color, state.used, state.at, state.stride
     beyond = len(edges)
@@ -301,7 +299,7 @@ def misra_gries(g: Graph, *, within_max_degree: bool = False) -> EdgeColoring | 
             at[base + new] = ex
             color[ex] = new
         used[u] |= bit
-    return EdgeColoring(edges, tuple(color), max(color))
+    return EdgeColoring(edges, tuple(color), max(color, default=0))
 
 
 def konig_color_bipartite(g: Graph) -> EdgeColoring:
@@ -313,9 +311,7 @@ def konig_color_bipartite(g: Graph) -> EdgeColoring:
     """
     if g.sides is None:
         raise PreconditionError("graph is not bipartite")
-    if not g.edges:
-        return EdgeColoring(g.edges, (), 0)
-    max_degree = max(map(len, g.incidence))
+    max_degree = max(map(len, g.incidence), default=0)
     state = _EdgeIndexedColoring(g, max_degree)
     color, used, at, stride = state.color, state.used, state.at, state.stride
     for e, (u, v) in enumerate(g.edges):
@@ -362,10 +358,8 @@ def exact_chromatic_index(g: Graph, *, override_size: bool = False) -> tuple[int
     shares ``g.edges``: its colors are indexed by edge id.
     """
     check_exhaustive_size(g, override_size)
-    if not g.edges:
-        return 0, EdgeColoring(g.edges, (), 0)
     degree = [g.degree(v) for v in g.vertices]
-    max_degree = max(degree)
+    max_degree = max(degree, default=0)
     plan = [(e, u, v) for e, (u, v) in enumerate(g.edges)]
     plan.sort(key=lambda p: -(degree[p[1]] + degree[p[2]]))
     m = len(plan)
@@ -411,8 +405,6 @@ def obtain_r_coloring(g: Graph) -> EdgeColoring:
     way.
     """
     r = max(map(len, g.incidence), default=0)
-    if r == 0:
-        return EdgeColoring(g.edges, (), 0)
     if g.edge_count > r * (g.vertex_count // 2):
         raise ClassTwoError(chi_prime=r + 1, max_degree=r)
     if g.sides is not None:

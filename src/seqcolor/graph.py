@@ -16,11 +16,6 @@ Edge = tuple[int, int]
 BIREGULAR_SWITCHES_PER_EDGE = 1_000
 
 
-def edge_key(u: int, v: int) -> Edge:
-    """Normalize an unordered edge to (min, max) form."""
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on dense 0-based vertex ids.

@@ -19,11 +19,11 @@ from typing import Iterator, Sequence
 from .coloring import (
     EdgeColoring,
     check_exhaustive_size,
-    coloring_masks,
     exact_chromatic_index,
 )
 from .errors import ClassTwoError, PreconditionError
 from .graph import Graph, build_graph
+from .sequential import verify_certificate
 
 
 @dataclass(frozen=True)
@@ -226,8 +226,8 @@ def exact_edge_chromatic_sum(g: Graph, *, override_size: bool = False) -> Oracle
         value, best_assign = next_value, next_assign
         cap += 1
     witness = EdgeColoring(g.edges, tuple(best_assign), max(best_assign))
-    _, _, clashes = coloring_masks(g, witness)
-    if clashes or sum(best_assign) != value:
+    proper, _ = verify_certificate(g, witness, ())
+    if not proper or sum(best_assign) != value:
         raise RuntimeError("internal error: witness clashes or misses the searched optimum")
     return OracleResult(value, witness, explored=explored)
 
@@ -340,9 +340,9 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
     if best < 0:
         raise ClassTwoError(chi_prime=r + 1, max_degree=max_degree)
     witness = EdgeColoring(edges, tuple(best_assign), r)
-    _, masks, clashes = coloring_masks(g, witness)
-    sequential = frozenset(v for v in g.vertices if masks[v] == (1 << (degree[v] + 1)) - 2)
-    if clashes or len(sequential) != best:
+    proper, lost = verify_certificate(g, witness, g.vertices)
+    sequential = frozenset(g.vertices).difference(lost.violations)
+    if not proper or len(sequential) != best:
         raise RuntimeError("internal error: witness clashes or misses the searched optimum")
     if best > ceiling:
         raise RuntimeError(

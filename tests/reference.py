@@ -10,9 +10,9 @@ from seqcolor import (
     MissingColorPartition,
     PreconditionError,
     build_graph,
-    edge_key,
 )
 from seqcolor.coloring import _EdgeIndexedColoring, proper_masks
+from seqcolor.graph import Edge
 from seqcolor.graph_io import GRAPH6_HEADER, GRAPH6_MAX_VERTICES
 from seqcolor.oracle import _is_connected
 
@@ -72,6 +72,11 @@ def coloring_of(assignment: dict, t: int) -> EdgeColoring:
 def assignment_of(coloring: EdgeColoring) -> dict:
     """The coloring as an edge->color dict."""
     return dict(zip(coloring.edges, coloring.colors))
+
+
+def edge_key(u: int, v: int) -> Edge:
+    """Normalize an unordered edge to (min, max) form."""
+    return (u, v) if u < v else (v, u)
 
 
 def color_of(coloring: EdgeColoring, u: int, v: int) -> int:

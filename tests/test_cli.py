@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seqcolor import (
+    Verdict,
     build_graph,
     complete_graph,
     emit_edge_list,
@@ -165,6 +166,15 @@ class TestSequentialize:
         assert summary["exact_sum"] == 12 and summary["bound"] == 12
         assert osum["value"] == 12 and osum["cap_stable"] is True
         assert oseq["value"] == 3
+
+    def test_failed_reverification_exits_1(self, k4_file, capsys, monkeypatch):
+        # The certificate is printed as built, its failed re-check included.
+        monkeypatch.setattr("seqcolor.sequential.verify_sequential",
+                            lambda g, coloring, vertices: Verdict(False, (0,)))
+        assert run(["sequentialize", k4_file]) == 1
+        assert "verified: no" in capsys.readouterr().out.splitlines()
+        assert run(["sequentialize", "--report", k4_file]) == 1
+        assert '"verified":false' in capsys.readouterr().out.splitlines()[0]
 
     def test_oracle_skipped_when_oversize(self, tmp_path, capsys):
         # K_{5,5} has 25 edges, above the exhaustive-search guard: the

@@ -14,7 +14,6 @@ from seqcolor import (
     complete_graph,
     connected_near_regular_graphs,
     degree_profile,
-    edge_key,
     emit_coloring,
     exact_chromatic_index,
     exact_edge_chromatic_sum,
@@ -35,10 +34,10 @@ from seqcolor import coloring as coloring_module
 
 from .conftest import bipartite_graphs, graphs, petersen_graph
 from .reference import (
-    assignment_of,
     color_of,
     coloring_of,
     cycle_graph,
+    edge_key,
     reference_misra_gries,
 )
 
@@ -111,6 +110,10 @@ class TestPalette:
         with pytest.raises(GraphError, match="unknown"):
             palette(k4, K4_MATCHING_COLORING, 9)
 
+    def test_coloring_missing_an_edge(self, k4):
+        with pytest.raises(PreconditionError, match="^coloring misses an edge at vertex 0: "):
+            palette(k4, coloring_of({(0, 1): 1, (2, 3): 1}, 1), 0)
+
 
 class TestMisraGries:
     def test_c5(self):
@@ -131,7 +134,10 @@ class TestMisraGries:
         assert c.color_count == 4
 
     def test_empty_graph(self):
-        assert misra_gries(build_graph(3, [])).color_count == 0
+        for n in (0, 3):
+            g = build_graph(n, [])
+            empty = EdgeColoring((), (), 0)
+            assert misra_gries(g) == misra_gries(g, within_max_degree=True) == empty
 
     @given(graphs())
     def test_proper_within_bound(self, g):
@@ -264,6 +270,10 @@ class TestKonig:
         with pytest.raises(PreconditionError, match="bipartite"):
             konig_color_bipartite(cycle_graph(5))
 
+    def test_edgeless(self):
+        for n in (0, 3):
+            assert konig_color_bipartite(build_graph(n, [])) == EdgeColoring((), (), 0)
+
     @given(bipartite_graphs())
     def test_fuzz_exact_max_degree(self, g):
         c = konig_color_bipartite(g)
@@ -302,8 +312,8 @@ class TestExactChromaticIndex:
         assert exact_chromatic_index(k4) == exact_chromatic_index(k4)
 
     def test_empty(self):
-        chi, witness = exact_chromatic_index(build_graph(2, []))
-        assert chi == 0 and assignment_of(witness) == {}
+        for n in (0, 2):
+            assert exact_chromatic_index(build_graph(n, [])) == (0, EdgeColoring((), (), 0))
 
     @given(bipartite_graphs(max_part=4))
     def test_bipartite_is_class_one(self, g):
@@ -354,8 +364,8 @@ class TestObtainRColoring:
         assert (info.value.chi_prime, info.value.max_degree) == (5, 4)
 
     def test_edgeless(self):
-        c = obtain_r_coloring(build_graph(4, []))
-        assert c.color_count == 0
+        for n in (0, 4):
+            assert obtain_r_coloring(build_graph(n, [])) == EdgeColoring((), (), 0)
 
 
 class TestColoringText:

@@ -8,8 +8,10 @@ one; the ``generate``, ``oracle`` and text-mode ``--oracle`` cases were
 recorded from the code that still stored a bipartition per graph and a
 ``cap_stable`` field per oracle result, and ``vizing-union-r5`` from the
 Misra–Gries that rescanned the edges at u for every fan step, and ``seq-report-62-g6``
-from the per-bit graph6 decoder. A rewrite of the core that changes a
-single output byte fails here.
+from the per-bit graph6 decoder. ``oracle-sum-*``, ``oracle-seq-cap4-*``
+and ``seq-oracle-text-skipped-swap`` were recorded from the text renderer
+that read the certificate and oracle objects instead of their records. A
+rewrite of the core that changes a single output byte fails here.
 """
 
 import hashlib
@@ -137,6 +139,12 @@ CASES = {
     "seq-oracle-text-union-8-3": ("union-8-3", "sequentialize", ["--oracle"], False),
     "oracle-union-8-3": ("union-8-3", "oracle", [], False),
     "oracle-report-union-8-3": ("union-8-3", "oracle", ["--report"], False),
+    "oracle-sum-union-8-3": ("union-8-3", "oracle", ["--sum"], False),
+    "oracle-seq-cap4-union-8-3": (
+        "union-8-3", "oracle", ["--max-sequential", "--cap", "4"], False),
+    "oracle-seq-cap4-report-union-8-3": (
+        "union-8-3", "oracle", ["--max-sequential", "--cap", "4", "--report"], False),
+    "seq-oracle-text-skipped-swap": ("minus-matching-r3-swap", "sequentialize", ["--oracle"], False),
     "gen-complete-bipartite-3-4": (None, "generate", ["complete-bipartite", "3", "4"], False),
     "gen-biregular-4-3-seed7": (None, "generate", ["biregular", "4", "3", "--seed", "7"], False),
     "gen-regular-class1-3-complete-g6": (
@@ -160,7 +168,11 @@ GOLDEN = {
     "gen-complete-bipartite-3-4": (0, "422344b30ee4125595a0f354ac8ac5e0e00d7a56f4ae4565a39f389c4eff9730"),
     "gen-regular-class1-3-complete-g6": (0, "62073900de6d9451c02333f80b3c4de1105edb4559989fee6cfa91c1365d102b"),
     "oracle-report-union-8-3": (0, "39b779c9987a6d55efdebb61a2841e13ccdede855fea785d388990dc838277c7"),
+    "oracle-seq-cap4-report-union-8-3": (0, "0abbfbea00b52544986a63d4288e5b22574a8ec2c519111318dc5c06aae761fd"),
+    "oracle-seq-cap4-union-8-3": (0, "a35586b0ee22bbf598936f56b7177dba1e0dc62ca0359792585c88877879c0d4"),
+    "oracle-sum-union-8-3": (0, "6989cd0ffcef3d5df3a6105678b78bd7a6155b709ee7c7a94561be1f515dfe1c"),
     "oracle-union-8-3": (0, "e56d78fa659d421f14c6485e142ac5813c5280ab1371c6979e437842fd9f2790"),
+    "seq-oracle-text-skipped-swap": (0, "9f288b436ef19ff3be92b7aecaf7ef853f315f383c51646db6c07c00a1752e16"),
     "seq-oracle-text-union-8-3": (0, "41dc599a44f82f17a68dedfab428fc4788e470ceb8233929315a85adce9f6298"),
     "seq-oracle-union-8-3": (0, "37eaad3b1571e8bdc37feed0555d218be9d0c1c2ccdd473fc8946d22008328b6"),
     "seq-report-62-g6": (0, "fdee9a2c177d05f4e348191986966ae9365f74e3b96b76651c4ee10cc46cb8e6"),

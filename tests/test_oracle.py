@@ -8,6 +8,7 @@ from seqcolor import (
     EdgeColoring,
     OversizeError,
     PreconditionError,
+    Verdict,
     build_graph,
     coloring_sum,
     complete_graph,
@@ -479,13 +480,13 @@ class TestWitnessCheck:
         lambda g: exact_max_sequential_set(g, 2),
     ], ids=["sum", "max-sequential"])
     def test_reported_clash_is_an_internal_error(self, monkeypatch, oracle):
-        real = oracle_module.coloring_masks
+        real = oracle_module.verify_certificate
 
-        def clashing(g, coloring):
-            colors, masks, _ = real(g, coloring)
-            return colors, masks, {0}
+        def clashing(g, coloring, vertices):
+            _, sequential = real(g, coloring, vertices)
+            return Verdict(False, ((0, 1),)), sequential
 
-        monkeypatch.setattr(oracle_module, "coloring_masks", clashing)
+        monkeypatch.setattr(oracle_module, "verify_certificate", clashing)
         with pytest.raises(RuntimeError, match="^internal error: witness clashes or misses"):
             oracle(path_graph(2))
 
