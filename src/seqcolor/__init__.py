@@ -6,113 +6,60 @@ exhaustive for small graphs), the missing-color-swap construction that
 certifies a large set of sequential vertices, closed-form bounds on that set
 and on the edge-chromatic sum, and brute-force oracles to check everything
 against on small instances.
+
+Importing the package loads none of its modules: each public name is read
+from its defining module on access (PEP 562), which loads that module the
+first time, so a program that never uses the exhaustive oracles never
+compiles them.
 """
 
-from .coloring import (
-    EdgeColoring,
-    Verdict,
-    emit_coloring,
-    exact_chromatic_index,
-    konig_color_bipartite,
-    misra_gries,
-    obtain_r_coloring,
-    palette,
-    parse_coloring,
-    verify_proper,
-)
-from .errors import (
-    ClassTwoError,
-    GraphError,
-    OversizeError,
-    PreconditionError,
-    SeqcolorError,
-    UnknownClassError,
-)
-from .graph import (
-    DegreeProfile,
-    Graph,
-    bipartition_of,
-    build_graph,
-    complete_graph,
-    degree_profile,
-    generate_complete_bipartite,
-    generate_random_biregular,
-    generate_regular_class1,
-)
-from .graph_io import emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
-from .oracle import (
-    OracleResult,
-    connected_near_regular_graphs,
-    exact_edge_chromatic_sum,
-    exact_max_sequential_set,
-)
-from .sequential import (
-    MissingColorPartition,
-    SequentialCertificate,
-    biregular_set_bound,
-    missing_color_partition,
-    select_swap_color,
-    sequential_set_bound,
-    sequentialize,
-    swap_colors,
-    verify_certificate,
-    verify_sequential,
-)
-from .sums import (
-    SumReport,
-    chromatic_sum_bound,
-    coloring_sum,
-    sum_report,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassTwoError",
-    "DegreeProfile",
-    "EdgeColoring",
-    "Graph",
-    "GraphError",
-    "MissingColorPartition",
-    "OracleResult",
-    "OversizeError",
-    "PreconditionError",
-    "SeqcolorError",
-    "SequentialCertificate",
-    "SumReport",
-    "UnknownClassError",
-    "Verdict",
-    "bipartition_of",
-    "biregular_set_bound",
-    "build_graph",
-    "chromatic_sum_bound",
-    "coloring_sum",
-    "complete_graph",
-    "connected_near_regular_graphs",
-    "degree_profile",
-    "emit_coloring",
-    "emit_edge_list",
-    "emit_graph6",
-    "exact_chromatic_index",
-    "exact_edge_chromatic_sum",
-    "exact_max_sequential_set",
-    "generate_complete_bipartite",
-    "generate_random_biregular",
-    "generate_regular_class1",
-    "konig_color_bipartite",
-    "misra_gries",
-    "missing_color_partition",
-    "obtain_r_coloring",
-    "palette",
-    "parse_coloring",
-    "parse_edge_list",
-    "parse_graph6",
-    "select_swap_color",
-    "sequential_set_bound",
-    "sequentialize",
-    "sum_report",
-    "swap_colors",
-    "verify_certificate",
-    "verify_proper",
-    "verify_sequential",
-]
+# Each public name, by the module that defines it.
+_EXPORTS = {
+    "coloring": (
+        "EdgeColoring", "Verdict", "emit_coloring", "exact_chromatic_index",
+        "konig_color_bipartite", "misra_gries", "obtain_r_coloring", "palette",
+        "parse_coloring", "verify_proper",
+    ),
+    "errors": (
+        "ClassTwoError", "GraphError", "OversizeError", "PreconditionError",
+        "SeqcolorError", "UnknownClassError",
+    ),
+    "graph": (
+        "DegreeProfile", "Graph", "bipartition_of", "build_graph", "complete_graph",
+        "degree_profile", "generate_complete_bipartite", "generate_random_biregular",
+        "generate_regular_class1",
+    ),
+    "graph_io": ("emit_edge_list", "emit_graph6", "parse_edge_list", "parse_graph6"),
+    "oracle": (
+        "OracleResult", "connected_near_regular_graphs", "exact_edge_chromatic_sum",
+        "exact_max_sequential_set",
+    ),
+    "sequential": (
+        "MissingColorPartition", "SequentialCertificate", "biregular_set_bound",
+        "missing_color_partition", "select_swap_color", "sequential_set_bound",
+        "sequentialize", "swap_colors", "verify_certificate", "verify_sequential",
+    ),
+    "sums": ("SumReport", "chromatic_sum_bound", "coloring_sum", "sum_report"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    """A submodule, or a public name read from its module on every access
+    (nothing is cached here, so a patched module attribute is what this
+    returns)."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _SOURCE:
+        return getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

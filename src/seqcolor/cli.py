@@ -34,7 +34,6 @@ from .graph import (
     generate_regular_class1,
 )
 from .graph_io import emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
-from .oracle import exact_edge_chromatic_sum, exact_max_sequential_set
 from .sequential import (
     biregular_set_bound,
     sequential_set_bound,
@@ -133,6 +132,8 @@ def _sequentialize_graph(args):
     report = sum_report(g)
     oracle_records = []
     if args.oracle and (g.edge_count <= EXHAUSTIVE_EDGE_LIMIT or args.override_size):
+        from .oracle import exact_edge_chromatic_sum, exact_max_sequential_set
+
         sum_result = exact_edge_chromatic_sum(g, override_size=args.override_size)
         seq_result = exact_max_sequential_set(
             g, report.certificate.r, override_size=args.override_size)
@@ -220,6 +221,9 @@ def cmd_oracle(args) -> int:
     no coloring), before the sum search starts. Both oracles begin with the
     same size guard and nothing prints until both finish, so the order
     changes no output."""
+    # Imported here so that no other command loads the exhaustive search.
+    from .oracle import exact_edge_chromatic_sum, exact_max_sequential_set
+
     g = _read_graph(args.input, args.format)
     run_sum = args.sum or not args.max_sequential
     run_seq = args.max_sequential or not args.sum
