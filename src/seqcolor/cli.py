@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 
 from .coloring import (
     EXHAUSTIVE_EDGE_LIMIT,
@@ -137,7 +136,7 @@ def _sequentialize_graph(args):
         sum_result = exact_edge_chromatic_sum(g, override_size=args.override_size)
         seq_result = exact_max_sequential_set(
             g, report.certificate.r, override_size=args.override_size)
-        report = replace(report, exact_sum=sum_result.value)
+        report = report.replace(exact_sum=sum_result.value)
         oracle_records = [sum_result.to_record("sum"), seq_result.to_record("sequential")]
     return report, oracle_records
 

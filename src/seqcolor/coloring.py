@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import (
     ClassTwoError,
@@ -14,26 +13,22 @@ from .errors import (
     PreconditionError,
     UnknownClassError,
 )
-from .graph import Edge, Graph
+from .graph import Edge, Graph, Value
 
 EXHAUSTIVE_EDGE_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(Value):
     """Colors from {1..color_count} on edges: ``colors[i]`` is the color of
     ``edges[i]``, a normalized (min, max) pair. A coloring built from a graph
     ``g`` shares the tuple ``g.edges``, so its ``colors`` are indexed by edge
     id. Equality compares edges in order; :meth:`lines` ignores the order.
     """
 
-    edges: tuple[Edge, ...]
-    colors: tuple[int, ...]
-    color_count: int
-
-    def __post_init__(self) -> None:
-        if len(self.edges) != len(self.colors):
-            raise PreconditionError(f"coloring has {len(self.edges)} edges but {len(self.colors)} colors")
+    def __init__(self, edges: tuple[Edge, ...], colors: tuple[int, ...], color_count: int) -> None:
+        if len(edges) != len(colors):
+            raise PreconditionError(f"coloring has {len(edges)} edges but {len(colors)} colors")
+        self.__dict__.update(edges=edges, colors=colors, color_count=color_count)
 
     def lines(self) -> list[str]:
         """One "u v c" line per edge, in ascending edge order."""
@@ -42,12 +37,11 @@ class EdgeColoring:
         return [f"{u} {v} {c}" for u, v, c in triples]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """Boolean check outcome plus the witnesses of every violation found."""
 
-    ok: bool
-    violations: tuple
+    def __init__(self, ok: bool, violations: tuple) -> None:
+        self.__dict__.update(ok=ok, violations=violations)
 
     def __bool__(self) -> bool:
         return self.ok

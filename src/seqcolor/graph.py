@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Sequence
 
 from .errors import GraphError, PreconditionError
 
@@ -16,8 +15,40 @@ Edge = tuple[int, int]
 BIREGULAR_SWITCHES_PER_EDGE = 1_000
 
 
-@dataclass(frozen=True)
-class Graph:
+class Value:
+    """Base of the immutable value types: the fields are the ``__init__``
+    parameters, which ``==`` (same class only), hash, repr, ``__match_args__``
+    and :meth:`replace` read in order, as a frozen dataclass's methods do."""
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self.__match_args__))
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        pairs = zip(self.__match_args__, self._fields())
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes) -> Value:
+        """A copy with ``changes`` applied, built (so checked) by ``__init__``."""
+        return type(self)(**dict(zip(self.__match_args__, self._fields()), **changes))
+
+
+class Graph(Value):
     """Simple undirected graph on dense 0-based vertex ids.
 
     ``edges`` holds normalized (min, max) pairs in construction order, which
@@ -27,8 +58,8 @@ class Graph:
     Instances are immutable; use :func:`build_graph` to validate raw input.
     """
 
-    vertex_count: int
-    edges: tuple[Edge, ...]
+    def __init__(self, vertex_count: int, edges: tuple[Edge, ...]) -> None:
+        self.__dict__.update(vertex_count=vertex_count, edges=edges)
 
     @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
@@ -83,8 +114,7 @@ class Graph:
         return len(self.incidence[v])
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(Value):
     """Degree statistics of a graph.
 
     ``max_degree_vertices`` is the set of vertices of degree exactly
@@ -92,12 +122,10 @@ class DegreeProfile:
     degree spread is at most one.
     """
 
-    n: int
-    max_degree: int
-    min_degree: int
-    n_r: int
-    max_degree_vertices: frozenset[int]
-    near_regular: bool
+    def __init__(self, n: int, max_degree: int, min_degree: int, n_r: int,
+                 max_degree_vertices: frozenset[int], near_regular: bool) -> None:
+        self.__dict__.update(n=n, max_degree=max_degree, min_degree=min_degree, n_r=n_r,
+                             max_degree_vertices=max_degree_vertices, near_regular=near_regular)
 
 
 def build_graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:

@@ -12,9 +12,8 @@ The census walks adjacency rows, not colorings, and has no size guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from math import isqrt
-from typing import Iterator, Sequence
 
 from .coloring import (
     EdgeColoring,
@@ -22,22 +21,21 @@ from .coloring import (
     exact_chromatic_index,
 )
 from .errors import ClassTwoError, PreconditionError
-from .graph import Graph, build_graph
+from .graph import Graph, Value, build_graph
 from .sequential import verify_certificate
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Value):
     """Exact optimum plus a witness coloring and search statistics.
 
     ``sequential_vertices`` carries the witness's sequential set when the
     oracle maximized that quantity.
     """
 
-    value: int
-    witness: EdgeColoring
-    explored: int
-    sequential_vertices: frozenset[int] | None = None
+    def __init__(self, value: int, witness: EdgeColoring, explored: int,
+                 sequential_vertices: frozenset[int] | None = None) -> None:
+        self.__dict__.update(value=value, witness=witness, explored=explored,
+                             sequential_vertices=sequential_vertices)
 
     def to_record(self, kind: str) -> dict:
         record = {
@@ -251,14 +249,10 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
     (Vizing).
 
     The search stops once the incumbent reaches the ceiling
-    n - n_r + 2 min(floor(n_r / 2), e_top), where n_r counts the vertices of
-    degree r and e_top the edges joining two of them. Proof: each degree-r
-    vertex carries color r, and the color-r class is a matching; a color-r
-    edge with one degree-r end loses its other end, whose degree is below
-    r, so at most the 2 nu(G[top]) <= 2 min(floor(n_r / 2), e_top) degree-r
-    vertices matched to each other escape that loss. Above the max degree
-    n_r = 0 and the ceiling is n. The first leaf at the ceiling is the
-    lex-first optimum, so only ``explored`` falls.
+    n - n_r + 2 min(floor(n_r / 2), e_top) (n_r: the degree-r vertices, e_top:
+    the edges joining two of them), since the color-r matching covers them
+    and loses each partner below degree r (proof in CHANGES.md); the first
+    leaf there is the lex-first optimum, so only ``explored`` falls.
     """
     check_exhaustive_size(g, override_size)
     degree = [g.degree(v) for v in g.vertices]
@@ -384,12 +378,9 @@ def _graphs_with_degrees(degrees: list[int], n_top: int) -> Iterator[tuple[tuple
     # is compared with the identity's row a: greater refutes the identity,
     # smaller drops the choice, equal goes one deeper.
     #
-    # The check at row i allows labels only on vertices below i. It goes on
-    # from the previous check on the same branch instead of starting over:
-    # row i - 1's pairs touch no vertex below i - 1, so the earlier search
-    # tree is unchanged and holds no path that beats the identity. Only picks
-    # of the newly allowed vertices, taken at the nodes that tree reached by
-    # a tie, are new, and are searched in full.
+    # The check at row i allows labels only on vertices below i and goes on
+    # from the previous check on the same branch, whose tree row i - 1 leaves
+    # unchanged: only picks of newly allowed vertices at its ties are new.
     n = len(degrees)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     remaining = list(degrees)

@@ -11,8 +11,6 @@ color r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coloring import (
     EdgeColoring,
     Verdict,
@@ -22,11 +20,10 @@ from .coloring import (
     proper_masks,
 )
 from .errors import GraphError, PreconditionError
-from .graph import DegreeProfile, Graph, degree_profile
+from .graph import DegreeProfile, Graph, Value, degree_profile
 
 
-@dataclass(frozen=True)
-class MissingColorPartition:
+class MissingColorPartition(Value):
     """For each color i in 1..r, the vertices whose palette omits i.
 
     Under the module preconditions every sub-maximum-degree vertex misses
@@ -34,12 +31,11 @@ class MissingColorPartition:
     precisely the vertices of degree r-1.
     """
 
-    classes: dict[int, frozenset[int]]
-    r: int
+    def __init__(self, classes: dict[int, frozenset[int]], r: int) -> None:
+        self.__dict__.update(classes=classes, r=r)
 
 
-@dataclass(frozen=True)
-class SequentialCertificate:
+class SequentialCertificate(Value):
     """Output of :func:`sequentialize`: the final coloring plus its audit trail.
 
     ``sequential_vertices`` is the certified set (max-degree vertices united
@@ -48,14 +44,10 @@ class SequentialCertificate:
     of re-checking the sequential property against the final coloring.
     """
 
-    coloring: EdgeColoring
-    sequential_vertices: frozenset[int]
-    swap_color: int
-    bound: int
-    r: int
-    n: int
-    n_r: int
-    verified: bool
+    def __init__(self, coloring: EdgeColoring, sequential_vertices: frozenset[int], swap_color: int,
+                 bound: int, r: int, n: int, n_r: int, verified: bool) -> None:
+        self.__dict__.update(coloring=coloring, sequential_vertices=sequential_vertices,
+                             swap_color=swap_color, bound=bound, r=r, n=n, n_r=n_r, verified=verified)
 
     @property
     def size(self) -> int:

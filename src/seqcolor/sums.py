@@ -8,10 +8,8 @@ sequential construction by summing palettes vertex by vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coloring import EdgeColoring, edge_colors
-from .graph import Graph
+from .graph import Graph, Value
 from .sequential import SequentialCertificate, _check_bound_args, sequentialize
 
 
@@ -26,26 +24,23 @@ def chromatic_sum_bound(n: int, n_r: int, r: int) -> int:
     return (2 * n_r * (2 * r - 1) + n * (r - 1) * (r * r + 2 * r - 2)) // (4 * r)
 
 
-@dataclass(frozen=True)
-class SumReport:
+class SumReport(Value):
     """Achieved sum of the constructed coloring against the closed-form bound.
 
     The bound's n, n_r and r are the certificate's. ``exact_sum`` is the
     brute-force minimum when one was attached, else None. Whenever all fields
     are present, exact_sum <= actual_sum <= bound; every construction,
-    :func:`dataclasses.replace` included, checks this.
+    :meth:`replace` included, checks this.
     """
 
-    actual_sum: int
-    bound: int
-    exact_sum: int | None
-    certificate: SequentialCertificate
-
-    def __post_init__(self) -> None:
-        if self.actual_sum > self.bound:
+    def __init__(self, actual_sum: int, bound: int, exact_sum: int | None,
+                 certificate: SequentialCertificate) -> None:
+        if actual_sum > bound:
             raise RuntimeError("internal error: constructed coloring exceeded the closed-form bound")
-        if self.exact_sum is not None and self.exact_sum > self.actual_sum:
+        if exact_sum is not None and exact_sum > actual_sum:
             raise RuntimeError("internal error: oracle minimum exceeded the constructed sum")
+        self.__dict__.update(actual_sum=actual_sum, bound=bound, exact_sum=exact_sum,
+                             certificate=certificate)
 
     def to_record(self) -> dict:
         cert = self.certificate
@@ -64,7 +59,7 @@ def sum_report(g: Graph) -> SumReport:
     """Run the sequential pipeline and compare its sum against the bound.
 
     ``exact_sum`` is None; attach the exact minimum with
-    ``replace(report, exact_sum=exact_edge_chromatic_sum(g).value)``.
+    ``report.replace(exact_sum=exact_edge_chromatic_sum(g).value)``.
     Precondition and class failures propagate from :func:`sequentialize`.
     """
     certificate = sequentialize(g)

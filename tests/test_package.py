@@ -2,8 +2,9 @@
 
 ``import seqcolor`` loads none of its modules; a public name is read from its
 defining module on each access. Of the CLI's commands only ``oracle`` and
-``sequentialize --oracle`` load the exhaustive search. Import state is
-checked in fresh interpreters, since this process has imported everything.
+``sequentialize --oracle`` load the exhaustive search, and none loads
+``dataclasses``, ``inspect`` or ``typing``. Import state is checked in fresh
+interpreters, since this process has imported everything.
 """
 
 import json
@@ -37,10 +38,16 @@ PUBLIC = [
 ]
 SUBMODULES = ("coloring", "errors", "graph", "graph_io", "oracle", "sequential", "sums")
 
+# Standard-library modules no command may load: the value types are plain
+# classes, not dataclasses (whose module imports inspect), and annotations
+# name collections.abc, not typing. Each would add to the import time of every
+# fresh seqcolor process (the benchmark's setup_s).
+UNWANTED = ("dataclasses", "inspect", "typing")
+
 # Imports the package, then (with arguments) runs the CLI on them, and prints
 # the seqcolor modules loaded by the bare import, whether the oracle module is
-# loaded at the end, the exit code and stdout.
-CHILD = """
+# loaded at the end, the exit code, stdout and the UNWANTED modules loaded.
+CHILD = f"""
 import contextlib, io, json, sys
 import seqcolor
 bare = sorted(name for name in sys.modules if name.startswith("seqcolor."))
@@ -48,24 +55,31 @@ from seqcolor.cli import run
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = run(sys.argv[1:]) if sys.argv[1:] else None
-print(json.dumps([bare, "seqcolor.oracle" in sys.modules, code, out.getvalue()]))
+unwanted = [name for name in {UNWANTED!r} if name in sys.modules]
+print(json.dumps([bare, "seqcolor.oracle" in sys.modules, code, out.getvalue(), unwanted]))
 """
 
 
-def fresh(code, *args):
-    """Stdout of ``python -c code args`` in a fresh interpreter."""
+def fresh(code, *args, flags=()):
+    """Stdout of ``python flags -c code args`` in a fresh interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True,
+        [sys.executable, *flags, "-c", code, *args], capture_output=True, text=True,
         timeout=60, env=dict(os.environ, PYTHONPATH=src), check=True,
     )
     return done.stdout
 
 
 def run_fresh(*argv):
-    bare, oracle_loaded, code, out = json.loads(fresh(CHILD, *argv))
+    bare, oracle_loaded, code, out, _ = json.loads(fresh(CHILD, *argv))
     assert bare == []
     return oracle_loaded, code, out
+
+
+def unwanted_after(*argv, flags=()):
+    """Exit code and the UNWANTED modules loaded after the CLI ran ``argv``."""
+    _, _, code, _, unwanted = json.loads(fresh(CHILD, *argv, flags=flags))
+    return code, unwanted
 
 
 class TestImportBoundary:
@@ -96,6 +110,30 @@ class TestImportBoundary:
         assert run_fresh("bound", "15", "6", "3") == (
             False, 0, "sequential-set bound: 9\nbiregular form:       9\n"
                       "chromatic-sum bound:  37\n")
+
+
+class TestStdlibImports:
+    # A site hook (a .pth file) may import typing before the CLI starts, so
+    # typing is checked only under -S, which skips site.
+    @pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+    @pytest.mark.parametrize("command, extra, graph", [
+        (None, [], None),
+        ("generate", ["complete-bipartite", "3", "4"], None),
+        ("color", [], "minus-matching-r4"),
+        ("sequentialize", ["--report"], "minus-matching-r3-swap"),
+        ("verify", [], "union-10-4"),
+        ("bound", ["15", "6", "3"], None),
+        ("oracle", ["--report"], "union-8-3"),
+    ], ids=["import", "generate", "color", "sequentialize-report", "verify", "bound", "oracle-report"])
+    def test_no_dataclasses_inspect_or_typing(self, flags, command, extra, graph, tmp_path, capsys):
+        if command == "verify":
+            inputs = certificate_files(tmp_path, graph, capsys)
+        else:
+            inputs = [write_graph(tmp_path, graph, False)] if graph else []
+        argv = [command, *extra, *inputs] if command else []
+        code, unwanted = unwanted_after(*argv, flags=flags)
+        assert code == (0 if command else None)
+        assert [name for name in unwanted if flags or name != "typing"] == []
 
 
 class TestNamespace:
