@@ -1,16 +1,18 @@
 """Command-line front end.
 
-Subcommands: generate | color | sequentialize | bound | verify | oracle.
+Subcommands: generate | color | sequentialize | bound | verify | oracle, all
+specified in COMMANDS. run() reads an argv straight from that table and
+imports argparse (through build_parser) only for --help and usage errors.
 Exit codes: 0 success, 1 verification failure, 2 precondition violation or
 oversize refusal, 3 Class-2 input, 4 undecided class, 5 I/O or parse error.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+import types
 
 from .coloring import (
     EXHAUSTIVE_EDGE_LIMIT,
@@ -109,7 +111,7 @@ def cmd_generate(args) -> int:
         if args.seed is None:
             raise PreconditionError("biregular generation requires --seed")
         g = generate_random_biregular(params[0], params[1], args.seed)
-    else:  # regular-class1: argparse restricts the choices
+    else:  # regular-class1: COMMANDS restricts the choices
         if len(params) != 1:
             raise PreconditionError("regular-class1 takes one parameter: r")
         g = generate_regular_class1(params[0], kind="complete" if args.complete else "bipartite")
@@ -249,81 +251,125 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+_INPUT = (("input",), {"help": "graph file, or - for stdin"})
+_OUTPUT = (("-o", "--output"), {})
+_FORMAT = (("--format",), {"choices": ("edges", "graph6"), "default": "edges",
+                           "help": "graph text format (default: edges)"})
+_REPORT = (("--report",), {"action": "store_true", "help": "line-delimited JSON output"})
+
+# The command line's one spec: each command's function, help line and
+# arguments as argparse's own (names, kwargs), an option's long name last.
+COMMANDS = {
+    "generate": (cmd_generate, "write a graph from a named family", (
+        (("family",), {"choices": ("complete-bipartite", "biregular", "regular-class1")}),
+        (("params",), {"nargs": "*", "type": int}),
+        (("--seed",), {"type": int, "help": "required for the biregular family"}),
+        (("--complete",), {"action": "store_true", "help":
+                           "regular-class1: use the complete graph instead of the bipartite one"}),
+        _OUTPUT, _FORMAT)),
+    "color": (cmd_color, "produce a proper edge coloring", (
+        _INPUT, (("--vizing",), {"action": "store_true", "help":
+                                 "use the max_degree+1 heuristic instead of exact acquisition"}),
+        _OUTPUT, _FORMAT)),
+    "sequentialize": (cmd_sequentialize, "run the sequential-coloring pipeline", (
+        _INPUT, _REPORT,
+        (("--oracle",), {"action": "store_true", "help": "attach exhaustive ground truth"}),
+        (("--override-size",), {"action": "store_true",
+                                "help": "run the oracle past its 20-edge guard"}),
+        _FORMAT)),
+    "bound": (cmd_bound, "print the closed-form bounds for (n, n_r, r)", (
+        (("n",), {"type": int}), (("n_r",), {"type": int}), (("r",), {"type": int}))),
+    "verify": (cmd_verify, "check a coloring file against a graph", (
+        (("graph",), {}), (("coloring",), {}), (("vertices",), {
+            "nargs": "?", "help": "optional file of vertex ids to check for sequentiality"}),
+        _FORMAT)),
+    "oracle": (cmd_oracle, "exhaustive exact optima for small graphs", (
+        _INPUT, (("--sum",), {"action": "store_true", "help": "only the minimum color sum"}),
+        (("--max-sequential",), {"action": "store_true",
+                                 "help": "only the maximum sequential set"}),
+        (("--cap",), {"type": int, "help":
+                      "color count for the sequential maximization (default: max degree)"}),
+        (("--override-size",), {"action": "store_true"}), _REPORT, _FORMAT)),
+}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared by every later
-    one in the process: parsing leaves it unchanged, and building it costs
-    more than most commands."""
+def build_parser():
+    """The argparse parser for COMMANDS, built on the first call and shared by
+    every later one in the process. run() needs it only for --help and usage
+    errors, and only this function imports argparse."""
+    import argparse
+
     parser = argparse.ArgumentParser(
-        prog="seqcolor",
-        description="Sequential edge colorings of near-regular Class-1 graphs.",
-    )
+        prog="seqcolor", description="Sequential edge colorings of near-regular Class-1 graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument(
-            "--format", choices=("edges", "graph6"), default="edges",
-            help="graph text format (default: edges)",
-        )
-
-    p = sub.add_parser("generate", help="write a graph from a named family")
-    p.add_argument("family", choices=("complete-bipartite", "biregular", "regular-class1"))
-    p.add_argument("params", nargs="*", type=int)
-    p.add_argument("--seed", type=int, help="required for the biregular family")
-    p.add_argument("--complete", action="store_true",
-                   help="regular-class1: use the complete graph instead of the bipartite one")
-    p.add_argument("-o", "--output")
-    add_format(p)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("color", help="produce a proper edge coloring")
-    p.add_argument("input", help="graph file, or - for stdin")
-    p.add_argument("--vizing", action="store_true",
-                   help="use the max_degree+1 heuristic instead of exact acquisition")
-    p.add_argument("-o", "--output")
-    add_format(p)
-    p.set_defaults(func=cmd_color)
-
-    p = sub.add_parser("sequentialize", help="run the sequential-coloring pipeline")
-    p.add_argument("input", help="graph file, or - for stdin")
-    p.add_argument("--report", action="store_true", help="line-delimited JSON output")
-    p.add_argument("--oracle", action="store_true", help="attach exhaustive ground truth")
-    p.add_argument("--override-size", action="store_true",
-                   help="run the oracle past its 20-edge guard")
-    add_format(p)
-    p.set_defaults(func=cmd_sequentialize)
-
-    p = sub.add_parser("bound", help="print the closed-form bounds for (n, n_r, r)")
-    p.add_argument("n", type=int)
-    p.add_argument("n_r", type=int)
-    p.add_argument("r", type=int)
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("verify", help="check a coloring file against a graph")
-    p.add_argument("graph")
-    p.add_argument("coloring")
-    p.add_argument("vertices", nargs="?",
-                   help="optional file of vertex ids to check for sequentiality")
-    add_format(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("oracle", help="exhaustive exact optima for small graphs")
-    p.add_argument("input", help="graph file, or - for stdin")
-    p.add_argument("--sum", action="store_true", help="only the minimum color sum")
-    p.add_argument("--max-sequential", action="store_true",
-                   help="only the maximum sequential set")
-    p.add_argument("--cap", type=int,
-                   help="color count for the sequential maximization (default: max degree)")
-    p.add_argument("--override-size", action="store_true")
-    p.add_argument("--report", action="store_true", help="line-delimited JSON output")
-    add_format(p)
-    p.set_defaults(func=cmd_oracle)
-
+    for command, (func, help_line, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for names, kwargs in arguments:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
+def _value(kwargs, token: str):
+    value = kwargs.get("type", str)(token)
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise ValueError(f"{value!r} is not a choice")
+    return value
+
+
+def _read_args(argv: list[str]):
+    """build_parser().parse_args(argv), read straight from COMMANDS; None
+    where argparse must decide: an unknown command, a token starting with "-"
+    that is neither "-" nor an exact option string, a valued option with no
+    value or one starting with "-", a value its type or choices refuse,
+    positionals split by an option, or a wrong positional count."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, arguments = COMMANDS[argv[0]]
+    values, options, positionals = {"command": argv[0], "func": func}, {}, []
+    for names, kwargs in arguments:
+        if names[0].startswith("-"):
+            dest, flag = names[-1][2:].replace("-", "_"), kwargs.get("action") == "store_true"
+            values[dest] = kwargs.get("default", False if flag else None)
+            options.update(dict.fromkeys(names, (dest, flag, kwargs)))
+        else:
+            positionals.append((names[0], kwargs))
+    tokens, words, run_ended = iter(argv[1:]), [], False
+    try:
+        for token in tokens:
+            if token in options:
+                dest, flag, kwargs = options[token]
+                if flag:
+                    values[dest] = True
+                elif (value := next(tokens, "-")).startswith("-"):
+                    return None  # no value, or one argparse may read as an option
+                else:
+                    values[dest] = _value(kwargs, value)
+                run_ended = bool(words)
+            elif run_ended or (token.startswith("-") and token != "-"):
+                return None
+            else:
+                words.append(token)
+        # argparse's greedy match: each "?" and "*" in turn takes what the
+        # required positionals leave.
+        spare = len(words) - sum("nargs" not in kwargs for _, kwargs in positionals)
+        if spare < 0:
+            return None
+        for dest, kwargs in positionals:
+            nargs = kwargs.get("nargs")
+            take = 1 if nargs is None else min(spare, 1) if nargs == "?" else spare
+            spare -= take if nargs else 0
+            chunk, words = [_value(kwargs, word) for word in words[:take]], words[take:]
+            values[dest] = chunk if nargs == "*" else chunk[0] if chunk else kwargs.get("default")
+    except (TypeError, ValueError):
+        return None
+    return None if words else types.SimpleNamespace(**values)
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_args(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except tuple(cls for cls, _ in EXIT_CODES) as exc:

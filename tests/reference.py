@@ -1,5 +1,6 @@
 """Reference helpers that only the tests use, kept apart from the library."""
 
+import argparse
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -11,6 +12,7 @@ from seqcolor import (
     PreconditionError,
     build_graph,
 )
+from seqcolor import cli
 from seqcolor.coloring import _EdgeIndexedColoring, proper_masks
 from seqcolor.graph import Edge
 from seqcolor.graph_io import GRAPH6_HEADER, GRAPH6_MAX_VERTICES
@@ -530,3 +532,75 @@ def reference_is_canonical(adj: list[int], n_top: int, known: int) -> bool:
 
     top = (1 << n_top) - 1
     return not beaten(0, [cell for cell in (top, ((1 << n) - 1) ^ top) if cell])
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The CLI's parser written out call by call, as it was before
+    ``seqcolor.cli.COMMANDS`` became the one spec; the table-built parser must
+    format the same help, usage and errors."""
+    parser = argparse.ArgumentParser(
+        prog="seqcolor",
+        description="Sequential edge colorings of near-regular Class-1 graphs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_format(p):
+        p.add_argument(
+            "--format", choices=("edges", "graph6"), default="edges",
+            help="graph text format (default: edges)",
+        )
+
+    p = sub.add_parser("generate", help="write a graph from a named family")
+    p.add_argument("family", choices=("complete-bipartite", "biregular", "regular-class1"))
+    p.add_argument("params", nargs="*", type=int)
+    p.add_argument("--seed", type=int, help="required for the biregular family")
+    p.add_argument("--complete", action="store_true",
+                   help="regular-class1: use the complete graph instead of the bipartite one")
+    p.add_argument("-o", "--output")
+    add_format(p)
+    p.set_defaults(func=cli.cmd_generate)
+
+    p = sub.add_parser("color", help="produce a proper edge coloring")
+    p.add_argument("input", help="graph file, or - for stdin")
+    p.add_argument("--vizing", action="store_true",
+                   help="use the max_degree+1 heuristic instead of exact acquisition")
+    p.add_argument("-o", "--output")
+    add_format(p)
+    p.set_defaults(func=cli.cmd_color)
+
+    p = sub.add_parser("sequentialize", help="run the sequential-coloring pipeline")
+    p.add_argument("input", help="graph file, or - for stdin")
+    p.add_argument("--report", action="store_true", help="line-delimited JSON output")
+    p.add_argument("--oracle", action="store_true", help="attach exhaustive ground truth")
+    p.add_argument("--override-size", action="store_true",
+                   help="run the oracle past its 20-edge guard")
+    add_format(p)
+    p.set_defaults(func=cli.cmd_sequentialize)
+
+    p = sub.add_parser("bound", help="print the closed-form bounds for (n, n_r, r)")
+    p.add_argument("n", type=int)
+    p.add_argument("n_r", type=int)
+    p.add_argument("r", type=int)
+    p.set_defaults(func=cli.cmd_bound)
+
+    p = sub.add_parser("verify", help="check a coloring file against a graph")
+    p.add_argument("graph")
+    p.add_argument("coloring")
+    p.add_argument("vertices", nargs="?",
+                   help="optional file of vertex ids to check for sequentiality")
+    add_format(p)
+    p.set_defaults(func=cli.cmd_verify)
+
+    p = sub.add_parser("oracle", help="exhaustive exact optima for small graphs")
+    p.add_argument("input", help="graph file, or - for stdin")
+    p.add_argument("--sum", action="store_true", help="only the minimum color sum")
+    p.add_argument("--max-sequential", action="store_true",
+                   help="only the maximum sequential set")
+    p.add_argument("--cap", type=int,
+                   help="color count for the sequential maximization (default: max degree)")
+    p.add_argument("--override-size", action="store_true")
+    p.add_argument("--report", action="store_true", help="line-delimited JSON output")
+    add_format(p)
+    p.set_defaults(func=cli.cmd_oracle)
+
+    return parser

@@ -10,7 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from seqcolor import (
     Verdict,
@@ -28,10 +28,10 @@ from seqcolor import (
     verify_sequential,
 )
 from seqcolor import oracle as oracle_module
-from seqcolor.cli import build_parser, run
+from seqcolor.cli import COMMANDS, _read_args, build_parser, run
 
 from .conftest import class_one_near_regular, petersen_graph
-from .reference import assignment_of, coloring_of
+from .reference import assignment_of, coloring_of, reference_parser
 from .test_coloring import K4_MATCHING_COLORING
 
 
@@ -323,6 +323,150 @@ class TestParserReuse:
         assert here == [run_alone(bad), run_alone(good)]
         assert here[0][2] == 2 and "invalid int value" in here[0][1]
         assert here[1][2] == 0
+
+
+OPTION_STRINGS = sorted({name for _, _, arguments in COMMANDS.values()
+                         for names, _ in arguments for name in names if name.startswith("-")})
+
+# Every argv form the benchmark's workloads (bench/workloads.py) and the
+# README pass: each must take the fast path.
+DOCUMENTED_ARGV = [
+    ["sequentialize", "--report", "g.txt"],
+    ["sequentialize", "--report", "--format", "graph6", "g.g6"],
+    ["verify", "g.txt", "coloring.txt", "vertices.txt"],
+    ["verify", "--format", "graph6", "g.g6", "coloring.txt", "vertices.txt"],
+    ["oracle", "--report", "g.txt"],
+    ["generate", "complete-bipartite", "2", "3"],
+    ["generate", "biregular", "3", "2", "--seed", "7", "-o", "g.txt"],
+    ["generate", "regular-class1", "3", "--format", "graph6"],
+    ["color", "g.txt"],
+    ["sequentialize", "g.txt"],
+    ["sequentialize", "g.txt", "--report", "--oracle"],
+    ["bound", "5", "2", "3"],
+    ["oracle", "g.txt"],
+    ["sequentialize", "-"],
+]
+
+ARGV_TOKENS = [
+    *COMMANDS, *OPTION_STRINGS,
+    "-", "--", "-h", "--rep", "--format=graph6", "-o-",
+    "-1", "-7", "0", "3", "12", "x", "three", "1.5", "",
+    "bogus", "edges", "graph6", "complete-bipartite", "biregular", "regular-class1",
+    "g.txt", "coloring.txt", "vertices.txt", "out.g6",
+]
+
+
+def argv_id(argv):
+    return " ".join(argv) or "empty"
+
+
+def argparse_vars(argv):
+    """vars() of build_parser().parse_args(argv), or None on a usage exit."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestArgvReader:
+    """run() reads argv from COMMANDS without argparse whenever it can, and
+    then builds exactly the namespace argparse would."""
+
+    @settings(max_examples=500)
+    @given(st.one_of(
+        st.lists(st.sampled_from(ARGV_TOKENS), max_size=8),
+        st.builds(lambda command, rest: [command, *rest], st.sampled_from(list(COMMANDS)),
+                  st.lists(st.sampled_from(ARGV_TOKENS), max_size=8)),
+    ))
+    def test_agrees_with_argparse_whenever_it_accepts(self, argv):
+        fast = _read_args(argv)
+        if fast is not None:
+            assert vars(fast) == argparse_vars(argv)
+
+    @pytest.mark.parametrize("argv", DOCUMENTED_ARGV, ids=argv_id)
+    def test_documented_forms_take_the_fast_path(self, argv):
+        fast = _read_args(argv)
+        assert fast is not None
+        assert vars(fast) == argparse_vars(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["sequentialize", "--help"], ["sequentialize", "g.txt", "--rep"],
+        ["sequentialize", "--", "g.txt"], ["generate", "--format=graph6", "regular-class1", "3"],
+        ["generate", "regular-class1", "3", "-o-"],
+        ["bound", "-1", "2", "3"], ["oracle", "g.txt", "--cap", "-1"], ["oracle", "g.txt", "--cap"],
+        ["generate", "complete-bipartite", "--seed", "1", "2", "3"], ["verify", "g.txt"],
+        ["verify", "g.txt", "c.txt", "v.txt", "extra"], ["generate", "bogus"], ["bogus"], [],
+    ], ids=argv_id)
+    def test_refuses_what_argparse_must_decide(self, argv):
+        assert _read_args(argv) is None
+
+    def test_fast_path_builds_no_parser(self, monkeypatch, capsys):
+        def refuse():
+            raise AssertionError("argparse parser built")
+
+        monkeypatch.setattr("seqcolor.cli.build_parser", refuse)
+        assert run(["bound", "5", "2", "3"]) == 0
+        assert capsys.readouterr().out.startswith("sequential-set bound: 3\n")
+
+    def test_tuple_argv(self, capsys):
+        assert run(("bound", "15", "6", "3")) == 0
+        assert capsys.readouterr().out == (
+            "sequential-set bound: 9\nbiregular form:       9\nchromatic-sum bound:  37\n")
+
+    def test_argv_none_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["seqcolor", "bound", "15", "6", "3"])
+        assert run() == 0
+        assert capsys.readouterr().out.startswith("sequential-set bound: 9\n")
+
+
+def subcommand_parsers(parser):
+    """The subcommand parsers of ``parser``, by name."""
+    return next(action.choices for action in parser._actions if action.dest == "command")
+
+
+class TestHelpAndUsage:
+    """The parser built from COMMANDS formats the same help, usage and errors
+    as the one written out call by call (tests/reference.py)."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        # argparse wraps help and usage text to the terminal width.
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_main_help_and_usage(self):
+        built, reference = build_parser(), reference_parser()
+        assert built.format_help() == reference.format_help()
+        assert built.format_usage() == reference.format_usage()
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_subcommand_help_and_usage(self, command):
+        built = subcommand_parsers(build_parser())[command]
+        reference = subcommand_parsers(reference_parser())[command]
+        assert built.format_help() == reference.format_help()
+        assert built.format_usage() == reference.format_usage()
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["sequentialize", "--help"], ["oracle", "-h"],
+        ["bogus", "g.txt"], [], ["verify", "g.txt"], ["oracle", "g.txt", "--cap", "three"],
+        ["sequentialize", "g.txt", "--format", "bogus"], ["color", "g.txt", "--bogus"],
+        ["bound", "5", "2", "3", "4"], ["sequentialize", "g.txt", "--o"],
+    ], ids=argv_id)
+    def test_run_exits_as_the_reference_parser(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                reference_parser().parse_args(argv)
+                code = None
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2)
+        assert run_here(argv) == (out.getvalue(), err.getvalue(), code)
+
+    def test_abbreviation_falls_back_to_argparse(self, k23_file):
+        assert _read_args(["sequentialize", k23_file, "--rep"]) is None
+        assert run_here(["sequentialize", k23_file, "--rep"]) == run_here(
+            ["sequentialize", k23_file, "--report"])
 
 
 class TestBound:

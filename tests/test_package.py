@@ -3,8 +3,9 @@
 ``import seqcolor`` loads none of its modules; a public name is read from its
 defining module on each access. Of the CLI's commands only ``oracle`` and
 ``sequentialize --oracle`` load the exhaustive search, and none loads
-``dataclasses``, ``inspect`` or ``typing``. Import state is checked in fresh
-interpreters, since this process has imported everything.
+``dataclasses``, ``inspect`` or ``typing``, nor on success ``argparse`` or
+``gettext``. Import state is checked in fresh interpreters, since this process
+has imported everything.
 """
 
 import json
@@ -38,23 +39,29 @@ PUBLIC = [
 ]
 SUBMODULES = ("coloring", "errors", "graph", "graph_io", "oracle", "sequential", "sums")
 
-# Standard-library modules no command may load: the value types are plain
-# classes, not dataclasses (whose module imports inspect), and annotations
-# name collections.abc, not typing. Each would add to the import time of every
-# fresh seqcolor process (the benchmark's setup_s).
-UNWANTED = ("dataclasses", "inspect", "typing")
+# Standard-library modules no command may load on success: the value types
+# are plain classes, not dataclasses (whose module imports inspect),
+# annotations name collections.abc, not typing, and run() reads argv from the
+# command table, importing argparse (which imports gettext) only for --help and
+# usage errors. Each would add to the import time of every fresh seqcolor
+# process (the benchmark's setup_s), argparse to every call's parse too.
+UNWANTED = ("dataclasses", "inspect", "typing", "argparse", "gettext")
 
 # Imports the package, then (with arguments) runs the CLI on them, and prints
 # the seqcolor modules loaded by the bare import, whether the oracle module is
-# loaded at the end, the exit code, stdout and the UNWANTED modules loaded.
+# loaded at the end, the exit code (argparse's exits included), stdout and the
+# UNWANTED modules loaded.
 CHILD = f"""
 import contextlib, io, json, sys
 import seqcolor
 bare = sorted(name for name in sys.modules if name.startswith("seqcolor."))
 from seqcolor.cli import run
 out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    code = run(sys.argv[1:]) if sys.argv[1:] else None
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = run(sys.argv[1:]) if sys.argv[1:] else None
+    except SystemExit as exc:
+        code = exc.code
 unwanted = [name for name in {UNWANTED!r} if name in sys.modules]
 print(json.dumps([bare, "seqcolor.oracle" in sys.modules, code, out.getvalue(), unwanted]))
 """
@@ -134,6 +141,14 @@ class TestStdlibImports:
         code, unwanted = unwanted_after(*argv, flags=flags)
         assert code == (0 if command else None)
         assert [name for name in unwanted if flags or name != "typing"] == []
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["sequentialize", "--help"], 0), (["oracle", "g.txt", "--cap", "three"], 2),
+    ], ids=["help", "usage-error"])
+    def test_help_and_usage_errors_load_argparse(self, argv, expected):
+        code, unwanted = unwanted_after(*argv)
+        assert code == expected
+        assert {"argparse", "gettext"} <= set(unwanted)
 
 
 class TestNamespace:
