@@ -82,6 +82,11 @@ def coloring_masks(g: Graph, coloring: EdgeColoring) -> tuple[Sequence[int], lis
     Colors 1..m (m edges) keep their bits; any other color c gets bit
     m + 1 + (rank of c among them), so a huge or non-positive color cannot
     build a huge mask. The renaming is injective, so clashes are unchanged.
+
+    The first pass adds each edge's bit at both ends. A color repeated at a
+    vertex carries there, and a carry loses a set bit, so the masks hold 2m
+    set bits in all exactly when there is no clash; then each sum is the OR.
+    Only otherwise does a second pass OR the bits and name the clashes.
     """
     colors = edge_colors(g, coloring)
     m = len(colors)
@@ -91,7 +96,14 @@ def coloring_masks(g: Graph, coloring: EdgeColoring) -> tuple[Sequence[int], lis
         bit_of = {c: m + 1 + i for i, c in enumerate(outside)}
         bits = [bit_of.get(c, c) for c in colors]
     masks = [0] * g.vertex_count
+    for (u, v), c in zip(g.edges, bits):
+        bit = 1 << c
+        masks[u] += bit
+        masks[v] += bit
     clashes: set[int] = set()
+    if sum(map(int.bit_count, masks)) == 2 * m:
+        return colors, masks, clashes
+    masks = [0] * g.vertex_count
     for (u, v), c in zip(g.edges, bits):
         bit = 1 << c
         mask = masks[u]
@@ -163,7 +175,7 @@ class _EdgeIndexedColoring:
     """
 
     def __init__(self, g: Graph, max_color: int):
-        self.edges = g.edges
+        self.ends = g.ends
         self.color = [0] * len(g.edges)
         self.used = [0] * g.vertex_count
         self.stride = max_color + 1
@@ -176,7 +188,7 @@ class _EdgeIndexedColoring:
         ``second`` must be free at ``start``. Properness makes the walk a
         simple path, so only its two ends change their sets of colors.
         """
-        at, color, edges, stride = self.at, self.color, self.edges, self.stride
+        at, color, ends, stride = self.at, self.color, self.ends, self.stride
         swapped = first + second
         x, want = start, first
         while True:
@@ -186,8 +198,7 @@ class _EdgeIndexedColoring:
             if e < 0:
                 break
             color[e] = swapped - want
-            a, b = edges[e]
-            x, want = a + b - x, swapped - want
+            x, want = ends[e] ^ x, swapped - want
         toggle = (1 << first) | (1 << second)
         self.used[start] ^= toggle
         self.used[x] ^= toggle
@@ -227,7 +238,7 @@ def misra_gries(g: Graph, *, within_max_degree: bool = False) -> EdgeColoring | 
     edges = g.edges
     cap = max(map(len, g.incidence), default=0) + 1
     state = _EdgeIndexedColoring(g, cap)
-    color, used, at, stride = state.color, state.used, state.at, state.stride
+    color, used, at, ends, stride = state.color, state.used, state.at, state.ends, state.stride
     beyond = len(edges)
 
     for e0, (u, v0) in enumerate(edges):
@@ -247,8 +258,7 @@ def misra_gries(g: Graph, *, within_max_degree: bool = False) -> EdgeColoring | 
                 if candidate < e:
                     e = candidate
                 candidates ^= low
-            a, b = edges[e]
-            last = a + b - u
+            last = ends[e] ^ u
             fan_vertices.append(last)
             fan_edges.append(e)
             fan_colors |= 1 << color[e]
@@ -299,9 +309,10 @@ def misra_gries(g: Graph, *, within_max_degree: bool = False) -> EdgeColoring | 
 def konig_color_bipartite(g: Graph) -> EdgeColoring:
     """Proper edge coloring of a bipartite graph with exactly max_degree colors.
 
-    For each edge (u, v): take the smallest color a free at u and b free at v;
-    if a clashes at v, swap a and b along the alternating path leaving v. In a
-    bipartite graph that path cannot reach u, so a becomes free at both ends.
+    For each edge (u, v): take the smallest color a free at u; if a is taken
+    at v, swap a and the smallest color b free at v along the alternating
+    path leaving v. In a bipartite graph that path cannot reach u, so a
+    becomes free at both ends.
     """
     if g.sides is None:
         raise PreconditionError("graph is not bipartite")
@@ -309,16 +320,16 @@ def konig_color_bipartite(g: Graph) -> EdgeColoring:
     state = _EdgeIndexedColoring(g, max_degree)
     color, used, at, stride = state.color, state.used, state.at, state.stride
     for e, (u, v) in enumerate(g.edges):
-        # Lowest zero bit above bit 0: the smallest free color at each end.
+        # Lowest zero bit above bit 0: the smallest free color.
         taken = used[u] | 1
         a = (~taken & (taken + 1)).bit_length() - 1
-        taken = used[v] | 1
-        b = (~taken & (taken + 1)).bit_length() - 1
-        if a != b and taken >> a & 1:
+        bit = 1 << a
+        if used[v] & bit:
+            taken = used[v] | 1
+            b = (~taken & (taken + 1)).bit_length() - 1
             if state.flip_path(v, a, b) == u:
                 raise RuntimeError("internal error: alternating path reached the far endpoint")
         color[e] = a
-        bit = 1 << a
         used[u] |= bit
         used[v] |= bit
         at[u * stride + a] = e

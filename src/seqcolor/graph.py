@@ -6,7 +6,8 @@ import random
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import cached_property
-from itertools import compress
+from itertools import compress, starmap
+from operator import xor
 
 from .errors import GraphError, PreconditionError
 
@@ -53,8 +54,8 @@ class Graph(Value):
 
     ``edges`` holds normalized (min, max) pairs in construction order, which
     downstream algorithms use as their deterministic processing order; an
-    edge's index in it is its id, and :attr:`incidence` lists each vertex's
-    edge ids.
+    edge's index in it is its id, :attr:`incidence` lists each vertex's
+    edge ids and :attr:`ends` gives each edge's far end from either end.
     Instances are immutable; use :func:`build_graph` to validate raw input.
     """
 
@@ -71,11 +72,17 @@ class Graph(Value):
         return tuple(map(tuple, incident))
 
     @cached_property
+    def ends(self) -> tuple[int, ...]:
+        """Per edge id, ``u ^ v`` of its ends, so ``ends[e] ^ x`` is the end of
+        edge e that is not x."""
+        return tuple(starmap(xor, self.edges))
+
+    @cached_property
     def sides(self) -> bytes | None:
         """Per vertex 0 or 1, such that every edge joins the two sides, or None
         if the graph has an odd cycle. The smallest vertex of each component
         gets side 0, which fixes the rest of the component."""
-        edges = self.edges
+        ends = self.ends
         incidence = self.incidence
         side = bytearray(self.vertex_count)
         seen = bytearray(self.vertex_count)
@@ -88,8 +95,7 @@ class Graph(Value):
                 v = stack.pop()
                 other = 1 - side[v]
                 for e in incidence[v]:
-                    a, b = edges[e]
-                    w = a + b - v
+                    w = ends[e] ^ v
                     if not seen[w]:
                         seen[w] = 1
                         side[w] = other
@@ -131,25 +137,35 @@ class DegreeProfile(Value):
 def build_graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Validate raw edge data and return an immutable :class:`Graph`.
 
-    Rejects loops, duplicate edges and out-of-range vertex ids.
+    Rejects loops, duplicate edges and out-of-range vertex ids; the error
+    names the first edge that fails any of these checks.
     """
     if vertex_count < 0:
         raise GraphError(f"vertex count must be non-negative, got {vertex_count}")
     normalized: list[Edge] = []
-    seen: set[int] = set()
     for u, v in edges:
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            _check_no_repeat(normalized)
             raise GraphError(f"vertex id out of range in edge ({u}, {v})")
         if u == v:
+            _check_no_repeat(normalized)
             raise GraphError(f"loop edge at vertex {u}")
         if u > v:
             u, v = v, u
-        key = u * vertex_count + v
-        if key in seen:
-            raise GraphError(f"duplicate edge {(u, v)}")
-        seen.add(key)
         normalized.append((u, v))
+    _check_no_repeat(normalized)
     return Graph(vertex_count, tuple(normalized))
+
+
+def _check_no_repeat(normalized: list[Edge]) -> None:
+    """Raise on the first edge of ``normalized`` that repeats an earlier one;
+    one set over the whole list tells whether there is one."""
+    if len(set(normalized)) != len(normalized):
+        seen: set[Edge] = set()
+        for edge in normalized:
+            if edge in seen:
+                raise GraphError(f"duplicate edge {edge}")
+            seen.add(edge)
 
 
 def degree_profile(g: Graph) -> DegreeProfile:

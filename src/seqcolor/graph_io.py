@@ -53,7 +53,8 @@ def parse_graph6(text: str) -> Graph:
         raise GraphError(f"invalid graph6 payload byte {exc.args[0]!r}") from None
     if any(bits[nbits:]):
         raise GraphError("non-canonical graph6 padding bits")
-    return build_graph(n, list(compress(_pairs(n), bits)))
+    # The pairs are normalized, distinct and in range: nothing to validate.
+    return Graph(n, tuple(compress(_pairs(n), bits)))
 
 
 def emit_graph6(g: Graph) -> str:

@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use, kept apart from the library."""
 
 import argparse
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -13,7 +14,7 @@ from seqcolor import (
     build_graph,
 )
 from seqcolor import cli
-from seqcolor.coloring import _EdgeIndexedColoring, proper_masks
+from seqcolor.coloring import _EdgeIndexedColoring, edge_colors, proper_masks
 from seqcolor.graph import Edge
 from seqcolor.graph_io import GRAPH6_HEADER, GRAPH6_MAX_VERTICES
 from seqcolor.oracle import _is_connected
@@ -604,3 +605,134 @@ def reference_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cli.cmd_oracle)
 
     return parser
+
+
+# The per-edge kernels as they were before ``Graph.ends``, the popcount clash
+# check and the one-set duplicate check: the library must give the same
+# graphs, sides, colorings, masks and errors.
+
+
+def reference_build_graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> Graph:
+    """``build_graph`` with its per-edge ``u*n+v`` key set."""
+    if vertex_count < 0:
+        raise GraphError(f"vertex count must be non-negative, got {vertex_count}")
+    normalized: list[Edge] = []
+    seen: set[int] = set()
+    for u, v in edges:
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            raise GraphError(f"vertex id out of range in edge ({u}, {v})")
+        if u == v:
+            raise GraphError(f"loop edge at vertex {u}")
+        if u > v:
+            u, v = v, u
+        key = u * vertex_count + v
+        if key in seen:
+            raise GraphError(f"duplicate edge {(u, v)}")
+        seen.add(key)
+        normalized.append((u, v))
+    return Graph(vertex_count, tuple(normalized))
+
+
+def reference_sides(g: Graph) -> bytes | None:
+    """``Graph.sides`` reading each far end as ``a + b - v`` of ``g.edges``."""
+    edges = g.edges
+    incidence = g.incidence
+    side = bytearray(g.vertex_count)
+    seen = bytearray(g.vertex_count)
+    for start in g.vertices:
+        if seen[start]:
+            continue
+        seen[start] = 1
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            other = 1 - side[v]
+            for e in incidence[v]:
+                a, b = edges[e]
+                w = a + b - v
+                if not seen[w]:
+                    seen[w] = 1
+                    side[w] = other
+                    stack.append(w)
+                elif side[w] != other:
+                    return None
+    return bytes(side)
+
+
+def reference_coloring_masks(g: Graph, coloring: EdgeColoring) -> tuple[Sequence[int], list[int], set[int]]:
+    """``coloring_masks`` testing every edge's bit against the OR so far."""
+    colors = edge_colors(g, coloring)
+    m = len(colors)
+    bits = colors
+    if colors and (min(colors) < 1 or max(colors) > m):
+        outside = sorted({c for c in colors if not 1 <= c <= m})
+        bit_of = {c: m + 1 + i for i, c in enumerate(outside)}
+        bits = [bit_of.get(c, c) for c in colors]
+    masks = [0] * g.vertex_count
+    clashes: set[int] = set()
+    for (u, v), c in zip(g.edges, bits):
+        bit = 1 << c
+        mask = masks[u]
+        if mask & bit:
+            clashes.add(u)
+        masks[u] = mask | bit
+        mask = masks[v]
+        if mask & bit:
+            clashes.add(v)
+        masks[v] = mask | bit
+    return colors, masks, clashes
+
+
+class ReferenceEdgeIndexedColoring:
+    """The Kőnig colorer's state with its Kempe walker reading ``g.edges``."""
+
+    def __init__(self, g: Graph, max_color: int):
+        self.edges = g.edges
+        self.color = [0] * len(g.edges)
+        self.used = [0] * g.vertex_count
+        self.stride = max_color + 1
+        self.at = [-1] * (g.vertex_count * self.stride)
+
+    def flip_path(self, start: int, first: int, second: int) -> int:
+        at, color, edges, stride = self.at, self.color, self.edges, self.stride
+        swapped = first + second
+        x, want = start, first
+        while True:
+            base = x * stride
+            e = at[base + want]
+            at[base + first], at[base + second] = at[base + second], at[base + first]
+            if e < 0:
+                break
+            color[e] = swapped - want
+            a, b = edges[e]
+            x, want = a + b - x, swapped - want
+        toggle = (1 << first) | (1 << second)
+        self.used[start] ^= toggle
+        self.used[x] ^= toggle
+        return x
+
+
+def reference_konig_color_bipartite(g: Graph) -> EdgeColoring:
+    """``konig_color_bipartite`` computing both ends' smallest free colors on
+    every edge."""
+    if g.sides is None:
+        raise PreconditionError("graph is not bipartite")
+    max_degree = max(map(len, g.incidence), default=0)
+    state = ReferenceEdgeIndexedColoring(g, max_degree)
+    color, used, at, stride = state.color, state.used, state.at, state.stride
+    for e, (u, v) in enumerate(g.edges):
+        # Lowest zero bit above bit 0: the smallest free color at each end.
+        taken = used[u] | 1
+        a = (~taken & (taken + 1)).bit_length() - 1
+        taken = used[v] | 1
+        b = (~taken & (taken + 1)).bit_length() - 1
+        if a != b and taken >> a & 1:
+            if state.flip_path(v, a, b) == u:
+                raise RuntimeError("internal error: alternating path reached the far endpoint")
+        color[e] = a
+        bit = 1 << a
+        used[u] |= bit
+        used[v] |= bit
+        at[u * stride + a] = e
+        at[v * stride + a] = e
+    return EdgeColoring(g.edges, tuple(color), max_degree)

@@ -443,6 +443,35 @@ class TestColoringMasks:
         assert masks == [0b10, 0b1000010, 0b1100100, 0b100000, 0b100]
         assert not clashes
 
+    def test_repeated_color_that_sums_to_another_palette_is_a_clash(self):
+        # Colors 1 and 1 at the middle of a path add up to 0b100, the mask of
+        # the palette {2}: the middle vertex is still a clash, its mask the OR.
+        g = build_graph(3, [(0, 1), (1, 2)])
+        coloring = coloring_of({(0, 1): 1, (1, 2): 1}, 2)
+        assert coloring_module.coloring_masks(g, coloring) == ([1, 1], [0b10, 0b10, 0b10], {1})
+        proper, sequential = verify_certificate(g, coloring, g.vertices)
+        assert proper.violations == ((1, 1),)
+        assert sequential.violations == (1,)
+
+    def test_repeated_color_that_sums_to_a_run_from_bit_one_is_a_clash(self):
+        # 1 + 1 + 1 at the center of a 3-star is 0b110, the run 1..2; the
+        # center is a clash, and not sequential.
+        star = generate_complete_bipartite(1, 3)
+        coloring = coloring_of({(0, 1): 1, (0, 2): 1, (0, 3): 1}, 1)
+        assert coloring_module.coloring_masks(star, coloring) == ([1, 1, 1], [0b10] * 4, {0})
+        assert verify_sequential(star, coloring, [0]).violations == (0,)
+
+    def test_clash_among_colors_outside_one_to_m(self):
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+        coloring = coloring_of({(0, 1): 1, (1, 2): 10**12, (2, 3): -3, (2, 4): -3}, 10**12)
+        colors, masks, clashes = coloring_module.coloring_masks(g, coloring)
+        # m = 4: -3 and 10**12 get bits 5 and 6; -3 repeats at vertex 2.
+        assert masks == [0b10, 0b1000010, 0b1100000, 0b100000, 0b100000]
+        assert clashes == {2}
+        assert verify_proper(g, coloring).violations == ((2, -3),)
+        with pytest.raises(PreconditionError, match="outside 1..4"):
+            coloring_module.proper_masks(g, coloring, 4)
+
 
 def _prism():
     # Two triangles joined by a perfect matching: not bipartite, and the

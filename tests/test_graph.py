@@ -45,6 +45,21 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="out of range"):
             build_graph(2, [(0, 2)])
 
+    # The first failing edge decides the message, whichever check it fails.
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (1, 0), (0, 5)], "duplicate edge (0, 1)"),
+        ([(0, 1), (0, 2), (1, 0), (2, 2)], "duplicate edge (0, 1)"),
+        ([(0, 1), (0, 7), (0, 1)], "vertex id out of range in edge (0, 7)"),
+        ([(0, 1), (2, 2), (1, 0)], "loop edge at vertex 2"),
+        # Two repeats: the edge that repeats first, not the first edge repeated.
+        ([(0, 1), (1, 2), (2, 1), (1, 0)], "duplicate edge (1, 2)"),
+        ([(0, 1), (1, 2), (2, 1), (1, 0), (3, 0)], "duplicate edge (1, 2)"),
+    ])
+    def test_first_failing_edge_names_the_error(self, edges, message):
+        with pytest.raises(GraphError) as info:
+            build_graph(3, edges)
+        assert str(info.value) == message
+
     def test_negative_vertex_count_rejected(self):
         with pytest.raises(GraphError, match="^vertex count must be non-negative, got -1$"):
             build_graph(-1, [])
