@@ -3,6 +3,9 @@
 Subcommands: generate | color | sequentialize | bound | verify | oracle, all
 specified in COMMANDS. run() reads an argv straight from that table and
 imports argparse (through build_parser) only for --help and usage errors.
+It pauses the cyclic garbage collector while a command runs, since the
+pipeline makes no reference cycles; the pause is process-wide, which matters
+only to a multi-threaded embedder.
 Exit codes: 0 success, 1 verification failure, 2 precondition violation or
 oversize refusal, 3 Class-2 input, 4 undecided class, 5 I/O or parse error.
 """
@@ -10,6 +13,7 @@ oversize refusal, 3 Class-2 input, 4 undecided class, 5 I/O or parse error.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import sys
 import types
@@ -318,6 +322,21 @@ def _value(kwargs, token: str):
     return value
 
 
+@functools.cache
+def _argv_table(command: str):
+    """_read_args's defaults, options and positionals of a command, built once."""
+    func, _, arguments = COMMANDS[command]
+    defaults, options, positionals = {"command": command, "func": func}, {}, []
+    for names, kwargs in arguments:
+        if names[0].startswith("-"):
+            dest, flag = names[-1][2:].replace("-", "_"), kwargs.get("action") == "store_true"
+            defaults[dest] = kwargs.get("default", False if flag else None)
+            options.update(dict.fromkeys(names, (dest, flag, kwargs)))
+        else:
+            positionals.append((names[0], kwargs))
+    return defaults, options, positionals
+
+
 def _read_args(argv: list[str]):
     """build_parser().parse_args(argv), read straight from COMMANDS; None
     where argparse must decide: an unknown command, a token starting with "-"
@@ -326,15 +345,8 @@ def _read_args(argv: list[str]):
     positionals split by an option, or a wrong positional count."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    func, _, arguments = COMMANDS[argv[0]]
-    values, options, positionals = {"command": argv[0], "func": func}, {}, []
-    for names, kwargs in arguments:
-        if names[0].startswith("-"):
-            dest, flag = names[-1][2:].replace("-", "_"), kwargs.get("action") == "store_true"
-            values[dest] = kwargs.get("default", False if flag else None)
-            options.update(dict.fromkeys(names, (dest, flag, kwargs)))
-        else:
-            positionals.append((names[0], kwargs))
+    defaults, options, positionals = _argv_table(argv[0])
+    values = dict(defaults)
     tokens, words, run_ended = iter(argv[1:]), [], False
     try:
         for token in tokens:
@@ -368,13 +380,21 @@ def _read_args(argv: list[str]):
 
 
 def run(argv=None) -> int:
+    """Run the command ``argv`` names and return its exit code, with the
+    process-wide cyclic garbage collector paused and then left as found: the
+    pipeline's objects die by reference counting, so collections only cost time."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_args(argv) or build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main() -> None:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -33,6 +34,7 @@ from seqcolor.cli import COMMANDS, _read_args, build_parser, run
 from .conftest import class_one_near_regular, petersen_graph
 from .reference import assignment_of, coloring_of, reference_parser
 from .test_coloring import K4_MATCHING_COLORING
+from .test_golden_output import certificate_files, write_graph
 
 
 def reference_verify(g, coloring, vertices):
@@ -708,3 +710,155 @@ class TestOracleOrder:
     def test_cap_below_max_degree(self, petersen_file, capsys, no_sum_search, extra):
         assert run(["oracle", petersen_file, "--cap", "2", *extra]) == 2
         assert capsys.readouterr() == ("", self.NO_TWO_COLORING)
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    """The collector's state when run() is called: set from the parameter,
+    and this process's own state put back after the test."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
+# A 3-regular prism (two triangles joined by a matching): not bipartite, and
+# Misra-Gries colors it with three colors.
+PRISM = "6 9\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n0 3\n1 4\n2 5\n"
+
+
+class TestCollectorPause:
+    """run() pauses the cyclic garbage collector for the command alone and
+    leaves it as it found it, whatever the command's exit."""
+
+    def test_command_runs_paused(self, collector, monkeypatch, capsys):
+        seen = []
+
+        def record(*args):
+            seen.append(gc.isenabled())
+            return 0
+
+        monkeypatch.setattr("seqcolor.cli.chromatic_sum_bound", record)
+        assert run(["bound", "5", "2", "3"]) == 0
+        assert (seen, gc.isenabled()) == ([False], collector)
+
+    @pytest.mark.parametrize("code, command, text", [
+        (0, "sequentialize", emit_edge_list(generate_complete_bipartite(2, 3))),
+        (1, "verify", "3 2\n0 1\n1 2\n"),
+        (2, "sequentialize", emit_edge_list(generate_complete_bipartite(1, 3))),
+        (3, "sequentialize", emit_edge_list(complete_graph(5))),
+        (4, "sequentialize", emit_edge_list(complete_graph(10))),
+        (5, "sequentialize", "not a graph\n"),
+    ])
+    def test_state_restored_on_every_exit(self, collector, tmp_path, capsys, code, command, text):
+        argv = [command, write(tmp_path, "g.txt", text)]
+        if command == "verify":
+            # Colors 1 and 1 meet at vertex 1.
+            argv.append(write(tmp_path, "c.txt", "t=2\n0 1 1\n1 2 1\n"))
+        assert run(argv) == code
+        assert gc.isenabled() == collector
+
+    def test_state_restored_when_an_exception_propagates(self, collector, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("unmapped")
+
+        monkeypatch.setattr("seqcolor.cli.sequential_set_bound", fail)
+        with pytest.raises(RuntimeError, match="^unmapped$"):
+            run(["bound", "5", "2", "3"])
+        assert gc.isenabled() == collector
+
+    @pytest.mark.parametrize("argv", [["--help"], ["oracle", "g.txt", "--cap", "three"]],
+                             ids=argv_id)
+    def test_argparse_exits_leave_it_as_found(self, collector, argv):
+        assert run_here(argv)[2] in (0, 2)
+        assert gc.isenabled() == collector
+
+
+# The recursive searches' nested functions: each refers to itself through a
+# closure cell, a cycle that the first collection after the command frees.
+SEARCH_CLOSURES = {
+    "exact_chromatic_index.<locals>.feasible",
+    "_min_sum_search.<locals>.descend",
+    "exact_max_sequential_set.<locals>.descend",
+}
+
+# Runs each argv of the JSON list argv[1] through the CLI and prints, per
+# command, its exit code, the qualified names of the functions among the
+# cyclic garbage it left, and how many of those garbage objects no such
+# function reaches. Garbage saved by DEBUG_SAVEALL is found again by the next
+# collection once the list lets go of it, so the collection before each
+# command runs with the flag off.
+GARBAGE_CHILD = """
+import contextlib, gc, io, json, sys, types
+from seqcolor.cli import run
+found = []
+for argv in json.loads(sys.argv[1]):
+    gc.set_debug(0)
+    gc.garbage.clear()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    gc.collect()
+    garbage = {id(o): o for o in gc.garbage}
+    functions = [o for o in gc.garbage if isinstance(o, types.FunctionType)]
+    reached, todo = set(), list(functions)
+    while todo:
+        o = todo.pop()
+        if id(o) not in reached:
+            reached.add(id(o))
+            todo.extend(r for r in gc.get_referents(o) if id(r) in garbage)
+    found.append([code, sorted({f.__qualname__ for f in functions}), len(garbage) - len(reached)])
+print(json.dumps(found))
+"""
+
+
+class TestNoCyclesWhilePaused:
+    """The premise of the pause: the pipeline and verify leave no cyclic
+    garbage, and the exhaustive searches none beyond their own closures, so a
+    per-edge cycle would fail here instead of growing peak memory while the
+    collector is paused. Checked in a fresh interpreter, free of this
+    process's garbage."""
+
+    def test_garbage_per_command(self, tmp_path, capsys):
+        konig = write_graph(tmp_path, "biregular-r3", False)
+        ok = tmp_path / "ok"
+        clash = tmp_path / "clash"
+        ok.mkdir()
+        clash.mkdir()
+        graph, coloring, vertices = certificate_files(ok, "minus-matching-r3-swap", capsys)
+        clashing = certificate_files(clash, "minus-matching-r3-swap", capsys, corrupt=True)
+        short = write(tmp_path, "short.txt", "".join(open(coloring).readlines()[:-1]))
+        k4 = write(tmp_path, "k4.txt", emit_edge_list(complete_graph(4)))
+        k33 = write(tmp_path, "k33.txt", emit_edge_list(generate_complete_bipartite(3, 3)))
+        pipeline = [
+            (0, ["sequentialize", "--report", konig]),
+            (0, ["sequentialize", "--report", write(tmp_path, "prism.txt", PRISM)]),
+            (3, ["sequentialize", "--report",
+                 write(tmp_path, "k5.txt", emit_edge_list(complete_graph(5)))]),
+            (4, ["sequentialize", "--report",
+                 write(tmp_path, "k10.txt", emit_edge_list(complete_graph(10)))]),
+            (0, ["verify", graph, coloring, vertices]),
+            (1, ["verify", *clashing]),
+            (1, ["verify", graph, short, vertices]),
+            (0, ["color", konig]),
+            (0, ["color", "--vizing", konig]),
+            (0, ["generate", "biregular", "3", "4", "--seed", "2"]),
+        ]
+        searches = [
+            (0, ["oracle", "--report", k33]),
+            (0, ["sequentialize", "--report", k4]),
+        ]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", GARBAGE_CHILD,
+             json.dumps([argv for _, argv in pipeline + searches])],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src), check=True,
+        )
+        found = json.loads(done.stdout)
+        assert [tuple(row) for row in found[:len(pipeline)]] == [
+            (code, [], 0) for code, _ in pipeline]
+        for (code, argv), (got, functions, stray) in zip(searches, found[len(pipeline):]):
+            assert (got, stray) == (code, 0), argv
+            assert functions and set(functions) <= SEARCH_CLOSURES, argv

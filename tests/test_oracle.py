@@ -1,4 +1,5 @@
 import random
+import signal
 import sys
 
 import pytest
@@ -35,6 +36,28 @@ from .reference import (
     reference_max_sequential_search,
     reference_min_sum_search,
 )
+
+
+@pytest.fixture
+def wall_clock_limit():
+    """Fail the test after 60 s of wall-clock time. exact_max_sequential_set
+    has no node budget, so under override_size a search that its ceiling no
+    longer stops would otherwise run until the CI job times out. A no-op
+    where signal.setitimer is missing."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("search still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def count_colorings(g, cap):
@@ -391,6 +414,7 @@ class TestMaxSequentialCeiling:
             classes += 1
         assert (reached, classes) == (164, 385)
 
+    @pytest.mark.usefixtures("wall_clock_limit")
     @pytest.mark.parametrize("a, explored", [(3, 22), (4, 49), (5, 88), (6, 180)])
     def test_reached_on_complete_bipartite(self, a, explored):
         # K_{a,a+1}: the a vertices of degree a + 1 pair with distinct
@@ -401,6 +425,7 @@ class TestMaxSequentialCeiling:
         assert (result.value, result.explored) == (a + 1, explored)
         assert verify_sequential(g, result.witness, result.sequential_vertices)
 
+    @pytest.mark.usefixtures("wall_clock_limit")
     @pytest.mark.parametrize("r, k, explored", [
         (3, 1, 10), (3, 2, 24), (3, 3, 31), (4, 1, 21), (4, 2, 45), (5, 1, 46),
     ])
