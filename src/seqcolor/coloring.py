@@ -225,18 +225,11 @@ def misra_gries(g: Graph, *, within_max_degree: bool = False) -> EdgeColoring | 
     first edge whose d, the smallest color free at the fan's last vertex, is
     Δ+1, before its flip; the colored edges then form a proper partial
     Δ-coloring. The full run would have ended with exactly Δ+1 colors, since
-    the number of (Δ+1)-edges never falls:
-
-    - c, the smallest color free at u, is ≤ Δ: u has at most Δ−1 colored edges;
-    - a step with d ≤ Δ flips two colors ≤ Δ, and its rotation only permutes
-      the fan's colors before one edge takes d;
-    - a step with d = Δ+1 lowers the count by at most one in its d/c flip from
-      u, then one edge takes d.
-
-    When no edge needs Δ+1 the result is the full run's coloring.
+    the number of (Δ+1)-edges never falls (proof in CHANGES.md). When no edge
+    needs Δ+1 the result is the full run's coloring.
     """
     edges = g.edges
-    cap = max(map(len, g.incidence), default=0) + 1
+    cap = max(g.degrees, default=0) + 1
     state = _EdgeIndexedColoring(g, cap)
     color, used, at, ends, stride = state.color, state.used, state.at, state.ends, state.stride
     beyond = len(edges)
@@ -316,7 +309,7 @@ def konig_color_bipartite(g: Graph) -> EdgeColoring:
     """
     if g.sides is None:
         raise PreconditionError("graph is not bipartite")
-    max_degree = max(map(len, g.incidence), default=0)
+    max_degree = max(g.degrees, default=0)
     state = _EdgeIndexedColoring(g, max_degree)
     color, used, at, stride = state.color, state.used, state.at, state.stride
     for e, (u, v) in enumerate(g.edges):
@@ -363,7 +356,7 @@ def exact_chromatic_index(g: Graph, *, override_size: bool = False) -> tuple[int
     shares ``g.edges``: its colors are indexed by edge id.
     """
     check_exhaustive_size(g, override_size)
-    degree = [g.degree(v) for v in g.vertices]
+    degree = g.degrees
     max_degree = max(degree, default=0)
     plan = [(e, u, v) for e, (u, v) in enumerate(g.edges)]
     plan.sort(key=lambda p: -(degree[p[1]] + degree[p[2]]))
@@ -409,7 +402,7 @@ def obtain_r_coloring(g: Graph) -> EdgeColoring:
     :class:`UnknownClassError` when nothing could certify the instance either
     way.
     """
-    r = max(map(len, g.incidence), default=0)
+    r = max(g.degrees, default=0)
     if g.edge_count > r * (g.vertex_count // 2):
         raise ClassTwoError(chi_prime=r + 1, max_degree=r)
     if g.sides is not None:

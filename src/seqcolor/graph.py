@@ -54,9 +54,11 @@ class Graph(Value):
 
     ``edges`` holds normalized (min, max) pairs in construction order, which
     downstream algorithms use as their deterministic processing order; an
-    edge's index in it is its id, :attr:`incidence` lists each vertex's
-    edge ids and :attr:`ends` gives each edge's far end from either end.
-    Instances are immutable; use :func:`build_graph` to validate raw input.
+    edge's index in it is its id. :attr:`degrees` counts each vertex's
+    edges, :attr:`ends` gives each edge's far end from either end, and
+    :attr:`incidence`, which only the exhaustive searches and the naming of
+    clashes read, lists each vertex's edge ids. Instances are immutable; use
+    :func:`build_graph` to validate raw input.
     """
 
     def __init__(self, vertex_count: int, edges: tuple[Edge, ...]) -> None:
@@ -72,6 +74,15 @@ class Graph(Value):
         return tuple(map(tuple, incident))
 
     @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Per vertex, the number of its edges."""
+        degree = [0] * self.vertex_count
+        for u, v in self.edges:
+            degree[u] += 1
+            degree[v] += 1
+        return tuple(degree)
+
+    @cached_property
     def ends(self) -> tuple[int, ...]:
         """Per edge id, ``u ^ v`` of its ends, so ``ends[e] ^ x`` is the end of
         edge e that is not x."""
@@ -81,27 +92,50 @@ class Graph(Value):
     def sides(self) -> bytes | None:
         """Per vertex 0 or 1, such that every edge joins the two sides, or None
         if the graph has an odd cycle. The smallest vertex of each component
-        gets side 0, which fixes the rest of the component."""
-        ends = self.ends
-        incidence = self.incidence
+        gets side 0, which fixes the rest of the component.
+
+        A union-find over ``edges`` in order keeps each vertex's parity to its
+        parent and returns None at the first edge whose ends have the same
+        root and parity. The larger root is linked under the smaller, so each
+        root is its component's smallest vertex; with path halving this takes
+        O(m log_(1+m/n) n) steps (Tarjan and van Leeuwen 1984).
+        """
+        parent = list(range(self.vertex_count))
+        parity = bytearray(self.vertex_count)
+        for u, v in self.edges:
+            # Each end walks to its root, summing its parity to it and
+            # pointing each vertex it passes at its grandparent.
+            pu = 0
+            while (p := parent[u]) != u:
+                g = parent[p]
+                q = parity[u] ^ parity[p]
+                if g != p:
+                    parent[u] = g
+                    parity[u] = q
+                pu ^= q
+                u = g
+            pv = 0
+            while (p := parent[v]) != v:
+                g = parent[p]
+                q = parity[v] ^ parity[p]
+                if g != p:
+                    parent[v] = g
+                    parity[v] = q
+                pv ^= q
+                v = g
+            if u == v:
+                if pu == pv:
+                    return None
+            elif u < v:
+                parent[v] = u
+                parity[v] = pu ^ pv ^ 1
+            else:
+                parent[u] = v
+                parity[u] = pu ^ pv ^ 1
+        # parent[v] <= v, so one pass in vertex order writes every side.
         side = bytearray(self.vertex_count)
-        seen = bytearray(self.vertex_count)
-        for start in self.vertices:
-            if seen[start]:
-                continue
-            seen[start] = 1
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                other = 1 - side[v]
-                for e in incidence[v]:
-                    w = ends[e] ^ v
-                    if not seen[w]:
-                        seen[w] = 1
-                        side[w] = other
-                        stack.append(w)
-                    elif side[w] != other:
-                        return None
+        for v, p in enumerate(parent):
+            side[v] = parity[v] ^ side[p]
         return bytes(side)
 
     @cached_property
@@ -117,7 +151,7 @@ class Graph(Value):
         return range(self.vertex_count)
 
     def degree(self, v: int) -> int:
-        return len(self.incidence[v])
+        return self.degrees[v]
 
 
 class DegreeProfile(Value):
@@ -169,8 +203,8 @@ def _check_no_repeat(normalized: list[Edge]) -> None:
 
 
 def degree_profile(g: Graph) -> DegreeProfile:
-    """Compute the degree statistics of ``g``."""
-    degrees = list(map(len, g.incidence))
+    """Compute the degree statistics of ``g`` from :attr:`Graph.degrees`."""
+    degrees = g.degrees
     max_degree = max(degrees, default=0)
     min_degree = min(degrees, default=0)
     top = frozenset(v for v, d in enumerate(degrees) if d == max_degree)

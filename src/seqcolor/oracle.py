@@ -74,24 +74,17 @@ def _min_sum_search(
     if nothing beats it. ``later`` is :func:`_later_edges` of ``g``.
 
     Three admissible lower bounds on the uncolored remainder, combined by
-    max: per edge, the smallest color legal at both endpoints right now; per
-    vertex, its k uncolored incident edges need k distinct colors outside its
-    palette (summed over vertices this counts every edge twice), and the
-    palette holds deg(v) - k colors with cap >= chi' >= deg(v), so k of them
-    are free at or below the cap; per color class, every class is a matching,
-    so color c can absorb at most floor(active/2) more edges and floor(n/2)
-    in total, and the remainder is priced by filling the cheapest colors
-    within those capacities.
+    max (derivation in CHANGES.md): per edge, the smallest color free at both
+    ends; per vertex, the k smallest colors free at it for its k uncolored
+    edges, halved; per color class, the cheapest fill of the remainder into
+    matchings.
 
     The bounds are kept up to date as edges are colored, not recomputed, and
     take the same values as a rescan would, so the search visits the same
-    nodes. Edge: each remaining edge's lowest common free color bit is kept
-    in ``low``, and coloring uv with c moves only the later edges at u or v
-    whose lowest color was c. Vertex: the doubled sum travels down the
-    recursion; with top = the (k+1)-th smallest free color at u, where k
-    counts u's pending edges besides uv, coloring uv with c lowers u's share
-    by min(c, top). Class: the fill over the cheapest colors' rooms is
-    recomputed per child, in O(cap).
+    nodes: ``low`` keeps each remaining edge's lowest common free color bit,
+    the doubled vertex sum travels down the recursion (coloring uv with c
+    lowers u's share by min(c, top_u), top_u as computed below), and the
+    class fill is recomputed per child in O(cap).
     """
     edges = g.edges
     incidence = g.incidence
@@ -239,23 +232,17 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
     surviving count cannot beat the incumbent.
 
     Colors split into blocks at each vertex degree d < r (a block starts at
-    1 and at each d + 1). A vertex of degree d loses on exactly the colors
-    above d, so the colors of one block are interchangeable, and a color may
-    open only once the color below it in its block is in use. Renumbering a
-    coloring's blocks by first use keeps its lost set and makes it no larger
-    in lex order (edges in input order), so the lex-first optimum, which is
-    the witness, is among the colorings searched. Finding no coloring at
+    1 and at each d + 1), within which every color loses the same vertices,
+    so a color may open only once the color below it in its block is in
+    use; the lex-first optimum, which is the witness, is among the
+    colorings searched (proof in CHANGES.md). Finding no coloring at
     r = max degree proves the graph Class 2; above it one always exists
-    (Vizing).
-
-    The search stops once the incumbent reaches the ceiling
-    n - n_r + 2 min(floor(n_r / 2), e_top) (n_r: the degree-r vertices, e_top:
-    the edges joining two of them), since the color-r matching covers them
-    and loses each partner below degree r (proof in CHANGES.md); the first
-    leaf there is the lex-first optimum, so only ``explored`` falls.
+    (Vizing). The search stops once the incumbent reaches the ceiling of
+    :func:`_sequential_ceiling` (proof in CHANGES.md); the first leaf there
+    is the lex-first optimum, so only ``explored`` falls.
     """
     check_exhaustive_size(g, override_size)
-    degree = [g.degree(v) for v in g.vertices]
+    degree = g.degrees
     max_degree = max(degree, default=0)
     if r < max_degree:
         raise PreconditionError(
@@ -345,9 +332,10 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
     return OracleResult(best, witness, explored=nodes, sequential_vertices=sequential)
 
 
-def _sequential_ceiling(degree: list[int], edges: Sequence[tuple[int, int]], r: int) -> int:
-    """n - n_r + 2 min(floor(n_r / 2), e_top): no proper r-coloring (r >= 1)
-    has more sequential vertices; see :func:`exact_max_sequential_set`."""
+def _sequential_ceiling(degree: Sequence[int], edges: Sequence[tuple[int, int]], r: int) -> int:
+    """n - n_r + 2 min(floor(n_r / 2), e_top), with n_r the vertices of degree
+    r and e_top the edges joining two of them: no proper r-coloring (r >= 1)
+    has more sequential vertices (proof in CHANGES.md)."""
     n_top = degree.count(r)
     # Top edges are counted only until min(floor(n_r / 2), e_top) is known.
     short = pairs = n_top // 2

@@ -132,8 +132,8 @@ def missing_color_partition(
     # Degree r-1 and a proper r-coloring leave exactly one absent color.
     full = (1 << (r + 1)) - 2
     classes: dict[int, list[int]] = {i: [] for i in range(1, r + 1)}
-    for v, incident in enumerate(g.incidence):
-        if len(incident) != r:
+    for v, d in enumerate(g.degrees):
+        if d != r:
             classes[(full ^ masks[v]).bit_length() - 1].append(v)
     return MissingColorPartition({i: frozenset(vs) for i, vs in classes.items()}, r)
 

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -19,6 +20,12 @@ def petersen_graph():
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
     return build_graph(10, outer + inner + spokes)
+
+
+def prism_graph():
+    # Two triangles joined by a perfect matching: not bipartite, and the
+    # max_degree+1 heuristic stays within 3 colors on it.
+    return build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
 
 
 def path_graph(edge_count):
@@ -93,3 +100,26 @@ def star3():
 @pytest.fixture
 def petersen():
     return petersen_graph()
+
+
+@pytest.fixture
+def wall_clock_limit():
+    """Fail the test after 60 s of wall-clock time: a search without a node
+    budget (exact_max_sequential_set under override_size) or a kernel whose
+    worst case the test pins (Graph.sides on an adversarial edge order) would
+    otherwise run until the CI job times out. A no-op where
+    signal.setitimer is missing."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

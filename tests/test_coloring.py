@@ -32,7 +32,7 @@ from seqcolor import (
 
 from seqcolor import coloring as coloring_module
 
-from .conftest import bipartite_graphs, graphs, petersen_graph
+from .conftest import bipartite_graphs, graphs, petersen_graph, prism_graph
 from .reference import (
     color_of,
     coloring_of,
@@ -473,12 +473,6 @@ class TestColoringMasks:
             coloring_module.proper_masks(g, coloring, 4)
 
 
-def _prism():
-    # Two triangles joined by a perfect matching: not bipartite, and the
-    # max_degree+1 heuristic stays within 3 colors on it.
-    return build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
-
-
 def _first_exact_path_class():
     # The first census class that obtain_r_coloring hands to the exact
     # solver: not bipartite, Class 1, and the heuristic needs a spare color.
@@ -493,7 +487,7 @@ class TestOneRepresentation:
         lambda: (generate_complete_bipartite(2, 3), konig_color_bipartite),
         lambda: (petersen_graph(), misra_gries),
         lambda: (generate_complete_bipartite(2, 3), obtain_r_coloring),
-        lambda: (_prism(), obtain_r_coloring),
+        lambda: (prism_graph(), obtain_r_coloring),
         lambda: (generate_complete_bipartite(2, 3),
                  lambda g: swap_colors(konig_color_bipartite(g), 1, 3)),
         lambda: (complete_graph(4), lambda g: exact_edge_chromatic_sum(g).witness),
@@ -510,7 +504,7 @@ class TestOneRepresentation:
         assert coloring_module.edge_colors(g, c) is c.colors
 
     def test_misra_path_is_taken_on_the_prism(self):
-        g = _prism()
+        g = prism_graph()
         assert g.sides is None and misra_gries(g).color_count == 3
 
     def test_exact_path_is_taken_on_the_first_such_census_class(self, monkeypatch):

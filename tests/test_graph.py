@@ -87,6 +87,33 @@ class TestIncidence:
             assert parts[1] == {v for v in g.vertices if sides[v]}
 
 
+class TestSidesWorstCase:
+    """A path listed from its far end links each vertex under the one before
+    it, so the last vertex sits at depth n - 1; chords (i, i + 3) from that
+    end then walk the whole path again and again unless each walk shortens
+    it. Path halving keeps this well under a second at n = 200,000; linking
+    with one-level compression alone takes quadratic time here."""
+
+    N = 200_000
+
+    @staticmethod
+    def adversarial_edges(n):
+        path = [(i, i + 1) for i in range(n - 2, -1, -1)]
+        chords = [(i, i + 3) for i in range(n - 4, -1, -1)]
+        return path + chords
+
+    @pytest.mark.usefixtures("wall_clock_limit")
+    def test_bipartite(self):
+        g = build_graph(self.N, self.adversarial_edges(self.N))
+        assert g.sides == bytes(v % 2 for v in range(self.N))
+
+    @pytest.mark.usefixtures("wall_clock_limit")
+    def test_odd_cycle_closed_last(self):
+        # (0, 2) closes the triangle 0, 1, 2 after every other edge is linked.
+        g = build_graph(self.N, self.adversarial_edges(self.N) + [(0, 2)])
+        assert g.sides is None
+
+
 class TestDegreeProfile:
     def test_k4(self, k4):
         p = degree_profile(k4)

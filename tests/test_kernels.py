@@ -1,8 +1,9 @@
 """The per-edge kernels of the certify pipeline against the versions they
 replaced, kept in tests/reference.py: ``build_graph`` (graphs and error
-texts), ``Graph.sides``, ``konig_color_bipartite`` and ``coloring_masks``,
-on the census, seeded random graphs, graphs built like the benchmark's and
-hypothesis graphs."""
+texts), ``Graph.degrees``, ``Graph.sides``, ``konig_color_bipartite`` and
+``coloring_masks``, on the census, seeded random graphs, graphs of several
+components, graphs built like the benchmark's and hypothesis graphs; and the
+certify pipeline, which builds no ``Graph.incidence``."""
 
 import random
 
@@ -10,19 +11,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seqcolor import (
+    ClassTwoError,
     EdgeColoring,
     GraphError,
+    UnknownClassError,
     build_graph,
+    complete_graph,
     connected_near_regular_graphs,
     emit_graph6,
     generate_random_biregular,
     konig_color_bipartite,
     misra_gries,
     parse_graph6,
+    sum_report,
+    verify_certificate,
 )
 from seqcolor.coloring import coloring_masks
+from seqcolor.graph import Graph
 
-from .conftest import graphs
+from .conftest import graphs, prism_graph
 from .reference import (
     reference_build_graph,
     reference_coloring_masks,
@@ -92,6 +99,7 @@ def assert_kernels_match(rng, n, raw):
     faulty copies of them, against its reference."""
     g = build_graph(n, raw)
     assert g == reference_build_graph(n, raw)
+    assert g.degrees == tuple(map(len, Graph(n, g.edges).incidence))
     assert g.ends == tuple(u ^ v for u, v in g.edges)
     assert g.sides == reference_sides(g)
     if g.sides is not None:
@@ -136,6 +144,37 @@ def matching_union(rng, n, r, removed):
     return [e for mt in matchings[:-1] for e in mt] + matchings[-1][removed:]
 
 
+def several_components(rng, odd):
+    """Two to five components on disjoint vertex sets and up to five isolated
+    vertices, relabeled at random, with the edges listed component by
+    component: random bipartite ones and then, when ``odd``, one holding an
+    odd cycle. Returns the vertex count and the edges."""
+    pieces = []
+    for _ in range(rng.randint(1, 4)):
+        size = rng.randint(2, 9)
+        a = rng.randint(1, size - 1)
+        pieces.append((size, [(x, y) for x in range(a) for y in range(a, size) if rng.random() < 0.6]))
+    if odd:
+        k = rng.choice([3, 5, 7])
+        size = k + rng.randint(0, 3)
+        cycle = {(i, i + 1) for i in range(k - 1)} | {(0, k - 1)}
+        extra = {(i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < 0.3}
+        pieces.append((size, sorted(cycle | extra)))
+    else:
+        size = rng.randint(2, 9)
+        pieces.append((size, [(i, i + 1) for i in range(size - 1)]))
+    n = sum(size for size, _ in pieces) + rng.randint(0, 5)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, offset = [], 0
+    for size, piece in pieces:
+        part = [(label[offset + u], label[offset + v]) for u, v in piece]
+        rng.shuffle(part)
+        edges += part
+        offset += size
+    return n, edges
+
+
 class TestKernelsAgainstReference:
     def test_census_up_to_12_edges(self):
         rng = random.Random(23)
@@ -153,6 +192,21 @@ class TestKernelsAgainstReference:
             p = rng.random()
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
             assert_kernels_match(rng, n, scrambled(rng, pairs))
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_several_components(self, odd):
+        rng = random.Random(31 + odd)
+        for _ in range(200):
+            n, edges = several_components(rng, odd)
+            assert (build_graph(n, edges).sides is None) == odd
+            assert_kernels_match(rng, n, edges)
+            assert_kernels_match(rng, n, scrambled(rng, edges))
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_property_several_components(self, seed, odd):
+        rng = random.Random(seed)
+        n, edges = several_components(rng, odd)
+        assert_kernels_match(rng, n, edges)
 
     @pytest.mark.parametrize("r", [3, 4, 5])
     @pytest.mark.parametrize("seed", [1, 2])
@@ -182,6 +236,47 @@ class TestKernelsAgainstReference:
     def test_property(self, g, seed):
         rng = random.Random(seed)
         assert_kernels_match(rng, g.vertex_count, scrambled(rng, g.edges))
+
+
+class TestPipelineBuildsNoIncidence:
+    """The certify pipeline and a clash-free ``verify_certificate`` read
+    ``Graph.degrees`` and ``Graph.sides``; ``Graph.incidence`` is built only
+    to name clashes (and by the exhaustive searches)."""
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda: generate_random_biregular(3, 4, 1), None),
+        (prism_graph, None),
+        # K_4 minus an edge: Misra-Gries needs a fourth color, the exact
+        # solver finds three.
+        (lambda: build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), None),
+        (lambda: complete_graph(5), ClassTwoError),
+        (lambda: complete_graph(10), UnknownClassError),
+    ], ids=["konig", "misra-prism", "exact-k4-minus-edge", "overfull-k5", "unknown-k10"])
+    def test_sum_report(self, make, error):
+        g = make()
+        if error is None:
+            sum_report(g)
+        else:
+            with pytest.raises(error):
+                sum_report(g)
+        assert "incidence" not in vars(g)
+
+    def test_verify_certificate(self):
+        made = generate_random_biregular(3, 2, 1)
+        certificate = sum_report(made).certificate
+        g = Graph(made.vertex_count, made.edges)
+        proper, sequential = verify_certificate(g, certificate.coloring, certificate.sequential_vertices)
+        assert proper.ok and sequential.ok
+        assert "incidence" not in vars(g)
+        colors = list(certificate.coloring.colors)
+        colors[0] = colors[1] = colors[2]
+        clashing = EdgeColoring(g.edges, tuple(colors), certificate.coloring.color_count)
+        expected = []
+        for v in g.vertices:
+            at_v = [c for (a, b), c in zip(g.edges, colors) if v in (a, b)]
+            expected += [(v, c) for c in sorted(set(at_v)) if at_v.count(c) > 1]
+        proper, _ = verify_certificate(g, clashing, ())
+        assert expected and proper.violations == tuple(expected)
 
 
 class TestGraph6DecodesWithoutBuildGraph:

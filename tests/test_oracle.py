@@ -1,5 +1,4 @@
 import random
-import signal
 import sys
 
 import pytest
@@ -36,28 +35,6 @@ from .reference import (
     reference_max_sequential_search,
     reference_min_sum_search,
 )
-
-
-@pytest.fixture
-def wall_clock_limit():
-    """Fail the test after 60 s of wall-clock time. exact_max_sequential_set
-    has no node budget, so under override_size a search that its ceiling no
-    longer stops would otherwise run until the CI job times out. A no-op
-    where signal.setitimer is missing."""
-    if not hasattr(signal, "setitimer"):
-        yield
-        return
-
-    def expire(signum, frame):
-        raise TimeoutError("search still running after 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 60)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def count_colorings(g, cap):
