@@ -71,8 +71,9 @@ def _read_text(path: str) -> str:
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
-        with open(path, "rb") as handle:
-            data = handle.read()
+        # Unbuffered: one readall, with no buffer object and no isatty probe.
+        with open(path, "rb", buffering=0) as handle:
+            data = handle.readall()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -150,6 +151,8 @@ def _sequentialize_graph(args):
 def cmd_sequentialize(args) -> int:
     report, oracle_records = _sequentialize_graph(args)
     cert, sums = report.certificate.to_record(), report.to_record()
+    # The records hold all that is printed; the coloring's edge tuple dies here.
+    del report
     if args.report:
         _print_records([cert, sums, *oracle_records])
     else:

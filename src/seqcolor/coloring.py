@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from collections.abc import Sequence
+from operator import lt
 
 from .errors import (
     ClassTwoError,
@@ -14,6 +15,7 @@ from .errors import (
     UnknownClassError,
 )
 from .graph import Edge, Graph, Value
+from .graph_io import scan_ints
 
 EXHAUSTIVE_EDGE_LIMIT = 20
 
@@ -431,7 +433,34 @@ def parse_coloring(text: str) -> EdgeColoring:
 
     Blank lines are skipped. Errors name the first bad line; a line that does
     not unpack into three integers is checked again field by field to say why.
+    Text that :func:`_scan_coloring` does not read goes to the line loop.
     """
+    coloring = _scan_coloring(text)
+    return _parse_coloring_lines(text) if coloring is None else coloring
+
+
+def _scan_coloring(text: str) -> EdgeColoring | None:
+    r"""The coloring from one :func:`scan_ints` with each line end read as
+    null (the text holds no "n", so each None is one), or None unless every
+    line is three ints u < v and c in 1..t, and no edge repeats. A "\r" ends
+    a line for ``str.splitlines`` but not for JSON."""
+    if not text.startswith("t=") or "\r" in text:
+        return None
+    body = text[2:-1] if text.endswith("\n") else text[2:]
+    values, line_ends = scan_ints(body, ",null,"), body.count("\n")
+    if values is None or len(values) != 1 + 4 * line_ends:
+        return None
+    # t, then per line: the None of the line end before it, u, v, c.
+    markers, u, v, c = values[1::4], values[2::4], values[3::4], values[4::4]
+    edges = tuple(zip(u, v))
+    if (markers.count(None) != line_ends or not all(map(lt, u, v)) or len(set(edges)) != len(edges)
+            or min(c, default=1) < 1 or max(c, default=0) > values[0]):
+        return None
+    return EdgeColoring(edges, tuple(c), values[0])
+
+
+def _parse_coloring_lines(text: str) -> EdgeColoring:
+    """:func:`parse_coloring`'s reading of any text, line by line."""
     lines = text.splitlines()
     start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
     if start == len(lines) or not lines[start].startswith("t="):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import json
 from itertools import compress
 
 from .errors import GraphError, PreconditionError
@@ -67,12 +68,47 @@ def emit_graph6(g: Graph) -> str:
     return chr(63 + n) + "".join(_PAYLOAD_CHAR[bits[pos:pos + 6]] for pos in range(0, len(bits), 6))
 
 
+_DECODER = json.JSONDecoder()
+# A comma, which str.split() does not split at, and each character that
+# starts a JSON value other than a number or makes a number a float.
+_NOT_INT = ',"{[ntfNI.eE'
+
+
+def scan_ints(text: str, line_end: str) -> list | None:
+    r"""The ints of ``text`` from one pass of the JSON scanner, each " " read
+    as a comma and each "\n" as ``line_end``; None where ``text`` holds a
+    character of ``_NOT_INT`` or that array is not JSON. The whitespace JSON
+    also skips ("\t", "\r") is whitespace to ``str.split``, and JSON's
+    integers are ``int`` literals, so each int is the one ``int`` reads from
+    the token between two single separators."""
+    if any(ch in text for ch in _NOT_INT):
+        return None
+    array = "[" + text.replace(" ", ",").replace("\n", line_end) + "]"
+    try:
+        values, end = _DECODER.raw_decode(array)
+    except ValueError:  # not JSON, or an int past the digit limit
+        return None
+    return values if end == len(array) else None
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain text format: header "n m" then m pairs "u v".
 
     Tokens may be separated by any whitespace; the edge count must match the
-    header exactly.
+    header exactly. Text that :func:`scan_ints` does not read as a whole edge
+    list, and every fault, goes to ``str.split`` and ``int``.
     """
+    values = scan_ints(text.strip(), ",")
+    if values is None or len(values) < 2 or len(values) != 2 + 2 * values[1]:
+        values = _split_edge_list(text)
+    body = iter(values)
+    next(body)
+    next(body)
+    return build_graph(values[0], zip(body, body))
+
+
+def _split_edge_list(text: str) -> list[int]:
+    """The ints of an edge list's tokens, with the edge count checked."""
     tokens = text.split()
     if len(tokens) < 2:
         raise GraphError("edge list needs an 'n m' header")
@@ -81,17 +117,14 @@ def parse_edge_list(text: str) -> Graph:
     except ValueError as exc:
         raise GraphError(f"non-integer token in edge list: {exc}") from None
     del tokens  # the ints replace the strings; keep one copy of the body alive
-    n, m = values[0], values[1]
+    m = values[1]
     if m < 0:
         raise GraphError(f"negative edge count {m}")
     if len(values) != 2 + 2 * m:
         raise GraphError(
             f"header promises {m} edges but body has {(len(values) - 2) / 2:g} pairs"
         )
-    body = iter(values)
-    next(body)
-    next(body)
-    return build_graph(n, zip(body, body))
+    return values
 
 
 def emit_edge_list(g: Graph) -> str:

@@ -736,3 +736,65 @@ def reference_konig_color_bipartite(g: Graph) -> EdgeColoring:
         at[u * stride + a] = e
         at[v * stride + a] = e
     return EdgeColoring(g.edges, tuple(color), max_degree)
+
+
+# The two text readers as they were before their one-scan fast path: the
+# library must give the same graphs, colorings and error texts.
+
+
+def reference_parse_edge_list(text: str) -> Graph:
+    """``parse_edge_list`` reading every text with ``str.split`` and ``int``."""
+    tokens = text.split()
+    if len(tokens) < 2:
+        raise GraphError("edge list needs an 'n m' header")
+    try:
+        values = list(map(int, tokens))
+    except ValueError as exc:
+        raise GraphError(f"non-integer token in edge list: {exc}") from None
+    del tokens
+    n, m = values[0], values[1]
+    if m < 0:
+        raise GraphError(f"negative edge count {m}")
+    if len(values) != 2 + 2 * m:
+        raise GraphError(
+            f"header promises {m} edges but body has {(len(values) - 2) / 2:g} pairs"
+        )
+    body = iter(values)
+    next(body)
+    next(body)
+    return build_graph(n, zip(body, body))
+
+
+def reference_parse_coloring(text: str) -> EdgeColoring:
+    """``parse_coloring`` reading every text line by line."""
+    lines = text.splitlines()
+    start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    if start == len(lines) or not lines[start].startswith("t="):
+        raise GraphError('coloring text must start with a "t=<count>" header')
+    try:
+        t = int(lines[start][2:])
+    except ValueError:
+        raise GraphError(f"bad color count header {lines[start]!r}") from None
+    if t < 0:
+        raise GraphError(f"negative color count {t}")
+    by_edge: dict[Edge, int] = {}
+    for line in lines[start + 1:]:
+        try:
+            u, v, c = map(int, line.split())
+        except ValueError:
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != 3:
+                raise GraphError(f"expected 'u v c', got {line!r}") from None
+            raise GraphError(f"non-integer field in {line!r}") from None
+        if u > v:
+            u, v = v, u
+        elif u == v:
+            raise GraphError(f"loop edge in coloring line {line!r}")
+        if not 1 <= c <= t:
+            raise GraphError(f"color {c} outside 1..{t} in line {line!r}")
+        if (u, v) in by_edge:
+            raise GraphError(f"edge {(u, v)} colored twice")
+        by_edge[u, v] = c
+    return EdgeColoring(tuple(by_edge), tuple(by_edge.values()), t)
