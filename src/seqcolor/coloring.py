@@ -348,45 +348,110 @@ def check_exhaustive_size(g: Graph, override_size: bool) -> None:
                             f"searches ({depth} levels); override_size cannot lift this limit")
 
 
+def _block_search(g: Graph, r: int, order: Sequence[int], degree: Sequence[int],
+                  ceiling: int) -> tuple[int, list[int], int]:
+    """Depth-first over the proper r-colorings of ``g``, edges in ``order``,
+    colors ascending: (most vertices never lost, its colors by edge id,
+    nodes), or (-1, [], nodes) when there is no proper r-coloring.
+
+    A vertex v is lost once an edge at it takes a color above ``degree[v]``.
+    Colors split into blocks at each loss degree d < r (a block starts at 1
+    and at each d + 1), within which every color loses the same vertices,
+    so a color opens only once the color below it in its block is in use.
+    Branches that cannot beat the incumbent are cut, and the search stops
+    once it reaches ``ceiling``: the first leaf there is the lex-first one.
+    """
+    edges = g.edges
+    m = len(edges)
+    n = g.vertex_count
+    # Colors are bits 1..r of a palette mask. Per edge: its id, endpoints,
+    # their vertex bits and the lowest color bit that loses each
+    # (1 << (degree + 1)); a color at or above that bit puts the endpoint in
+    # the lost mask. The colors above the max degree are one block, so no
+    # search uses one above max degree + m, and the masks stop there even at
+    # a huge r.
+    full = (1 << (min(r, max(g.degrees, default=0) + m) + 1)) - 2
+    plan = [(e, u, v, 1 << u, 1 << v, 2 << degree[u], 2 << degree[v])
+            for e in order for u, v in (edges[e],)]
+    # The first color of each block; the others open one by one as the color
+    # below them is used.
+    starts = 2
+    for d in degree:
+        starts |= 2 << d
+    used = [0] * n
+    assign = [0] * m
+    # The root is the first node; without edges it is also the only leaf.
+    best = n if not m else -1
+    # A child is cut at or below ``bar``: the incumbent, or n once the
+    # incumbent is at the ceiling, so every later child is cut.
+    bar = best
+    best_assign: list[int] = []
+    nodes = 1
+
+    def descend(index: int, lost: int, alive: int, allowed: int) -> None:
+        # Children are counted, cut or recorded here rather than on entry.
+        # Losses only grow with the color and the incumbent only rises, so
+        # once one child is cut every higher color would be cut too: those
+        # are counted in one step.
+        nonlocal best, bar, best_assign, nodes
+        e, u, v, u_bit, v_bit, u_loses, v_loses = plan[index]
+        used_u = used[u]
+        used_v = used[v]
+        free = allowed & ~(used_u | used_v)
+        leaf = index + 1 == m
+        while free:
+            bit = free & -free
+            free ^= bit
+            nodes += 1
+            child_alive = alive
+            child_lost = lost
+            if bit >= u_loses and not lost & u_bit:
+                child_lost |= u_bit
+                child_alive -= 1
+            if bit >= v_loses and not lost & v_bit:
+                child_lost |= v_bit
+                child_alive -= 1
+            if child_alive <= bar:
+                nodes += free.bit_count()
+                break
+            assign[e] = bit.bit_length() - 1
+            if leaf:
+                best = child_alive
+                bar = n if best == ceiling else best
+                best_assign = assign.copy()
+                nodes += free.bit_count()
+                break
+            used[u] = used_u | bit
+            used[v] = used_v | bit
+            descend(index + 1, child_lost, child_alive, (allowed | bit << 1) & full)
+        used[u] = used_u
+        used[v] = used_v
+
+    if m:
+        descend(0, 0, n, starts & full)
+    return best, best_assign, nodes
+
+
 def exact_chromatic_index(g: Graph, *, override_size: bool = False) -> tuple[int, EdgeColoring]:
     """Smallest t admitting a proper t-coloring, with a witness coloring.
 
-    Backtracking over edges sorted by descending endpoint degree sum. Color
-    symmetry is broken by allowing color c+1 only once colors 1..c appear,
-    which in particular pins the first edge to color 1. By Vizing's theorem t
-    is max_degree or max_degree + 1, so only those two are tried. The witness
+    It runs :func:`_block_search`, as the max-sequential oracle does; the
+    two differ only in edge order and loss degrees. Here edges go by descending
+    endpoint degree sum and every loss degree is t: none is lost, so color
+    c+1 opens once c appears (pinning the first edge to color 1) and the
+    first leaf, at the ceiling n, ends the search. By Vizing's theorem t is
+    max_degree or max_degree + 1, so only those two are tried. The witness
     shares ``g.edges``: its colors are indexed by edge id.
     """
     check_exhaustive_size(g, override_size)
-    degree = g.degrees
+    degree, n = g.degrees, g.vertex_count
+    sums = [degree[u] + degree[v] for u, v in g.edges]
+    order = sorted(range(len(sums)), key=sums.__getitem__, reverse=True)
     max_degree = max(degree, default=0)
-    plan = [(e, u, v) for e, (u, v) in enumerate(g.edges)]
-    plan.sort(key=lambda p: -(degree[p[1]] + degree[p[2]]))
-    m = len(plan)
-    used = [0] * g.vertex_count
-    assign = [0] * m
-
-    def feasible(t: int, index: int, introduced: int) -> bool:
-        if index == m:
-            return True
-        e, u, v = plan[index]
-        taken = used[u] | used[v]
-        for c in range(1, min(t, introduced + 1) + 1):
-            bit = 1 << c
-            if taken & bit:
-                continue
-            used[u] |= bit
-            used[v] |= bit
-            assign[e] = c
-            if feasible(t, index + 1, max(introduced, c)):
-                return True
-            used[u] &= ~bit
-            used[v] &= ~bit
-        return False
-
     for t in (max_degree, max_degree + 1):
-        if feasible(t, 0, 0):
-            return t, EdgeColoring(g.edges, tuple(assign), t)
+        found, colors, _ = _block_search(g, t, order, [t] * n, n)
+        if found >= 0:
+            return t, EdgeColoring(g.edges, tuple(colors), t)
     raise RuntimeError("internal error: no proper coloring with max degree + 1 colors")
 
 

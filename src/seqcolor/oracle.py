@@ -2,8 +2,10 @@
 
 The two oracles walk the proper colorings in the graph's input edge order,
 colors ascending, so node counts are reproducible. The max-sequential
-search skips colorings that only relabel interchangeable colors (its block
-rule) and stops at a proven ceiling; the min-sum search walks them all.
+oracle runs the block search that ``exact_chromatic_index`` also runs (the
+two differ only in edge order and loss degrees): it skips colorings that
+only relabel interchangeable colors and stops at a proven ceiling. The
+min-sum search walks them all.
 They are guarded by :func:`~seqcolor.coloring.check_exhaustive_size` (its
 edge limit can be overridden, its recursion-depth refusal cannot), and a
 witness that clashes or misses the searched optimum is an internal error.
@@ -17,6 +19,7 @@ from math import isqrt
 
 from .coloring import (
     EdgeColoring,
+    _block_search,
     check_exhaustive_size,
     exact_chromatic_index,
 )
@@ -227,14 +230,11 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
     """Maximum number of sequential vertices over all proper r-colorings.
 
     A vertex is sequential when its incident colors are exactly 1..deg(v),
-    i.e. no incident edge ever receives a color above deg(v). The search
-    marks a vertex lost the moment that happens, and prunes branches whose
-    surviving count cannot beat the incumbent.
-
-    Colors split into blocks at each vertex degree d < r (a block starts at
-    1 and at each d + 1), within which every color loses the same vertices,
-    so a color may open only once the color below it in its block is in
-    use; the lex-first optimum, which is the witness, is among the
+    i.e. no incident edge ever receives a color above deg(v). The search is
+    :func:`~seqcolor.coloring._block_search`, which ``exact_chromatic_index``
+    also runs; the two differ only in edge order and loss degrees. Here
+    edges go in input order and each vertex's degree is its loss degree; the
+    lex-first optimum, which is the witness, is among the
     colorings searched (proof in CHANGES.md). Finding no coloring at
     r = max degree proves the graph Class 2; above it one always exists
     (Vizing). The search stops once the incumbent reaches the ceiling of
@@ -248,79 +248,12 @@ def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -
         raise PreconditionError(
             f"no proper {r}-coloring exists: max degree is {max_degree}"
         )
-    edges = g.edges
-    m = len(edges)
-    n = g.vertex_count
-    # Colors are bits 1..r of a palette mask. Per edge: its endpoints, their
-    # vertex bits and the lowest color bit that loses each (1 << (deg + 1));
-    # a color at or above that bit puts the endpoint in the lost mask. The
-    # colors above the max degree are one block, so no search uses one
-    # above max degree + m, and the masks stop there even at a huge r.
-    full = (1 << (min(r, max_degree + m) + 1)) - 2
-    plan = [
-        (u, v, 1 << u, 1 << v, 2 << degree[u], 2 << degree[v]) for u, v in edges
-    ]
-    # The first color of each block; the others open one by one as the color
-    # below them is used.
-    starts = 2
-    for d in degree:
-        starts |= 2 << d
-    used = [0] * n
-    assign = [0] * m
     # With edges r >= 1, so every degree-r vertex carries color r.
-    ceiling = _sequential_ceiling(degree, edges, r) if m else n
-    # The root is the first node; without edges it is also the only leaf.
-    best = n if not m else -1
-    # A child is cut at or below ``bar``: the incumbent, or n once the
-    # incumbent is at the ceiling, so every later child is cut.
-    bar = best
-    best_assign: list[int] = []
-    nodes = 1
-
-    def descend(index: int, lost: int, alive: int, allowed: int) -> None:
-        # Children are counted, cut or recorded here rather than on entry.
-        # Losses only grow with the color and the incumbent only rises, so
-        # once one child is cut every higher color would be cut too: those
-        # are counted in one step.
-        nonlocal best, bar, best_assign, nodes
-        u, v, u_bit, v_bit, u_loses, v_loses = plan[index]
-        used_u = used[u]
-        used_v = used[v]
-        free = allowed & ~(used_u | used_v)
-        leaf = index + 1 == m
-        while free:
-            bit = free & -free
-            free ^= bit
-            nodes += 1
-            child_alive = alive
-            child_lost = lost
-            if bit >= u_loses and not lost & u_bit:
-                child_lost |= u_bit
-                child_alive -= 1
-            if bit >= v_loses and not lost & v_bit:
-                child_lost |= v_bit
-                child_alive -= 1
-            if child_alive <= bar:
-                nodes += free.bit_count()
-                break
-            assign[index] = bit.bit_length() - 1
-            if leaf:
-                best = child_alive
-                bar = n if best == ceiling else best
-                best_assign = assign.copy()
-                nodes += free.bit_count()
-                break
-            used[u] = used_u | bit
-            used[v] = used_v | bit
-            descend(index + 1, child_lost, child_alive, (allowed | bit << 1) & full)
-        used[u] = used_u
-        used[v] = used_v
-
-    if m:
-        descend(0, 0, n, starts & full)
+    ceiling = _sequential_ceiling(degree, g.edges, r) if g.edges else g.vertex_count
+    best, best_assign, nodes = _block_search(g, r, range(g.edge_count), degree, ceiling)
     if best < 0:
         raise ClassTwoError(chi_prime=r + 1, max_degree=max_degree)
-    witness = EdgeColoring(edges, tuple(best_assign), r)
+    witness = EdgeColoring(g.edges, tuple(best_assign), r)
     proper, lost = verify_certificate(g, witness, g.vertices)
     sequential = frozenset(g.vertices).difference(lost.violations)
     if not proper or len(sequential) != best:

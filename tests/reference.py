@@ -92,6 +92,48 @@ def deficient_total(partition: MissingColorPartition) -> int:
     return sum(len(vs) for vs in partition.classes.values())
 
 
+def reference_exact_chromatic_index(g: Graph) -> tuple[int, EdgeColoring]:
+    """The separate search ``exact_chromatic_index`` ran before it moved onto
+    the block search it shares with the max-sequential oracle.
+
+    Backtracking over edges sorted by descending endpoint degree sum. Color
+    symmetry is broken by allowing color c+1 only once colors 1..c appear,
+    which in particular pins the first edge to color 1. By Vizing's theorem t
+    is max_degree or max_degree + 1, so only those two are tried. The witness
+    shares ``g.edges``: its colors are indexed by edge id. No size guard.
+    """
+    degree = g.degrees
+    max_degree = max(degree, default=0)
+    plan = [(e, u, v) for e, (u, v) in enumerate(g.edges)]
+    plan.sort(key=lambda p: -(degree[p[1]] + degree[p[2]]))
+    m = len(plan)
+    used = [0] * g.vertex_count
+    assign = [0] * m
+
+    def feasible(t: int, index: int, introduced: int) -> bool:
+        if index == m:
+            return True
+        e, u, v = plan[index]
+        taken = used[u] | used[v]
+        for c in range(1, min(t, introduced + 1) + 1):
+            bit = 1 << c
+            if taken & bit:
+                continue
+            used[u] |= bit
+            used[v] |= bit
+            assign[e] = c
+            if feasible(t, index + 1, max(introduced, c)):
+                return True
+            used[u] &= ~bit
+            used[v] &= ~bit
+        return False
+
+    for t in (max_degree, max_degree + 1):
+        if feasible(t, 0, 0):
+            return t, EdgeColoring(g.edges, tuple(assign), t)
+    raise RuntimeError("no proper coloring with max degree + 1 colors")
+
+
 def reference_max_sequential_search(g: Graph, r: int) -> tuple[int, int, list[int]]:
     """The list-based max-sequential search the library's bitmask kernel replaced.
 

@@ -777,9 +777,8 @@ class TestCollectorPause:
 # The recursive searches' nested functions: each refers to itself through a
 # closure cell, a cycle that the first collection after the command frees.
 SEARCH_CLOSURES = {
-    "exact_chromatic_index.<locals>.feasible",
+    "_block_search.<locals>.descend",
     "_min_sum_search.<locals>.descend",
-    "exact_max_sequential_set.<locals>.descend",
 }
 
 # Runs each argv of the JSON list argv[1] through the CLI and prints, per

@@ -32,12 +32,13 @@ from seqcolor import (
 
 from seqcolor import coloring as coloring_module
 
-from .conftest import bipartite_graphs, graphs, petersen_graph, prism_graph
+from .conftest import bipartite_graphs, graphs, petersen_graph, prism_graph, random_simple_graph
 from .reference import (
     color_of,
     coloring_of,
     cycle_graph,
     edge_key,
+    reference_exact_chromatic_index,
     reference_misra_gries,
 )
 
@@ -328,6 +329,23 @@ class TestExactChromaticIndex:
         assert chi >= degree_profile(g).max_degree
         if g.edges:
             assert verify_proper(g, witness)
+
+    def test_same_answer_and_witness_as_the_separate_search(self):
+        # The block search with one block per vertex walks the tree of the
+        # separate "c+1 opens once c is used" search it replaced, so t and
+        # the witness, its first leaf, are the same.
+        rng = random.Random(27)
+        seeded = []
+        while len(seeded) < 300:
+            g = random_simple_graph(rng, max_n=9, p=rng.choice([0.2, 0.4, 0.6]))
+            if g.edge_count <= 18:
+                seeded.append(g)
+        cases = [*connected_near_regular_graphs(13), *seeded,
+                 petersen_graph(), complete_graph(5), complete_graph(6)]
+        for g in cases:
+            chi, witness = exact_chromatic_index(g)
+            expected_chi, expected = reference_exact_chromatic_index(g)
+            assert (chi, witness.colors) == (expected_chi, expected.colors), g.edges
 
 
 class TestObtainRColoring:

@@ -8,10 +8,11 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from seqcolor import (
     GraphError,
+    build_graph,
     emit_coloring,
     emit_edge_list,
     misra_gries,
@@ -124,7 +125,10 @@ MUTATIONS = {
     "huge-int": _replace_token("1" * 5000),
     "deep-nesting": lambda text, rng: text + "[" * 5000,
     "big": _replace_token(str(10**30)),
-    "swap": _line_edit(lambda fields, rng: [fields[1], fields[0], *fields[2:]]),
+    # A line left with one field or none by "tab", "file-separator" or
+    # "blank-line" has nothing to swap and stays as it is.
+    "swap": _line_edit(lambda fields, rng: [fields[1], fields[0], *fields[2:]]
+                       if len(fields) > 1 else fields),
     "loop": _line_edit(lambda fields, rng: [fields[0], fields[0], *fields[2:]]),
     "repeat": _repeat_line,
     "drop-field": _line_edit(lambda fields, rng: fields[:-1]),
@@ -149,6 +153,7 @@ def _coloring_text(g):
 class TestDifferential:
     @given(graphs(max_n=10), st.integers(0, 2**32 - 1),
            st.lists(st.sampled_from(sorted(MUTATIONS)), max_size=3))
+    @example(build_graph(8, [(4, 7)]), 0, ["file-separator", "swap"])
     def test_edge_list(self, g, seed, names):
         text = mutated(emit_edge_list(g), seed, names)
         assert outcome(parse_edge_list, text) == outcome(reference_parse_edge_list, text)
