@@ -38,7 +38,7 @@ from .graph import (
     generate_random_biregular,
     generate_regular_class1,
 )
-from .graph_io import emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
+from .graph_io import emit_edge_list, emit_graph6, parse_edge_list, parse_graph6, scan_ints
 from .sequential import (
     biregular_set_bound,
     sequential_set_bound,
@@ -99,8 +99,16 @@ def _emit_graph(g, fmt: str) -> str:
 
 
 def _print_records(records) -> None:
+    """Print each record as ``json.dumps(record, separators=(",", ":"))``. A
+    last "coloring" field (the certificate's) is joined as it is: its "u v c"
+    lines, formatted from ints, hold nothing JSON escapes."""
     for record in records:
-        print(json.dumps(record, separators=(",", ":")))
+        lines = record.get("coloring")
+        if lines and next(reversed(record)) == "coloring":
+            head = json.dumps({**record, "coloring": []}, separators=(",", ":"))
+            print(head[:-3], '["', '","'.join(lines), '"]}', sep="")
+        else:
+            print(json.dumps(record, separators=(",", ":")))
 
 
 def cmd_generate(args) -> int:
@@ -172,8 +180,8 @@ def cmd_sequentialize(args) -> int:
             print(f"oracle: skipped ({len(cert['coloring'])} edges > {EXHAUSTIVE_EDGE_LIMIT}; "
                   "use --override-size)")
         print(f"coloring (t={cert['t']}):")
-        for line in cert["coloring"]:
-            print(f"  {line}")
+        if cert["coloring"]:
+            print("  ", "\n  ".join(cert["coloring"]), sep="")
     if cert["verified"] and cert["size"] >= cert["bound"]:
         return EXIT_OK
     return EXIT_VERIFY
@@ -198,11 +206,14 @@ def cmd_verify(args) -> int:
     coloring = parse_coloring(_read_text(args.coloring))
     wanted: list[int] = []
     if args.vertices is not None:
-        tokens = _read_text(args.vertices).split()
-        try:
-            wanted = [int(tok) for tok in tokens]
-        except ValueError as exc:
-            raise GraphError(f"vertex file must contain integers: {exc}") from None
+        text = _read_text(args.vertices)
+        # The scan reads the ints the token loop would, or refuses the text.
+        wanted = scan_ints(text.strip(), ",")
+        if wanted is None:
+            try:
+                wanted = [int(tok) for tok in text.split()]
+            except ValueError as exc:
+                raise GraphError(f"vertex file must contain integers: {exc}") from None
     try:
         proper, sequential = verify_certificate(g, coloring, wanted)
     except PreconditionError as exc:

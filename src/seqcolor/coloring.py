@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from collections.abc import Sequence
+from functools import cached_property, partial
 from operator import lt
 
 from .errors import (
@@ -33,10 +34,22 @@ class EdgeColoring(Value):
         self.__dict__.update(edges=edges, colors=colors, color_count=color_count)
 
     def lines(self) -> list[str]:
-        """One "u v c" line per edge, in ascending edge order."""
-        # Flat triples keep CPython's fast int-tuple comparison; edges are unique.
-        triples = sorted([(u, v, c) for (u, v), c in zip(self.edges, self.colors)])
-        return [f"{u} {v} {c}" for u, v, c in triples]
+        """One "u v c" line per edge, in ascending edge order; a repeated
+        edge's lines keep their order in ``edges`` (the sort is stable)."""
+        lines = [f"{u} {v} {c}" for (u, v), c in zip(self.edges, self.colors)]
+        # CPython's list.sort computes each key once, in list order (an
+        # implementation detail, not a language promise): line i's key is
+        # edges[i], read by next(edge_iter, line) without allocating one.
+        # tests/test_output.py::TestLines::test_unique_edges_same_as_triple_sort
+        # would fail if the order changed.
+        lines.sort(key=partial(next, iter(self.edges)))
+        return lines
+
+    @cached_property
+    def _by_edge(self) -> dict[Edge, int]:
+        """Each edge's color; fewer entries than edges when an edge repeats.
+        The coloring parsers seed it with the dict they check repeats with."""
+        return dict(zip(self.edges, self.colors))
 
 
 class Verdict(Value):
@@ -58,7 +71,7 @@ def edge_colors(g: Graph, coloring: EdgeColoring) -> Sequence[int]:
     """
     if coloring.edges is g.edges:
         return coloring.colors
-    by_edge = dict(zip(coloring.edges, coloring.colors))
+    by_edge = coloring._by_edge
     if len(by_edge) != len(coloring.edges):
         raise PreconditionError("coloring names an edge more than once")
     try:
@@ -81,14 +94,11 @@ def coloring_masks(g: Graph, coloring: EdgeColoring) -> tuple[Sequence[int], lis
     :func:`edge_colors`), each vertex's palette bitmask (bit c set for each
     color c at it) and the vertices at which two edges share a color.
 
-    Colors 1..m (m edges) keep their bits; any other color c gets bit
-    m + 1 + (rank of c among them), so a huge or non-positive color cannot
-    build a huge mask. The renaming is injective, so clashes are unchanged.
-
-    The first pass adds each edge's bit at both ends. A color repeated at a
-    vertex carries there, and a carry loses a set bit, so the masks hold 2m
-    set bits in all exactly when there is no clash; then each sum is the OR.
-    Only otherwise does a second pass OR the bits and name the clashes.
+    Colors outside 1..m (m edges) get the bits above m, injectively, so no
+    mask grows huge. A first pass adds each edge's bit at both ends: a color
+    repeated at a vertex carries, losing a set bit, so the masks hold 2m set
+    bits exactly when there is no clash. Only otherwise does a second pass
+    OR the bits and name the clashes.
     """
     colors = edge_colors(g, coloring)
     m = len(colors)
@@ -160,9 +170,8 @@ def palette(g: Graph, coloring: EdgeColoring, v: int) -> frozenset[int]:
     """The set of colors appearing on edges incident to ``v``."""
     if not 0 <= v < g.vertex_count:
         raise GraphError(f"unknown vertex {v}")
-    by_edge = dict(zip(coloring.edges, coloring.colors))
     try:
-        return frozenset(by_edge[g.edges[e]] for e in g.incidence[v])
+        return frozenset(coloring._by_edge[g.edges[e]] for e in g.incidence[v])
     except KeyError as exc:
         raise PreconditionError(f"coloring misses an edge at vertex {v}: {exc}") from None
 
@@ -214,21 +223,15 @@ def misra_gries(g: Graph, *, within_max_degree: bool = False) -> EdgeColoring | 
     maximal fan at u, invert one two-colored path through u, then rotate the
     fan up to its first vertex missing the freed color, which then closes the
     edge. Edges are processed in input order, so the result is deterministic.
-
-    Each fan step reads its candidates from the color table: the colors at u
-    that are free at the fan's last vertex and not yet on a fan edge (a
-    neighbor of u is in the fan exactly when its edge's color is, since the
-    only uncolored edge at u leads to v). Among their edges ``at[u, c]`` the
-    lowest id wins, which is the first match a scan of ``g.incidence[u]``
-    (in edge-id order) would find. In the common case v already misses the
-    freed color and the edge takes it at both ends without a rotation.
+    Each fan step takes the lowest-id edge ``at[u, c]`` over the colors c at
+    u free at the fan's last vertex and on no fan edge: the first match a
+    scan of ``g.incidence[u]`` would find (CHANGES.md).
 
     With ``within_max_degree`` set (Δ = max_degree), return ``None`` at the
     first edge whose d, the smallest color free at the fan's last vertex, is
     Δ+1, before its flip; the colored edges then form a proper partial
-    Δ-coloring. The full run would have ended with exactly Δ+1 colors, since
-    the number of (Δ+1)-edges never falls (proof in CHANGES.md). When no edge
-    needs Δ+1 the result is the full run's coloring.
+    Δ-coloring, and the full run would end with exactly Δ+1 colors (proof in
+    CHANGES.md). When no edge needs Δ+1 the result is the full run's coloring.
     """
     edges = g.edges
     cap = max(g.degrees, default=0) + 1
@@ -435,13 +438,11 @@ def _block_search(g: Graph, r: int, order: Sequence[int], degree: Sequence[int],
 def exact_chromatic_index(g: Graph, *, override_size: bool = False) -> tuple[int, EdgeColoring]:
     """Smallest t admitting a proper t-coloring, with a witness coloring.
 
-    It runs :func:`_block_search`, as the max-sequential oracle does; the
-    two differ only in edge order and loss degrees. Here edges go by descending
-    endpoint degree sum and every loss degree is t: none is lost, so color
-    c+1 opens once c appears (pinning the first edge to color 1) and the
-    first leaf, at the ceiling n, ends the search. By Vizing's theorem t is
-    max_degree or max_degree + 1, so only those two are tried. The witness
-    shares ``g.edges``: its colors are indexed by edge id.
+    It runs :func:`_block_search` with edges by descending endpoint degree
+    sum and every loss degree t: none is lost, so color c+1 opens once c
+    appears and the first leaf, at the ceiling n, ends the search. By
+    Vizing's theorem only t = max_degree and max_degree + 1 are tried. The
+    witness shares ``g.edges``.
     """
     check_exhaustive_size(g, override_size)
     degree, n = g.degrees, g.vertex_count
@@ -459,15 +460,11 @@ def obtain_r_coloring(g: Graph) -> EdgeColoring:
     """A proper coloring with exactly max_degree colors, or a classified failure.
 
     Strategy, in order: an overfull graph (more than max_degree * floor(n/2)
-    edges, so max_degree matchings cannot cover it) is Class 2 at once;
-    bipartite graphs get the exact-max-degree constructor; otherwise the
-    max_degree+1 heuristic is accepted whenever it happens to stay within
-    max_degree; it stops at the first edge that needs color max_degree + 1,
-    since the full run would then end with exactly that many colors; small
-    leftovers go to the exact solver. Raises
-    :class:`ClassTwoError` when the graph provably needs an extra color and
-    :class:`UnknownClassError` when nothing could certify the instance either
-    way.
+    edges) is Class 2 at once; a bipartite graph gets Kőnig's coloring; else
+    Misra-Gries is accepted if it stays within max_degree colors, and small
+    leftovers go to the exact solver. Raises :class:`ClassTwoError` when the
+    graph provably needs an extra color and :class:`UnknownClassError` when
+    nothing could certify the instance either way.
     """
     r = max(g.degrees, default=0)
     if g.edge_count > r * (g.vertex_count // 2):
@@ -517,11 +514,18 @@ def _scan_coloring(text: str) -> EdgeColoring | None:
         return None
     # t, then per line: the None of the line end before it, u, v, c.
     markers, u, v, c = values[1::4], values[2::4], values[3::4], values[4::4]
-    edges = tuple(zip(u, v))
-    if (markers.count(None) != line_ends or not all(map(lt, u, v)) or len(set(edges)) != len(edges)
+    if (markers.count(None) != line_ends or not all(map(lt, u, v))
             or min(c, default=1) < 1 or max(c, default=0) > values[0]):
         return None
-    return EdgeColoring(edges, tuple(c), values[0])
+    by_edge = dict(zip(zip(u, v), c))
+    return _keyed(by_edge, values[0]) if len(by_edge) == len(c) else None
+
+
+def _keyed(by_edge: dict[Edge, int], t: int) -> EdgeColoring:
+    """The coloring of ``by_edge`` in its order, with that dict as its ``_by_edge``."""
+    coloring = EdgeColoring(tuple(by_edge), tuple(by_edge.values()), t)
+    coloring.__dict__["_by_edge"] = by_edge
+    return coloring
 
 
 def _parse_coloring_lines(text: str) -> EdgeColoring:
@@ -556,4 +560,4 @@ def _parse_coloring_lines(text: str) -> EdgeColoring:
         if (u, v) in by_edge:
             raise GraphError(f"edge {(u, v)} colored twice")
         by_edge[u, v] = c
-    return EdgeColoring(tuple(by_edge), tuple(by_edge.values()), t)
+    return _keyed(by_edge, t)

@@ -78,16 +78,11 @@ def _min_sum_search(
 
     Three admissible lower bounds on the uncolored remainder, combined by
     max (derivation in CHANGES.md): per edge, the smallest color free at both
-    ends; per vertex, the k smallest colors free at it for its k uncolored
-    edges, halved; per color class, the cheapest fill of the remainder into
-    matchings.
-
-    The bounds are kept up to date as edges are colored, not recomputed, and
-    take the same values as a rescan would, so the search visits the same
-    nodes: ``low`` keeps each remaining edge's lowest common free color bit,
-    the doubled vertex sum travels down the recursion (coloring uv with c
-    lowers u's share by min(c, top_u), top_u as computed below), and the
-    class fill is recomputed per child in O(cap).
+    ends (kept in ``low``); per vertex, the k smallest colors free at it for
+    its k uncolored edges, halved (kept doubled down the recursion); per
+    color class, the cheapest fill of the remainder into matchings
+    (recomputed per child in O(cap)). They take the values a rescan would,
+    so the search visits the same nodes.
     """
     edges = g.edges
     incidence = g.incidence
@@ -229,17 +224,12 @@ def exact_edge_chromatic_sum(g: Graph, *, override_size: bool = False) -> Oracle
 def exact_max_sequential_set(g: Graph, r: int, *, override_size: bool = False) -> OracleResult:
     """Maximum number of sequential vertices over all proper r-colorings.
 
-    A vertex is sequential when its incident colors are exactly 1..deg(v),
-    i.e. no incident edge ever receives a color above deg(v). The search is
-    :func:`~seqcolor.coloring._block_search`, which ``exact_chromatic_index``
-    also runs; the two differ only in edge order and loss degrees. Here
-    edges go in input order and each vertex's degree is its loss degree; the
-    lex-first optimum, which is the witness, is among the
-    colorings searched (proof in CHANGES.md). Finding no coloring at
-    r = max degree proves the graph Class 2; above it one always exists
-    (Vizing). The search stops once the incumbent reaches the ceiling of
-    :func:`_sequential_ceiling` (proof in CHANGES.md); the first leaf there
-    is the lex-first optimum, so only ``explored`` falls.
+    A vertex is sequential when its incident colors are exactly 1..deg(v).
+    The search is :func:`~seqcolor.coloring._block_search` with edges in
+    input order and each vertex's degree as its loss degree. Its witness is
+    the lex-first optimum, and stopping at :func:`_sequential_ceiling` only
+    lowers ``explored`` (proofs in CHANGES.md). Finding no coloring at r =
+    max degree proves the graph Class 2; above it one exists (Vizing).
     """
     check_exhaustive_size(g, override_size)
     degree = g.degrees

@@ -188,10 +188,10 @@ def verify_certificate(g: Graph, coloring: EdgeColoring, vertices) -> tuple[Verd
 
     ``vertices`` is checked against the graph before the coloring is read.
     """
-    wanted = sorted(set(vertices))
-    unknown = [v for v in wanted if not 0 <= v < g.vertex_count]
-    if unknown:
-        raise GraphError(f"unknown vertices {unknown}")
+    # frozenset returns a frozenset as it is: the certified set is not copied.
+    wanted = sorted(frozenset(vertices))
+    if wanted and not 0 <= wanted[0] <= wanted[-1] < g.vertex_count:
+        raise GraphError(f"unknown vertices {[v for v in wanted if not 0 <= v < g.vertex_count]}")
     colors, masks, clashes = coloring_masks(g, coloring)
     # Adding 2 to a run of ones from bit 1 carries out of the whole run.
     failures = tuple(v for v in wanted if v in clashes or masks[v] & (masks[v] + 2))

@@ -840,3 +840,10 @@ def reference_parse_coloring(text: str) -> EdgeColoring:
             raise GraphError(f"edge {(u, v)} colored twice")
         by_edge[u, v] = c
     return EdgeColoring(tuple(by_edge), tuple(by_edge.values()), t)
+
+
+def reference_lines(coloring: EdgeColoring) -> list[str]:
+    """``EdgeColoring.lines`` as it was before the in-place sort: (u, v, c)
+    triples sorted, then formatted, so a repeated edge's lines go by color."""
+    triples = sorted([(u, v, c) for (u, v), c in zip(coloring.edges, coloring.colors)])
+    return [f"{u} {v} {c}" for u, v, c in triples]
