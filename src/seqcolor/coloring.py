@@ -75,7 +75,7 @@ def edge_colors(g: Graph, coloring: EdgeColoring) -> Sequence[int]:
     if len(by_edge) != len(coloring.edges):
         raise PreconditionError("coloring names an edge more than once")
     try:
-        colors = [by_edge[e] for e in g.edges]
+        colors = list(map(by_edge.__getitem__, g.edges))
     except KeyError:
         missing = [e for e in g.edges if e not in by_edge]
         raise PreconditionError(
@@ -103,8 +103,11 @@ def coloring_masks(g: Graph, coloring: EdgeColoring) -> tuple[Sequence[int], lis
     colors = edge_colors(g, coloring)
     m = len(colors)
     bits = colors
-    if colors and (min(colors) < 1 or max(colors) > m):
-        outside = sorted({c for c in colors if not 1 <= c <= m})
+    # The range is read off the few distinct colors: faster than a min and
+    # a max over every edge.
+    used = set(colors)
+    if used and (min(used) < 1 or max(used) > m):
+        outside = sorted(c for c in used if not 1 <= c <= m)
         bit_of = {c: m + 1 + i for i, c in enumerate(outside)}
         bits = [bit_of.get(c, c) for c in colors]
     masks = [0] * g.vertex_count
@@ -158,7 +161,8 @@ def proper_masks(g: Graph, coloring: EdgeColoring, t: int) -> tuple[Sequence[int
     :func:`verify_proper` does.
     """
     colors, masks, clashes = coloring_masks(g, coloring)
-    if colors and not 1 <= min(colors) <= max(colors) <= t:
+    used = set(colors)
+    if used and not 1 <= min(used) <= max(used) <= t:
         raise PreconditionError(f"coloring uses colors outside 1..{t}")
     if clashes:
         verdict = clash_verdict(g, colors, clashes)
@@ -216,7 +220,8 @@ class _EdgeIndexedColoring:
         return x
 
 
-def misra_gries(g: Graph, *, within_max_degree: bool = False) -> EdgeColoring | None:
+def misra_gries(g: Graph, *, within_max_degree: bool = False,
+                with_masks: bool = False) -> EdgeColoring | tuple[EdgeColoring, list[int]] | None:
     """Proper edge coloring with at most max_degree + 1 colors.
 
     Classic fan-rotation construction: for each uncolored edge (u, v) grow a
@@ -232,6 +237,10 @@ def misra_gries(g: Graph, *, within_max_degree: bool = False) -> EdgeColoring | 
     Δ+1, before its flip; the colored edges then form a proper partial
     Δ-coloring, and the full run would end with exactly Δ+1 colors (proof in
     CHANGES.md). When no edge needs Δ+1 the result is the full run's coloring.
+
+    With ``with_masks`` set a coloring comes back as ``(coloring, masks)``,
+    ``masks[v]`` having bit c set for each color c at v: the palettes the
+    construction keeps, handed over without a read of the coloring.
     """
     edges = g.edges
     cap = max(g.degrees, default=0) + 1
@@ -301,16 +310,18 @@ def misra_gries(g: Graph, *, within_max_degree: bool = False) -> EdgeColoring | 
             at[base + new] = ex
             color[ex] = new
         used[u] |= bit
-    return EdgeColoring(edges, tuple(color), max(color, default=0))
+    coloring = EdgeColoring(edges, tuple(color), max(color, default=0))
+    return (coloring, used) if with_masks else coloring
 
 
-def konig_color_bipartite(g: Graph) -> EdgeColoring:
+def konig_color_bipartite(g: Graph, *,
+                          with_masks: bool = False) -> EdgeColoring | tuple[EdgeColoring, list[int]]:
     """Proper edge coloring of a bipartite graph with exactly max_degree colors.
 
     For each edge (u, v): take the smallest color a free at u; if a is taken
     at v, swap a and the smallest color b free at v along the alternating
     path leaving v. In a bipartite graph that path cannot reach u, so a
-    becomes free at both ends.
+    becomes free at both ends. ``with_masks`` is as for :func:`misra_gries`.
     """
     if g.sides is None:
         raise PreconditionError("graph is not bipartite")
@@ -332,7 +343,8 @@ def konig_color_bipartite(g: Graph) -> EdgeColoring:
         used[v] |= bit
         at[u * stride + a] = e
         at[v * stride + a] = e
-    return EdgeColoring(g.edges, tuple(color), max_degree)
+    coloring = EdgeColoring(g.edges, tuple(color), max_degree)
+    return (coloring, used) if with_masks else coloring
 
 
 def check_exhaustive_size(g: Graph, override_size: bool) -> None:
@@ -456,7 +468,8 @@ def exact_chromatic_index(g: Graph, *, override_size: bool = False) -> tuple[int
     raise RuntimeError("internal error: no proper coloring with max degree + 1 colors")
 
 
-def obtain_r_coloring(g: Graph) -> EdgeColoring:
+def obtain_r_coloring(g: Graph, *, with_masks: bool = False
+                      ) -> EdgeColoring | tuple[EdgeColoring, list[int] | None]:
     """A proper coloring with exactly max_degree colors, or a classified failure.
 
     Strategy, in order: an overfull graph (more than max_degree * floor(n/2)
@@ -465,19 +478,23 @@ def obtain_r_coloring(g: Graph) -> EdgeColoring:
     leftovers go to the exact solver. Raises :class:`ClassTwoError` when the
     graph provably needs an extra color and :class:`UnknownClassError` when
     nothing could certify the instance either way.
+
+    With ``with_masks`` set it returns ``(coloring, masks)``: the palette
+    bitmasks Kőnig or Misra-Gries built (see :func:`misra_gries`), or None
+    for the exact solver's witness, whose palettes nothing kept.
     """
     r = max(g.degrees, default=0)
     if g.edge_count > r * (g.vertex_count // 2):
         raise ClassTwoError(chi_prime=r + 1, max_degree=r)
     if g.sides is not None:
-        return konig_color_bipartite(g)
-    heuristic = misra_gries(g, within_max_degree=True)
+        return konig_color_bipartite(g, with_masks=with_masks)
+    heuristic = misra_gries(g, within_max_degree=True, with_masks=with_masks)
     if heuristic is not None:
         return heuristic
     if g.edge_count <= EXHAUSTIVE_EDGE_LIMIT:
         chi_prime, witness = exact_chromatic_index(g)
         if chi_prime == r:
-            return witness
+            return (witness, None) if with_masks else witness
         raise ClassTwoError(chi_prime=chi_prime, max_degree=r)
     raise UnknownClassError(
         f"heuristic used {r + 1} colors and the graph is too large "

@@ -41,7 +41,9 @@ class SequentialCertificate(Value):
     ``sequential_vertices`` is the certified set (max-degree vertices united
     with the largest missing-color class, fixed before any swap), ``bound`` the
     guaranteed minimum ceil(((r-1)*n_r + n) / r), and ``verified`` the result
-    of re-checking the sequential property against the final coloring.
+    of re-checking the sequential property against the final coloring. The
+    same read checks that the final coloring is a proper r-coloring of the
+    graph; :func:`sequentialize` raises rather than certify one that is not.
     """
 
     def __init__(self, coloring: EdgeColoring, sequential_vertices: frozenset[int], swap_color: int,
@@ -118,8 +120,8 @@ def missing_color_partition(
     Preconditions checked one by one: the graph is near-regular with max
     degree r >= 3, and ``coloring`` is a proper r-coloring. ``profile`` is
     ``degree_profile(g)``, computed here when not given. The properness check
-    and the missing-color read share one pass that ORs each vertex's colors
-    into a bitmask.
+    and the missing-color read share one :func:`~seqcolor.coloring.proper_masks`
+    read, which ORs each vertex's colors into a bitmask.
     """
     if profile is None:
         profile = degree_profile(g)
@@ -128,7 +130,12 @@ def missing_color_partition(
         raise PreconditionError(
             f"coloring uses {coloring.color_count} colors, expected exactly {r}"
         )
-    _, masks = proper_masks(g, coloring, r)
+    return _partition(g, proper_masks(g, coloring, r)[1], r)
+
+
+def _partition(g: Graph, masks: list[int], r: int) -> MissingColorPartition:
+    """The partition read off ``masks``, each vertex's palette bitmask under
+    a proper r-coloring of ``g``."""
     # Degree r-1 and a proper r-coloring leave exactly one absent color.
     full = (1 << (r + 1)) - 2
     classes: dict[int, list[int]] = {i: [] for i in range(1, r + 1)}
@@ -193,9 +200,27 @@ def verify_certificate(g: Graph, coloring: EdgeColoring, vertices) -> tuple[Verd
     if wanted and not 0 <= wanted[0] <= wanted[-1] < g.vertex_count:
         raise GraphError(f"unknown vertices {[v for v in wanted if not 0 <= v < g.vertex_count]}")
     colors, masks, clashes = coloring_masks(g, coloring)
+    return clash_verdict(g, colors, clashes), _sequential_verdict(wanted, masks, clashes)
+
+
+def _sequential_verdict(wanted: list[int], masks: list[int], clashes) -> Verdict:
+    """The :func:`verify_sequential` verdict on the ascending ``wanted`` from
+    the palette bitmasks and clash vertices of one coloring read."""
     # Adding 2 to a run of ones from bit 1 carries out of the whole run.
     failures = tuple(v for v in wanted if v in clashes or masks[v] & (masks[v] + 2))
-    return clash_verdict(g, colors, clashes), Verdict(not failures, failures)
+    return Verdict(not failures, failures)
+
+
+def _acquire(g: Graph, coloring: EdgeColoring | None, profile: DegreeProfile,
+             r: int) -> tuple[EdgeColoring, MissingColorPartition]:
+    """The r-coloring and its partition, from the palette masks acquisition
+    kept or else through :func:`missing_color_partition`. The masks die
+    here, before the final coloring is read."""
+    if coloring is None:
+        coloring, masks = obtain_r_coloring(g, with_masks=True)
+        if masks is not None:
+            return coloring, _partition(g, masks, r)
+    return coloring, missing_color_partition(g, coloring, profile)
 
 
 def sequentialize(g: Graph, coloring: EdgeColoring | None = None) -> SequentialCertificate:
@@ -204,19 +229,29 @@ def sequentialize(g: Graph, coloring: EdgeColoring | None = None) -> SequentialC
     Acquires a proper r-coloring (or validates the one supplied), partitions
     the deficient vertices by missing color, transposes the best color with r,
     and certifies the union of the max-degree vertices with that class. The
-    certificate is re-verified against the final coloring and its size always
-    meets :func:`sequential_set_bound`.
+    certificate's size always meets :func:`sequential_set_bound`.
+
+    A Kőnig or Misra-Gries coloring is partitioned by the palette bitmasks
+    its construction kept; a supplied one, or the exact solver's, is first
+    validated by :func:`missing_color_partition`. Either way the final
+    coloring is read once in full: a missing edge, a color outside 1..r or a
+    clash anywhere raises ``RuntimeError`` (an internal error, since the
+    swap keeps a proper r-coloring proper), and the sequential check of the
+    certified set gives ``verified``.
     """
     profile = degree_profile(g)
     # Checked before acquisition, so a precondition failure wins over a class one.
     r = _check_near_regular(profile)
-    alpha = obtain_r_coloring(g) if coloring is None else coloring
-    partition = missing_color_partition(g, alpha, profile)
+    alpha, partition = _acquire(g, coloring, profile, r)
     swap = select_swap_color(partition)
     beta = swap_colors(alpha, swap, partition.r)
     certified = profile.max_degree_vertices | partition.classes[swap]
     bound = sequential_set_bound(profile.n, profile.n_r, r)
-    verdict = verify_sequential(g, beta, certified)
+    try:
+        _, masks = proper_masks(g, beta, r)
+    except PreconditionError as exc:
+        raise RuntimeError(f"internal error: the final coloring fails its check: {exc}") from None
+    verdict = _sequential_verdict(sorted(certified), masks, ())
     if len(certified) < bound:
         raise RuntimeError("internal error: certified set fell below the guaranteed bound")
     return SequentialCertificate(

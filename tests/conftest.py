@@ -28,6 +28,13 @@ def prism_graph():
     return build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
 
 
+def prism_minus_rungs(k, kept):
+    """The k-prism (two k-cycles, vertex i joined to k + i) keeping only the
+    rungs at the ``kept`` indices. For odd k it is not bipartite."""
+    cycles = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+    return build_graph(2 * k, cycles + [(i, k + i) for i in kept])
+
+
 def path_graph(edge_count):
     return build_graph(edge_count + 1, [(i, i + 1) for i in range(edge_count)])
 

@@ -171,8 +171,8 @@ class TestSequentialize:
 
     def test_failed_reverification_exits_1(self, k4_file, capsys, monkeypatch):
         # The certificate is printed as built, its failed re-check included.
-        monkeypatch.setattr("seqcolor.sequential.verify_sequential",
-                            lambda g, coloring, vertices: Verdict(False, (0,)))
+        monkeypatch.setattr("seqcolor.sequential._sequential_verdict",
+                            lambda wanted, masks, clashes: Verdict(False, (0,)))
         assert run(["sequentialize", k4_file]) == 1
         assert "verified: no" in capsys.readouterr().out.splitlines()
         assert run(["sequentialize", "--report", k4_file]) == 1

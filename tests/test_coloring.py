@@ -19,6 +19,7 @@ from seqcolor import (
     exact_edge_chromatic_sum,
     exact_max_sequential_set,
     generate_complete_bipartite,
+    generate_random_biregular,
     konig_color_bipartite,
     misra_gries,
     obtain_r_coloring,
@@ -32,7 +33,14 @@ from seqcolor import (
 
 from seqcolor import coloring as coloring_module
 
-from .conftest import bipartite_graphs, graphs, petersen_graph, prism_graph, random_simple_graph
+from .conftest import (
+    bipartite_graphs,
+    graphs,
+    petersen_graph,
+    prism_graph,
+    prism_minus_rungs,
+    random_simple_graph,
+)
 from .reference import (
     color_of,
     coloring_of,
@@ -384,6 +392,47 @@ class TestObtainRColoring:
     def test_edgeless(self):
         for n in (0, 4):
             assert obtain_r_coloring(build_graph(n, [])) == EdgeColoring((), (), 0)
+
+
+def _assert_masks_are_the_palettes(g, acquired, masks):
+    """``masks`` is what a coloring_masks read of ``acquired`` finds."""
+    colors, read, clashes = coloring_module.coloring_masks(g, acquired)
+    assert masks == read and not clashes
+
+
+class TestAcquiredMasks:
+    """The palette bitmasks Kőnig and Misra-Gries hand over with
+    ``with_masks`` equal what a read of their coloring finds."""
+
+    @given(r=st.integers(3, 6), k=st.integers(1, 12), seed=st.integers(0, 2**31 - 1))
+    def test_near_regular_bipartite(self, r, k, seed):
+        g = generate_random_biregular(r, k, seed)
+        acquired, masks = obtain_r_coloring(g, with_masks=True)
+        assert acquired == obtain_r_coloring(g) == konig_color_bipartite(g)
+        _assert_masks_are_the_palettes(g, acquired, masks)
+
+    @given(k=st.integers(3, 40), data=st.data())
+    def test_prism_minus_one_rung(self, k, data):
+        # Odd k: not bipartite, and Misra-Gries stays within 3 colors.
+        missing = data.draw(st.integers(0, k - 1))
+        g = prism_minus_rungs(k, [i for i in range(k) if i != missing])
+        acquired, masks = obtain_r_coloring(g, with_masks=True)
+        assert acquired == obtain_r_coloring(g)
+        assert masks is not None
+        _assert_masks_are_the_palettes(g, acquired, masks)
+
+    @given(graphs())
+    def test_misra_gries_beyond_max_degree(self, g):
+        acquired, masks = misra_gries(g, with_masks=True)
+        assert acquired == misra_gries(g)
+        _assert_masks_are_the_palettes(g, acquired, masks)
+
+    def test_exact_path_has_no_masks(self):
+        # K_4 minus an edge: Misra-Gries needs a fourth color.
+        g = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+        assert misra_gries(g, within_max_degree=True, with_masks=True) is None
+        acquired, masks = obtain_r_coloring(g, with_masks=True)
+        assert masks is None and acquired == obtain_r_coloring(g)
 
 
 class TestColoringText:

@@ -28,7 +28,7 @@ from seqcolor import (
     verify_sequential,
 )
 
-from .conftest import class_one_near_regular, graphs
+from .conftest import class_one_near_regular, graphs, prism_minus_rungs
 from .reference import assignment_of, color_of, coloring_of, cycle_graph, deficient_total
 from .test_coloring import K4_MATCHING_COLORING
 
@@ -328,6 +328,69 @@ class TestInternalChecks:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == "raised\n"
+
+
+# Non-bipartite and decided by Misra-Gries within 3 colors; the 9-prism
+# keeping rungs 4..8 also has an edge between two deficient vertices that
+# its certificate leaves out.
+NINE_PRISM_MINUS_RUNG = prism_minus_rungs(9, range(1, 9))
+NINE_PRISM_MINUS_FOUR_RUNGS = prism_minus_rungs(9, range(4, 9))
+
+
+class TestOneReadOfTheFinalColoring:
+    """An acquired Kőnig or Misra-Gries coloring is partitioned by the masks
+    its construction kept, and the final coloring is read once in full."""
+
+    @pytest.mark.parametrize("g, supplied, reads", [
+        # Kőnig and Misra-Gries: the final read only; the partition takes
+        # the colorer's masks.
+        (generate_complete_bipartite(4, 5), None, 1),
+        (NINE_PRISM_MINUS_RUNG, None, 1),
+        # The exact solver's witness and a supplied coloring are validated first.
+        (build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]), None, 2),
+        (generate_complete_bipartite(2, 3), K23_COLORING, 2),
+    ])
+    def test_coloring_reads(self, monkeypatch, g, supplied, reads):
+        from seqcolor import coloring, sequential
+
+        calls = []
+        real = coloring.coloring_masks
+
+        def spy(graph, c):
+            calls.append(c)
+            return real(graph, c)
+
+        monkeypatch.setattr(coloring, "coloring_masks", spy)
+        monkeypatch.setattr(sequential, "coloring_masks", spy)
+        cert = sequentialize(g, supplied)
+        assert cert.verified
+        assert len(calls) == reads and calls[-1] is cert.coloring
+
+    @pytest.mark.parametrize("kind", ["clash", "outside 1..r", "missing edge"])
+    def test_tampered_final_coloring_raises(self, monkeypatch, kind):
+        # The tampered edge joins two vertices outside the certified set, so
+        # a sequential check of that set alone would pass ("verified: yes"),
+        # and a missing edge would surface as the user's coverage error.
+        from seqcolor import sequential
+
+        g = NINE_PRISM_MINUS_FOUR_RUNGS
+        honest = sequentialize(g)
+        u, v = next(e for e in g.edges if not set(e) & honest.sequential_vertices)
+        real = sequential.swap_colors
+
+        def tampered(coloring, low, high):
+            colors = assignment_of(real(coloring, low, high))
+            if kind == "clash":
+                colors[u, v] = next(c for e, c in colors.items() if u in e and e != (u, v))
+            elif kind == "outside 1..r":
+                colors[u, v] = high + 1
+            else:
+                del colors[u, v]
+            return coloring_of(colors, high)
+
+        monkeypatch.setattr(sequential, "swap_colors", tampered)
+        with pytest.raises(RuntimeError, match="internal error: the final coloring fails its check"):
+            sequentialize(g)
 
 
 class TestBitmaskEdgeCases:
