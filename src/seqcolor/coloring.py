@@ -95,10 +95,10 @@ def coloring_masks(g: Graph, coloring: EdgeColoring) -> tuple[Sequence[int], lis
     color c at it) and the vertices at which two edges share a color.
 
     Colors outside 1..m (m edges) get the bits above m, injectively, so no
-    mask grows huge. A first pass adds each edge's bit at both ends: a color
-    repeated at a vertex carries, losing a set bit, so the masks hold 2m set
-    bits exactly when there is no clash. Only otherwise does a second pass
-    OR the bits and name the clashes.
+    mask grows huge. One pass ORs each edge's bit into both ends, so a mask
+    has one set bit per distinct color: a vertex has a clash exactly when
+    its mask has fewer set bits than its degree, and the masks hold 2m set
+    bits in all exactly when no vertex has one.
     """
     colors = edge_colors(g, coloring)
     m = len(colors)
@@ -113,33 +113,23 @@ def coloring_masks(g: Graph, coloring: EdgeColoring) -> tuple[Sequence[int], lis
     masks = [0] * g.vertex_count
     for (u, v), c in zip(g.edges, bits):
         bit = 1 << c
-        masks[u] += bit
-        masks[v] += bit
-    clashes: set[int] = set()
+        masks[u] |= bit
+        masks[v] |= bit
     if sum(map(int.bit_count, masks)) == 2 * m:
-        return colors, masks, clashes
-    masks = [0] * g.vertex_count
-    for (u, v), c in zip(g.edges, bits):
-        bit = 1 << c
-        mask = masks[u]
-        if mask & bit:
-            clashes.add(u)
-        masks[u] = mask | bit
-        mask = masks[v]
-        if mask & bit:
-            clashes.add(v)
-        masks[v] = mask | bit
-    return colors, masks, clashes
+        return colors, masks, set()
+    degree = g.degrees
+    return colors, masks, {v for v, mask in enumerate(masks) if mask.bit_count() < degree[v]}
 
 
 def clash_verdict(g: Graph, colors: Sequence[int], clashes: set[int]) -> Verdict:
     """The :func:`verify_proper` verdict for the edge ``colors`` and the clash
-    vertices of one :func:`coloring_masks` read."""
-    violations: list[tuple[int, int]] = []
-    for v in sorted(clashes):
-        counts = Counter(colors[e] for e in g.incidence[v])
-        violations.extend((v, c) for c in sorted(counts) if counts[c] > 1)
-    return Verdict(not violations, tuple(violations))
+    vertices of one :func:`coloring_masks` read, named from one scan of the
+    edges at those vertices."""
+    if not clashes:
+        return Verdict(True, ())
+    counts = Counter((x, c) for (u, v), c in zip(g.edges, colors) for x in (u, v) if x in clashes)
+    violations = tuple(sorted(key for key, count in counts.items() if count > 1))
+    return Verdict(not violations, violations)
 
 
 def verify_proper(g: Graph, coloring: EdgeColoring) -> Verdict:
@@ -152,10 +142,10 @@ def verify_proper(g: Graph, coloring: EdgeColoring) -> Verdict:
     return clash_verdict(g, colors, clashes)
 
 
-def proper_masks(g: Graph, coloring: EdgeColoring, t: int) -> tuple[Sequence[int], list[int]]:
-    """The edge colors and palette bitmasks of one :func:`coloring_masks`
-    read of ``coloring``, which must be a proper coloring of exactly
-    ``g.edges`` with colors in 1..t.
+def proper_masks(g: Graph, coloring: EdgeColoring, t: int) -> list[int]:
+    """The palette bitmasks of one :func:`coloring_masks` read of
+    ``coloring``, which must be a proper coloring of exactly ``g.edges``
+    with colors in 1..t.
 
     Raises :class:`PreconditionError` otherwise, naming the clashes as
     :func:`verify_proper` does.
@@ -167,7 +157,7 @@ def proper_masks(g: Graph, coloring: EdgeColoring, t: int) -> tuple[Sequence[int
     if clashes:
         verdict = clash_verdict(g, colors, clashes)
         raise PreconditionError(f"coloring is not proper: clashes {verdict.violations[:3]}")
-    return colors, masks
+    return masks
 
 
 def palette(g: Graph, coloring: EdgeColoring, v: int) -> frozenset[int]:
@@ -469,7 +459,7 @@ def exact_chromatic_index(g: Graph, *, override_size: bool = False) -> tuple[int
 
 
 def obtain_r_coloring(g: Graph, *, with_masks: bool = False
-                      ) -> EdgeColoring | tuple[EdgeColoring, list[int] | None]:
+                      ) -> EdgeColoring | tuple[EdgeColoring, list[int]]:
     """A proper coloring with exactly max_degree colors, or a classified failure.
 
     Strategy, in order: an overfull graph (more than max_degree * floor(n/2)
@@ -480,8 +470,8 @@ def obtain_r_coloring(g: Graph, *, with_masks: bool = False
     nothing could certify the instance either way.
 
     With ``with_masks`` set it returns ``(coloring, masks)``: the palette
-    bitmasks Kőnig or Misra-Gries built (see :func:`misra_gries`), or None
-    for the exact solver's witness, whose palettes nothing kept.
+    bitmasks Kőnig or Misra-Gries built (see :func:`misra_gries`), or the
+    :func:`proper_masks` read of the exact solver's witness.
     """
     r = max(g.degrees, default=0)
     if g.edge_count > r * (g.vertex_count // 2):
@@ -494,7 +484,7 @@ def obtain_r_coloring(g: Graph, *, with_masks: bool = False
     if g.edge_count <= EXHAUSTIVE_EDGE_LIMIT:
         chi_prime, witness = exact_chromatic_index(g)
         if chi_prime == r:
-            return (witness, None) if with_masks else witness
+            return (witness, proper_masks(g, witness, r)) if with_masks else witness
         raise ClassTwoError(chi_prime=chi_prime, max_degree=r)
     raise UnknownClassError(
         f"heuristic used {r + 1} colors and the graph is too large "

@@ -56,9 +56,9 @@ class Graph(Value):
     downstream algorithms use as their deterministic processing order; an
     edge's index in it is its id. :attr:`degrees` counts each vertex's
     edges, :attr:`ends` gives each edge's far end from either end, and
-    :attr:`incidence`, which only the exhaustive searches and the naming of
-    clashes read, lists each vertex's edge ids. Instances are immutable; use
-    :func:`build_graph` to validate raw input.
+    :attr:`incidence`, which only the exhaustive searches and
+    ``coloring.palette`` read, lists each vertex's edge ids. Instances are
+    immutable; use :func:`build_graph` to validate raw input.
     """
 
     def __init__(self, vertex_count: int, edges: tuple[Edge, ...]) -> None:

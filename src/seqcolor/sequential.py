@@ -112,25 +112,16 @@ def _check_near_regular(profile: DegreeProfile) -> int:
     return profile.max_degree
 
 
-def missing_color_partition(
-    g: Graph, coloring: EdgeColoring, profile: DegreeProfile | None = None
-) -> MissingColorPartition:
+def missing_color_partition(g: Graph, coloring: EdgeColoring) -> MissingColorPartition:
     """Group the sub-maximum-degree vertices of ``g`` by their missing color.
 
     Preconditions checked one by one: the graph is near-regular with max
-    degree r >= 3, and ``coloring`` is a proper r-coloring. ``profile`` is
-    ``degree_profile(g)``, computed here when not given. The properness check
-    and the missing-color read share one :func:`~seqcolor.coloring.proper_masks`
-    read, which ORs each vertex's colors into a bitmask.
+    degree r >= 3, and ``coloring`` is a proper r-coloring. The properness
+    check and the missing-color read share one
+    :func:`~seqcolor.coloring.proper_masks` read, which ORs each vertex's
+    colors into a bitmask.
     """
-    if profile is None:
-        profile = degree_profile(g)
-    r = _check_near_regular(profile)
-    if coloring.color_count != r:
-        raise PreconditionError(
-            f"coloring uses {coloring.color_count} colors, expected exactly {r}"
-        )
-    return _partition(g, proper_masks(g, coloring, r)[1], r)
+    return _acquire(g, coloring, _check_near_regular(degree_profile(g)))[1]
 
 
 def _partition(g: Graph, masks: list[int], r: int) -> MissingColorPartition:
@@ -211,16 +202,19 @@ def _sequential_verdict(wanted: list[int], masks: list[int], clashes) -> Verdict
     return Verdict(not failures, failures)
 
 
-def _acquire(g: Graph, coloring: EdgeColoring | None, profile: DegreeProfile,
+def _acquire(g: Graph, coloring: EdgeColoring | None,
              r: int) -> tuple[EdgeColoring, MissingColorPartition]:
-    """The r-coloring and its partition, from the palette masks acquisition
-    kept or else through :func:`missing_color_partition`. The masks die
+    """The r-coloring (``coloring``, or one acquired when it is None) and its
+    partition, read off the palette masks that acquisition returned or that
+    the check of ``coloring`` as a proper r-coloring read. The masks die
     here, before the final coloring is read."""
     if coloring is None:
         coloring, masks = obtain_r_coloring(g, with_masks=True)
-        if masks is not None:
-            return coloring, _partition(g, masks, r)
-    return coloring, missing_color_partition(g, coloring, profile)
+    elif coloring.color_count != r:
+        raise PreconditionError(f"coloring uses {coloring.color_count} colors, expected exactly {r}")
+    else:
+        masks = proper_masks(g, coloring, r)
+    return coloring, _partition(g, masks, r)
 
 
 def sequentialize(g: Graph, coloring: EdgeColoring | None = None) -> SequentialCertificate:
@@ -232,23 +226,24 @@ def sequentialize(g: Graph, coloring: EdgeColoring | None = None) -> SequentialC
     certificate's size always meets :func:`sequential_set_bound`.
 
     A Kőnig or Misra-Gries coloring is partitioned by the palette bitmasks
-    its construction kept; a supplied one, or the exact solver's, is first
-    validated by :func:`missing_color_partition`. Either way the final
-    coloring is read once in full: a missing edge, a color outside 1..r or a
-    clash anywhere raises ``RuntimeError`` (an internal error, since the
-    swap keeps a proper r-coloring proper), and the sequential check of the
-    certified set gives ``verified``.
+    its construction kept; the exact solver's witness, or a supplied
+    coloring, by those of the :func:`~seqcolor.coloring.proper_masks` read
+    that validates it. Either way the final coloring is read once in full:
+    a missing edge, a color outside 1..r or a clash anywhere raises
+    ``RuntimeError`` (an internal error, since the swap keeps a proper
+    r-coloring proper), and the sequential check of the certified set gives
+    ``verified``.
     """
     profile = degree_profile(g)
     # Checked before acquisition, so a precondition failure wins over a class one.
     r = _check_near_regular(profile)
-    alpha, partition = _acquire(g, coloring, profile, r)
+    alpha, partition = _acquire(g, coloring, r)
     swap = select_swap_color(partition)
     beta = swap_colors(alpha, swap, partition.r)
     certified = profile.max_degree_vertices | partition.classes[swap]
     bound = sequential_set_bound(profile.n, profile.n_r, r)
     try:
-        _, masks = proper_masks(g, beta, r)
+        masks = proper_masks(g, beta, r)
     except PreconditionError as exc:
         raise RuntimeError(f"internal error: the final coloring fails its check: {exc}") from None
     verdict = _sequential_verdict(sorted(certified), masks, ())

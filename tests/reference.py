@@ -403,7 +403,8 @@ def vertex_sum_decomposition(g: Graph, coloring: EdgeColoring) -> PaletteSumDeco
     edge colors at each vertex; classes are read from palette bitmasks.
     """
     t = coloring.color_count
-    colors, masks = proper_masks(g, coloring, t)
+    masks = proper_masks(g, coloring, t)
+    colors = edge_colors(g, coloring)
     sums = [sum([colors[e] for e in incident]) for incident in g.incidence]
     full, missing_top, other = set(), set(), set()
     for v, mask in enumerate(masks):

@@ -401,8 +401,8 @@ def _assert_masks_are_the_palettes(g, acquired, masks):
 
 
 class TestAcquiredMasks:
-    """The palette bitmasks Kőnig and Misra-Gries hand over with
-    ``with_masks`` equal what a read of their coloring finds."""
+    """The palette bitmasks Kőnig, Misra-Gries and the exact path hand over
+    with ``with_masks`` equal what a read of their coloring finds."""
 
     @given(r=st.integers(3, 6), k=st.integers(1, 12), seed=st.integers(0, 2**31 - 1))
     def test_near_regular_bipartite(self, r, k, seed):
@@ -427,12 +427,16 @@ class TestAcquiredMasks:
         assert acquired == misra_gries(g)
         _assert_masks_are_the_palettes(g, acquired, masks)
 
-    def test_exact_path_has_no_masks(self):
-        # K_4 minus an edge: Misra-Gries needs a fourth color.
-        g = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-        assert misra_gries(g, within_max_degree=True, with_masks=True) is None
-        acquired, masks = obtain_r_coloring(g, with_masks=True)
-        assert masks is None and acquired == obtain_r_coloring(g)
+    def test_exact_path_masks_are_the_palettes(self):
+        # K_4 minus an edge, then the first census class of the exact path:
+        # Misra-Gries needs a spare color on both, so the masks come from a
+        # read of the exact solver's witness.
+        k4_minus_edge = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+        for g in (k4_minus_edge, _first_exact_path_class()):
+            assert misra_gries(g, within_max_degree=True, with_masks=True) is None
+            acquired, masks = obtain_r_coloring(g, with_masks=True)
+            assert acquired == obtain_r_coloring(g) == exact_chromatic_index(g)[1]
+            _assert_masks_are_the_palettes(g, acquired, masks)
 
 
 class TestColoringText:

@@ -239,9 +239,10 @@ class TestKernelsAgainstReference:
 
 
 class TestPipelineBuildsNoIncidence:
-    """The certify pipeline and a clash-free ``verify_certificate`` read
-    ``Graph.degrees`` and ``Graph.sides``; ``Graph.incidence`` is built only
-    to name clashes (and by the exhaustive searches)."""
+    """The certify pipeline and ``verify_certificate`` read ``Graph.degrees``
+    and ``Graph.sides``, and name clashes from one scan of ``Graph.edges``;
+    ``Graph.incidence`` is built only by the exhaustive searches and
+    ``palette``."""
 
     @pytest.mark.parametrize("make, error", [
         (lambda: generate_random_biregular(3, 4, 1), None),
@@ -277,6 +278,7 @@ class TestPipelineBuildsNoIncidence:
             expected += [(v, c) for c in sorted(set(at_v)) if at_v.count(c) > 1]
         proper, _ = verify_certificate(g, clashing, ())
         assert expected and proper.violations == tuple(expected)
+        assert "incidence" not in vars(g)
 
 
 class TestGraph6DecodesWithoutBuildGraph:
