@@ -292,8 +292,8 @@ COMMANDS = {
     "sequentialize": (cmd_sequentialize, "run the sequential-coloring pipeline", (
         _INPUT, _REPORT,
         (("--oracle",), {"action": "store_true", "help": "attach exhaustive ground truth"}),
-        (("--override-size",), {"action": "store_true",
-                                "help": "run the oracle past its 20-edge guard"}),
+        (("--override-size",), {"action": "store_true", "help":
+                                f"run the oracle past its {EXHAUSTIVE_EDGE_LIMIT}-edge guard"}),
         _FORMAT)),
     "bound": (cmd_bound, "print the closed-form bounds for (n, n_r, r)", (
         (("n",), {"type": int}), (("n_r",), {"type": int}), (("r",), {"type": int}))),

@@ -6,7 +6,8 @@ import sys
 from collections import Counter
 from collections.abc import Sequence
 from functools import cached_property, partial
-from operator import lt
+from itertools import starmap
+from operator import lt, xor
 
 from .errors import (
     ClassTwoError,
@@ -161,11 +162,11 @@ def proper_masks(g: Graph, coloring: EdgeColoring, t: int) -> list[int]:
 
 
 def palette(g: Graph, coloring: EdgeColoring, v: int) -> frozenset[int]:
-    """The set of colors appearing on edges incident to ``v``."""
+    """The set of colors on the edges at ``v``, from one scan of ``g.edges``."""
     if not 0 <= v < g.vertex_count:
         raise GraphError(f"unknown vertex {v}")
     try:
-        return frozenset(coloring._by_edge[g.edges[e]] for e in g.incidence[v])
+        return frozenset(coloring._by_edge[e] for e in g.edges if v in e)
     except KeyError as exc:
         raise PreconditionError(f"coloring misses an edge at vertex {v}: {exc}") from None
 
@@ -175,12 +176,14 @@ class _EdgeIndexedColoring:
 
     ``color[e]`` is edge e's color (0 while uncolored), ``used[v]`` has bit c
     set when color c is on an edge at v, and ``at[v * stride + c]`` is the id
-    of that edge (-1 if none), so every step of an alternating path costs
-    O(1). One flat list keeps ``at`` at one pointer per (vertex, color).
+    of that edge (-1 if none), and ``ends[e]`` is ``u ^ v`` of edge e, so a
+    walk reaching e at x goes on at ``ends[e] ^ x``: every step of an
+    alternating path costs O(1). One flat list keeps ``at`` at one pointer
+    per (vertex, color).
     """
 
     def __init__(self, g: Graph, max_color: int):
-        self.ends = g.ends
+        self.ends = tuple(starmap(xor, g.edges))
         self.color = [0] * len(g.edges)
         self.used = [0] * g.vertex_count
         self.stride = max_color + 1
@@ -220,7 +223,7 @@ def misra_gries(g: Graph, *, within_max_degree: bool = False,
     edge. Edges are processed in input order, so the result is deterministic.
     Each fan step takes the lowest-id edge ``at[u, c]`` over the colors c at
     u free at the fan's last vertex and on no fan edge: the first match a
-    scan of ``g.incidence[u]`` would find (CHANGES.md).
+    scan of u's edges in edge-id order would find (CHANGES.md).
 
     With ``within_max_degree`` set (Δ = max_degree), return ``None`` at the
     first edge whose d, the smallest color free at the fan's last vertex, is

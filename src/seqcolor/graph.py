@@ -6,8 +6,7 @@ import random
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import cached_property
-from itertools import compress, starmap
-from operator import xor
+from itertools import compress
 
 from .errors import GraphError, PreconditionError
 
@@ -54,24 +53,14 @@ class Graph(Value):
 
     ``edges`` holds normalized (min, max) pairs in construction order, which
     downstream algorithms use as their deterministic processing order; an
-    edge's index in it is its id. :attr:`degrees` counts each vertex's
-    edges, :attr:`ends` gives each edge's far end from either end, and
-    :attr:`incidence`, which only the exhaustive searches and
-    ``coloring.palette`` read, lists each vertex's edge ids. Instances are
-    immutable; use :func:`build_graph` to validate raw input.
+    edge's index in it is its id. It caches only what several layers read:
+    :attr:`degrees`, :attr:`sides` and :attr:`edge_set`. An index with one
+    reader is built by that reader. Instances are immutable; use
+    :func:`build_graph` to validate raw input.
     """
 
     def __init__(self, vertex_count: int, edges: tuple[Edge, ...]) -> None:
         self.__dict__.update(vertex_count=vertex_count, edges=edges)
-
-    @cached_property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, the ids (indices into ``edges``) of its edges, in edge order."""
-        incident: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for e, (u, v) in enumerate(self.edges):
-            incident[u].append(e)
-            incident[v].append(e)
-        return tuple(map(tuple, incident))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -81,12 +70,6 @@ class Graph(Value):
             degree[u] += 1
             degree[v] += 1
         return tuple(degree)
-
-    @cached_property
-    def ends(self) -> tuple[int, ...]:
-        """Per edge id, ``u ^ v`` of its ends, so ``ends[e] ^ x`` is the end of
-        edge e that is not x."""
-        return tuple(starmap(xor, self.edges))
 
     @cached_property
     def sides(self) -> bytes | None:

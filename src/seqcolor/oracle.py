@@ -58,8 +58,12 @@ class OracleResult(Value):
 
 def _later_edges(g: Graph) -> list[tuple[int, ...]]:
     """Per edge id, the ids of the later edges at either endpoint."""
+    incidence: list[list[int]] = [[] for _ in g.vertices]
+    for e, (u, v) in enumerate(g.edges):
+        incidence[u].append(e)
+        incidence[v].append(e)
     later: list[tuple[int, ...]] = [()] * len(g.edges)
-    for ids in g.incidence:
+    for ids in map(tuple, incidence):
         for t, j in enumerate(ids, 1):
             later[j] += ids[t:]
     return later
@@ -85,12 +89,11 @@ def _min_sum_search(
     so the search visits the same nodes.
     """
     edges = g.edges
-    incidence = g.incidence
     m = len(edges)
     n = g.vertex_count
     full = (1 << (color_cap + 1)) - 2
     used = [0] * n
-    pending = [len(ids) for ids in incidence]
+    pending = list(g.degrees)
     active = sum(1 for k in pending if k)
     matching_cap = active // 2
     class_count = [0] * (color_cap + 1)

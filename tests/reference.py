@@ -20,6 +20,15 @@ from seqcolor.graph_io import GRAPH6_HEADER, GRAPH6_MAX_VERTICES
 from seqcolor.oracle import _is_connected
 
 
+def incidence_of(g: Graph) -> list[list[int]]:
+    """Per vertex, the ids (indices into ``g.edges``) of its edges, in edge order."""
+    incidence: list[list[int]] = [[] for _ in g.vertices]
+    for e, (u, v) in enumerate(g.edges):
+        incidence[u].append(e)
+        incidence[v].append(e)
+    return incidence
+
+
 def enumerate_proper_colorings(
     g: Graph, color_cap: int, visitor: Callable[[dict], None]
 ) -> int:
@@ -309,7 +318,7 @@ def reference_min_sum_search(
 def reference_misra_gries(g: Graph) -> EdgeColoring:
     """The Misra–Gries colorer the library's table-driven fan step replaced.
 
-    Each fan extension rescans ``g.incidence[u]`` from its start for the
+    Each fan extension rescans ``incidence_of(g)[u]`` from its start for the
     first colored edge to a vertex outside the fan whose color is free at the
     fan's last vertex, and every rotated edge is moved one end at a time by
     a helper call; only the Kempe walker ``flip_path`` is the library's. The
@@ -317,7 +326,7 @@ def reference_misra_gries(g: Graph) -> EdgeColoring:
     """
     if not g.edges:
         return EdgeColoring(g.edges, (), 0)
-    edges, incidence = g.edges, g.incidence
+    edges, incidence = g.edges, incidence_of(g)
     cap = max(map(len, incidence)) + 1
     state = _EdgeIndexedColoring(g, cap)
     color, used, at, stride = state.color, state.used, state.at, state.stride
@@ -405,7 +414,7 @@ def vertex_sum_decomposition(g: Graph, coloring: EdgeColoring) -> PaletteSumDeco
     t = coloring.color_count
     masks = proper_masks(g, coloring, t)
     colors = edge_colors(g, coloring)
-    sums = [sum([colors[e] for e in incident]) for incident in g.incidence]
+    sums = [sum([colors[e] for e in incident]) for incident in incidence_of(g)]
     full, missing_top, other = set(), set(), set()
     for v, mask in enumerate(masks):
         # The palette 1..k (k = 0 when empty) is a run of set bits from bit 1:
@@ -679,7 +688,7 @@ def reference_build_graph(vertex_count: int, edges: Iterable[Sequence[int]]) -> 
 def reference_sides(g: Graph) -> bytes | None:
     """``Graph.sides`` reading each far end as ``a + b - v`` of ``g.edges``."""
     edges = g.edges
-    incidence = g.incidence
+    incidence = incidence_of(g)
     side = bytearray(g.vertex_count)
     seen = bytearray(g.vertex_count)
     for start in g.vertices:
@@ -760,7 +769,7 @@ def reference_konig_color_bipartite(g: Graph) -> EdgeColoring:
     every edge."""
     if g.sides is None:
         raise PreconditionError("graph is not bipartite")
-    max_degree = max(map(len, g.incidence), default=0)
+    max_degree = max(map(len, incidence_of(g)), default=0)
     state = ReferenceEdgeIndexedColoring(g, max_degree)
     color, used, at, stride = state.color, state.used, state.at, state.stride
     for e, (u, v) in enumerate(g.edges):

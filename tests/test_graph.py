@@ -66,17 +66,6 @@ class TestBuildGraph:
 
 
 class TestIncidence:
-    def test_hand_example(self):
-        g = build_graph(4, [(2, 0), (1, 2), (0, 3)])
-        assert g.incidence == ((0, 2), (1,), (0, 1), (2,))
-        neighbors = [[sum(g.edges[e]) - v for e in ids] for v, ids in enumerate(g.incidence)]
-        assert neighbors == [[2, 3], [2], [0, 1], [0]]
-
-    @given(graphs())
-    def test_incidence_lists_edge_ids_in_adjacency_order(self, g):
-        for v in g.vertices:
-            assert list(g.incidence[v]) == [e for e, end in enumerate(g.edges) if v in end]
-
     @given(graphs())
     def test_sides_split_every_edge(self, g):
         sides = g.sides

@@ -3,7 +3,8 @@ replaced, kept in tests/reference.py: ``build_graph`` (graphs and error
 texts), ``Graph.degrees``, ``Graph.sides``, ``konig_color_bipartite`` and
 ``coloring_masks``, on the census, seeded random graphs, graphs of several
 components, graphs built like the benchmark's and hypothesis graphs; and the
-certify pipeline, which builds no ``Graph.incidence``."""
+certify pipeline, which caches nothing on ``Graph`` but ``degrees`` and
+``sides``."""
 
 import random
 
@@ -31,6 +32,7 @@ from seqcolor.graph import Graph
 
 from .conftest import graphs, prism_graph
 from .reference import (
+    incidence_of,
     reference_build_graph,
     reference_coloring_masks,
     reference_konig_color_bipartite,
@@ -99,8 +101,7 @@ def assert_kernels_match(rng, n, raw):
     faulty copies of them, against its reference."""
     g = build_graph(n, raw)
     assert g == reference_build_graph(n, raw)
-    assert g.degrees == tuple(map(len, Graph(n, g.edges).incidence))
-    assert g.ends == tuple(u ^ v for u, v in g.edges)
+    assert g.degrees == tuple(map(len, incidence_of(g)))
     assert g.sides == reference_sides(g)
     if g.sides is not None:
         coloring = konig_color_bipartite(g)
@@ -240,9 +241,12 @@ class TestKernelsAgainstReference:
 
 class TestPipelineBuildsNoIncidence:
     """The certify pipeline and ``verify_certificate`` read ``Graph.degrees``
-    and ``Graph.sides``, and name clashes from one scan of ``Graph.edges``;
-    ``Graph.incidence`` is built only by the exhaustive searches and
-    ``palette``."""
+    and ``Graph.sides``, and name clashes from one scan of ``Graph.edges``:
+    they cache nothing else on the graph. The per-vertex edge-id lists are
+    built only by the min-sum oracle, and the Kempe far-end table lives in
+    the colorer's state."""
+
+    CACHED = {"vertex_count", "edges", "degrees", "sides"}
 
     @pytest.mark.parametrize("make, error", [
         (lambda: generate_random_biregular(3, 4, 1), None),
@@ -260,7 +264,7 @@ class TestPipelineBuildsNoIncidence:
         else:
             with pytest.raises(error):
                 sum_report(g)
-        assert "incidence" not in vars(g)
+        assert set(vars(g)) <= self.CACHED
 
     def test_verify_certificate(self):
         made = generate_random_biregular(3, 2, 1)
@@ -268,7 +272,7 @@ class TestPipelineBuildsNoIncidence:
         g = Graph(made.vertex_count, made.edges)
         proper, sequential = verify_certificate(g, certificate.coloring, certificate.sequential_vertices)
         assert proper.ok and sequential.ok
-        assert "incidence" not in vars(g)
+        assert set(vars(g)) <= self.CACHED
         colors = list(certificate.coloring.colors)
         colors[0] = colors[1] = colors[2]
         clashing = EdgeColoring(g.edges, tuple(colors), certificate.coloring.color_count)
@@ -278,7 +282,7 @@ class TestPipelineBuildsNoIncidence:
             expected += [(v, c) for c in sorted(set(at_v)) if at_v.count(c) > 1]
         proper, _ = verify_certificate(g, clashing, ())
         assert expected and proper.violations == tuple(expected)
-        assert "incidence" not in vars(g)
+        assert set(vars(g)) <= self.CACHED
 
 
 class TestGraph6DecodesWithoutBuildGraph:
