@@ -39,9 +39,9 @@ _EXPORTS = {
         "exact_max_sequential_set",
     ),
     "sequential": (
-        "MissingColorPartition", "SequentialCertificate", "biregular_set_bound",
-        "missing_color_partition", "select_swap_color", "sequential_set_bound",
-        "sequentialize", "swap_colors", "verify_certificate", "verify_sequential",
+        "MissingColorPartition", "SequentialCertificate", "missing_color_partition",
+        "select_swap_color", "sequential_set_bound", "sequentialize", "swap_colors",
+        "verify_certificate", "verify_sequential",
     ),
     "sums": ("SumReport", "chromatic_sum_bound", "coloring_sum", "sum_report"),
 }

@@ -39,11 +39,7 @@ from .graph import (
     generate_regular_class1,
 )
 from .graph_io import emit_edge_list, emit_graph6, parse_edge_list, parse_graph6, scan_ints
-from .sequential import (
-    biregular_set_bound,
-    sequential_set_bound,
-    verify_certificate,
-)
+from .sequential import sequential_set_bound, verify_certificate
 from .sums import chromatic_sum_bound, sum_report
 
 EXIT_OK = 0
@@ -152,7 +148,7 @@ def _sequentialize_graph(args):
         seq_result = exact_max_sequential_set(
             g, report.certificate.r, override_size=args.override_size)
         report = report.replace(exact_sum=sum_result.value)
-        oracle_records = [sum_result.to_record("sum"), seq_result.to_record("sequential")]
+        oracle_records = [sum_result.to_record(), seq_result.to_record()]
     return report, oracle_records
 
 
@@ -191,12 +187,10 @@ def cmd_bound(args) -> int:
     seq = sequential_set_bound(args.n, args.n_r, args.r)
     total = chromatic_sum_bound(args.n, args.n_r, args.r)
     scale, remainder = divmod(args.n, 2 * args.r - 1)
+    # At (n, n_r) = ((2r-1)k, (r-1)k) the biregular form ceil(rn / (2r-1)) is the bound, rk.
     biregular_match = remainder == 0 and scale >= 1 and args.n_r == (args.r - 1) * scale
     print(f"sequential-set bound: {seq}")
-    if biregular_match:
-        print(f"biregular form:       {biregular_set_bound(args.n, args.r)}")
-    else:
-        print("biregular form:       -")
+    print(f"biregular form:       {seq if biregular_match else '-'}")
     print(f"chromatic-sum bound:  {total}")
     return EXIT_OK
 
@@ -250,10 +244,10 @@ def cmd_oracle(args) -> int:
     if run_seq:
         r = args.cap if args.cap is not None else degree_profile(g).max_degree
         result = exact_max_sequential_set(g, r, override_size=args.override_size)
-        records.append(result.to_record("sequential"))
+        records.append(result.to_record())
     if run_sum:
         result = exact_edge_chromatic_sum(g, override_size=args.override_size)
-        records.insert(0, result.to_record("sum"))
+        records.insert(0, result.to_record())
     if args.report:
         _print_records(records)
         return EXIT_OK

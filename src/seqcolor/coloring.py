@@ -152,8 +152,12 @@ def proper_masks(g: Graph, coloring: EdgeColoring, t: int) -> list[int]:
     :func:`verify_proper` does.
     """
     colors, masks, clashes = coloring_masks(g, coloring)
-    used = set(colors)
-    if used and not 1 <= min(used) <= max(used) <= t:
+    m = len(colors)
+    # A color outside 1..m has a bit above m, so the top palette bit passes
+    # min(t, m) exactly when a color lies outside 1..min(t, m); only for
+    # t > m can such a color, one in (m, t], still lie in 1..t.
+    top = max(masks, default=0).bit_length() - 1
+    if m and top > min(t, m) and (t <= m or not all(1 <= c <= t for c in colors)):
         raise PreconditionError(f"coloring uses colors outside 1..{t}")
     if clashes:
         verdict = clash_verdict(g, colors, clashes)

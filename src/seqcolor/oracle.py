@@ -32,7 +32,7 @@ class OracleResult(Value):
     """Exact optimum plus a witness coloring and search statistics.
 
     ``sequential_vertices`` carries the witness's sequential set when the
-    oracle maximized that quantity.
+    oracle maximized that quantity, and is None for the sum oracle.
     """
 
     def __init__(self, value: int, witness: EdgeColoring, explored: int,
@@ -40,9 +40,9 @@ class OracleResult(Value):
         self.__dict__.update(value=value, witness=witness, explored=explored,
                              sequential_vertices=sequential_vertices)
 
-    def to_record(self, kind: str) -> dict:
+    def to_record(self) -> dict:
         record = {
-            "record": f"oracle_{kind}",
+            "record": "oracle_sum" if self.sequential_vertices is None else "oracle_sequential",
             "value": self.value,
             "explored": self.explored,
             # Always true (the sum search stops only when one more color changes

@@ -84,20 +84,11 @@ def sequential_set_bound(n: int, n_r: int, r: int) -> int:
     return -(-((r - 1) * n_r + n) // r)
 
 
-def biregular_set_bound(n: int, r: int) -> int:
-    """The bound specialized to (r-1,r)-biregular bipartite graphs: ceil(r*n / (2r-1))."""
-    _check_bound_args(n, None, r)
-    return -(-(r * n) // (2 * r - 1))
-
-
-def _check_bound_args(n: int, n_r: int | None, r: int) -> None:
-    """The arguments of a closed-form bound; ``n_r`` is None for a bound without it."""
+def _check_bound_args(n: int, n_r: int, r: int) -> None:
+    """The arguments of a closed-form bound."""
     if r < 3:
         raise PreconditionError(f"degree parameter must be at least 3, got {r}")
-    if n_r is None:
-        if n < 0:
-            raise PreconditionError(f"vertex count must be non-negative, got {n}")
-    elif not 0 <= n_r <= n:
+    if not 0 <= n_r <= n:
         raise PreconditionError(f"need 0 <= n_r <= n, got n_r={n_r}, n={n}")
 
 

@@ -76,6 +76,11 @@ def cycle_graph(n: int) -> Graph:
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def biregular_set_bound(n: int, r: int) -> int:
+    """The sequential-set bound on (r-1, r)-biregular graphs, ceil(r*n / (2r-1))."""
+    return -(-(r * n) // (2 * r - 1))
+
+
 def coloring_of(assignment: dict, t: int) -> EdgeColoring:
     """The coloring with ``assignment``'s edges and colors, in its key order."""
     return EdgeColoring(tuple(assignment), tuple(assignment.values()), t)

@@ -12,7 +12,6 @@ import pytest
 
 from seqcolor import (
     ClassTwoError,
-    biregular_set_bound,
     chromatic_sum_bound,
     coloring_sum,
     complete_graph,
@@ -38,7 +37,7 @@ from seqcolor import (
 from seqcolor.cli import run as cli_run
 
 from .conftest import petersen_graph, random_bipartite_graph, random_simple_graph
-from .reference import vertex_sum_decomposition
+from .reference import biregular_set_bound, vertex_sum_decomposition
 
 
 @contextmanager

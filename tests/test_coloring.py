@@ -543,6 +543,39 @@ class TestColoringMasks:
         with pytest.raises(PreconditionError, match="outside 1..4"):
             coloring_module.proper_masks(g, coloring, 4)
 
+    @pytest.mark.parametrize("colors, t, error", [
+        # m = 4 edges: colors at most 0, in (t, m] and above m, for t below,
+        # at and above m. The range is checked before the clashes.
+        ((1, 2, 3, 1), 3, None),
+        ((1, 2, 3, 1), 6, None),
+        ((1, 2, 3, 1), 2, "coloring uses colors outside 1..2"),
+        ((1, 2, 3, 1), 0, "coloring uses colors outside 1..0"),
+        ((1, 2, 3, 1), -2, "coloring uses colors outside 1..-2"),
+        ((1, 2, 3, 0), 3, "coloring uses colors outside 1..3"),
+        ((1, 2, 3, -1), 6, "coloring uses colors outside 1..6"),
+        ((1, 2, 3, 5), 4, "coloring uses colors outside 1..4"),
+        ((1, 2, 3, 5), 5, None),
+        ((1, 2, 3, 10**12), 6, "coloring uses colors outside 1..6"),
+        ((2, 2, 3, 0), 3, "coloring uses colors outside 1..3"),
+        ((2, 2, 3, 1), 3, "coloring is not proper: clashes ((1, 2),)"),
+        ((2, 2, 3, 6), 6, "coloring is not proper: clashes ((1, 2),)"),
+    ])
+    def test_proper_masks_checks_the_range_then_the_clashes(self, colors, t, error):
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+        coloring = EdgeColoring(g.edges, colors, t)
+        if error is None:
+            masks = coloring_module.coloring_masks(g, coloring)[1]
+            assert coloring_module.proper_masks(g, coloring, t) == masks
+        else:
+            with pytest.raises(PreconditionError) as info:
+                coloring_module.proper_masks(g, coloring, t)
+            assert str(info.value) == error
+
+    @pytest.mark.parametrize("t", [-2, 0, 3])
+    def test_proper_masks_of_an_edgeless_graph(self, t):
+        g = build_graph(3, [])
+        assert coloring_module.proper_masks(g, EdgeColoring((), (), t), t) == [0, 0, 0]
+
 
 def _first_exact_path_class():
     # The first census class that obtain_r_coloring hands to the exact

@@ -79,7 +79,7 @@ class TestExactSum:
     def test_k4(self, k4):
         result = exact_edge_chromatic_sum(k4)
         assert result.value == 12
-        assert result.to_record("sum")["cap_stable"] is True
+        assert result.to_record()["cap_stable"] is True
         assert verify_proper(k4, result.witness)
         assert coloring_sum(k4, result.witness) == 12
 
@@ -95,7 +95,7 @@ class TestExactSum:
 
     def test_edgeless(self):
         result = exact_edge_chromatic_sum(build_graph(2, []))
-        assert result.value == 0 and result.to_record("sum")["cap_stable"] is True
+        assert result.value == 0 and result.to_record()["cap_stable"] is True
 
     def test_long_path_with_override(self):
         # 21 edges: consecutive pairs force sum >= 3 each, so 31 is optimal.
@@ -476,6 +476,26 @@ class TestWitnessCheck:
         monkeypatch.setattr(oracle_module, "_min_sum_search", lambda *args: (value, assign, 1))
         with pytest.raises(RuntimeError, match="^internal error: witness clashes or misses"):
             exact_edge_chromatic_sum(path_graph(2))
+
+    def test_an_improvement_above_chi_prime_raises_the_cap_again(self, monkeypatch, k4):
+        # No small graph is known whose minimum sum needs chi' + 1 colors, so
+        # the search at chi' + 1 reports a false one-less sum with the same
+        # colors: the oracle must go on to chi' + 2, where nothing beats it,
+        # and then refuse the witness that misses it.
+        chi_prime = exact_chromatic_index(k4)[0]
+        search = oracle_module._min_sum_search
+        caps = []
+
+        def improving_once(g, later, cap, value, assign):
+            caps.append(cap)
+            if cap == chi_prime + 1:
+                return value - 1, assign, 1
+            return search(g, later, cap, value, assign)
+
+        monkeypatch.setattr(oracle_module, "_min_sum_search", improving_once)
+        with pytest.raises(RuntimeError, match="^internal error: witness clashes or misses"):
+            exact_edge_chromatic_sum(k4)
+        assert caps == [chi_prime, chi_prime + 1, chi_prime + 2]
 
     @pytest.mark.parametrize("oracle", [
         exact_edge_chromatic_sum,

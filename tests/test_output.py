@@ -122,7 +122,7 @@ class TestRecordWriter:
         sum_result = exact_edge_chromatic_sum(g, override_size=True)
         seq_result = exact_max_sequential_set(g, report.certificate.r, override_size=True)
         records = [report.certificate.to_record(), report.to_record(),
-                   sum_result.to_record("sum"), seq_result.to_record("sequential")]
+                   sum_result.to_record(), seq_result.to_record()]
         assert records[0]["coloring"]
         assert printed(records) == dumped(records)
 

@@ -25,10 +25,10 @@ PUBLIC = [
     "ClassTwoError", "DegreeProfile", "EdgeColoring", "Graph", "GraphError",
     "MissingColorPartition", "OracleResult", "OversizeError", "PreconditionError",
     "SeqcolorError", "SequentialCertificate", "SumReport", "UnknownClassError",
-    "Verdict", "bipartition_of", "biregular_set_bound", "build_graph",
-    "chromatic_sum_bound", "coloring_sum", "complete_graph",
-    "connected_near_regular_graphs", "degree_profile", "emit_coloring",
-    "emit_edge_list", "emit_graph6", "exact_chromatic_index",
+    "Verdict", "bipartition_of", "build_graph", "chromatic_sum_bound",
+    "coloring_sum", "complete_graph", "connected_near_regular_graphs",
+    "degree_profile", "emit_coloring", "emit_edge_list", "emit_graph6",
+    "exact_chromatic_index",
     "exact_edge_chromatic_sum", "exact_max_sequential_set",
     "generate_complete_bipartite", "generate_random_biregular",
     "generate_regular_class1", "konig_color_bipartite", "misra_gries",

@@ -2,7 +2,8 @@
 
 Run ``python3 tools/lint.py`` (from any directory). It prints one line
 per finding and exits 1 if there is any, else exits 0 silently. It checks
-``src/seqcolor`` for assert statements (``python -O`` strips them), coverage
+``src/seqcolor`` for assert statements (``python -O`` strips them), reads of
+``__debug__`` or ``sys.flags`` (``python -O`` changes them), coverage
 pragmas, dataclasses or typing imports, gc use outside cli.py, incidence
 attribute reads and dead definitions, and ``src/seqcolor`` and ``tests``
 for unused ``from ... import`` names.
@@ -16,6 +17,17 @@ hits = [f"assert in src: {path}:{node.lineno}"
         for path in sorted(pathlib.Path("src/seqcolor").glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)]
+# Beyond the asserts, python -O changes only __debug__ and sys.flags, so
+# with neither read in src the CLI behaves the same under -O
+# (tests/test_same_under_O.py runs it both ways).
+hits += [f"__debug__ or sys.flags read in src (python -O changes it): {path}:{node.lineno}"
+         for path in sorted(pathlib.Path("src/seqcolor").glob("*.py"))
+         for node in ast.walk(ast.parse(path.read_text(), str(path)))
+         if (isinstance(node, ast.Name) and node.id == "__debug__")
+         or (isinstance(node, ast.Attribute) and node.attr == "flags"
+             and isinstance(node.value, ast.Name) and node.value.id == "sys")
+         or (isinstance(node, ast.ImportFrom) and node.module == "sys"
+             and any(alias.name == "flags" for alias in node.names))]
 # No coverage tool runs, so such a marker only hides a branch that
 # should be deleted.
 hits += [f"coverage pragma in src: {path}:{number}"
