@@ -135,6 +135,24 @@ def cmd_color(args) -> int:
     return EXIT_OK
 
 
+def _oracle_records(g, cap, run_sum: bool, run_seq: bool, override_size: bool) -> list[dict]:
+    """The records of the requested oracles, the sum one first; ``cap`` None
+    means the max degree. The max-sequential oracle runs first, to refuse a
+    cap below the max degree or a Class-2 graph at that cap before the sum
+    search starts. Both begin with the same size guard and nothing prints
+    until both finish, so the order changes no output."""
+    # Imported here so that no other command loads the exhaustive search.
+    from .oracle import exact_edge_chromatic_sum, exact_max_sequential_set
+
+    records = []
+    if run_seq:
+        r = cap if cap is not None else degree_profile(g).max_degree
+        records.append(exact_max_sequential_set(g, r, override_size=override_size).to_record())
+    if run_sum:
+        records.insert(0, exact_edge_chromatic_sum(g, override_size=override_size).to_record())
+    return records
+
+
 def _sequentialize_graph(args):
     # The graph and its per-vertex structures die when this returns, before
     # the records are serialized.
@@ -142,13 +160,8 @@ def _sequentialize_graph(args):
     report = sum_report(g)
     oracle_records = []
     if args.oracle and (g.edge_count <= EXHAUSTIVE_EDGE_LIMIT or args.override_size):
-        from .oracle import exact_edge_chromatic_sum, exact_max_sequential_set
-
-        sum_result = exact_edge_chromatic_sum(g, override_size=args.override_size)
-        seq_result = exact_max_sequential_set(
-            g, report.certificate.r, override_size=args.override_size)
-        report = report.replace(exact_sum=sum_result.value)
-        oracle_records = [sum_result.to_record(), seq_result.to_record()]
+        oracle_records = _oracle_records(g, report.certificate.r, True, True, args.override_size)
+        report = report.replace(exact_sum=oracle_records[0]["value"])
     return report, oracle_records
 
 
@@ -228,26 +241,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    """Run the requested oracles and print the sum result before the
-    sequential one. The max-sequential oracle runs first: it refuses a cap
-    below the max degree, or a Class-2 graph at that cap (its search finds
-    no coloring), before the sum search starts. Both oracles begin with the
-    same size guard and nothing prints until both finish, so the order
-    changes no output."""
-    # Imported here so that no other command loads the exhaustive search.
-    from .oracle import exact_edge_chromatic_sum, exact_max_sequential_set
-
     g = _read_graph(args.input, args.format)
-    run_sum = args.sum or not args.max_sequential
-    run_seq = args.max_sequential or not args.sum
-    records = []
-    if run_seq:
-        r = args.cap if args.cap is not None else degree_profile(g).max_degree
-        result = exact_max_sequential_set(g, r, override_size=args.override_size)
-        records.append(result.to_record())
-    if run_sum:
-        result = exact_edge_chromatic_sum(g, override_size=args.override_size)
-        records.insert(0, result.to_record())
+    records = _oracle_records(g, args.cap, args.sum or not args.max_sequential,
+                              args.max_sequential or not args.sum, args.override_size)
     if args.report:
         _print_records(records)
         return EXIT_OK

@@ -203,15 +203,6 @@ class TestSequentialize:
     def test_petersen_class_two_exit(self, petersen_file, capsys):
         assert run(["sequentialize", petersen_file]) == 3
 
-    def test_unknown_class_exit(self, tmp_path, capsys):
-        # K_10 is not overfull, and the heuristic needs a tenth color on it.
-        path = write(tmp_path, "k10.txt", emit_edge_list(complete_graph(10)))
-        for command in ("sequentialize", "color"):
-            assert run([command, path]) == 4
-            assert capsys.readouterr().err == (
-                "error: heuristic used 10 colors and the graph is too large (45 edges) "
-                "for the exact solver\n")
-
     @pytest.mark.parametrize("name", ["K9", "C9(1,2)", "C1001(1,2)", "3K5"])
     def test_overfull_class_two_exit(self, name, tmp_path, capsys, monkeypatch):
         from seqcolor import build_graph, coloring
@@ -819,14 +810,14 @@ class TestNoCyclesWhilePaused:
     collector is paused. Checked in a fresh interpreter, free of this
     process's garbage."""
 
-    def test_garbage_per_command(self, tmp_path, capsys):
+    def test_garbage_per_command(self, tmp_path):
         konig = write_graph(tmp_path, "biregular-r3", False)
         ok = tmp_path / "ok"
         clash = tmp_path / "clash"
         ok.mkdir()
         clash.mkdir()
-        graph, coloring, vertices = certificate_files(ok, "minus-matching-r3-swap", capsys)
-        clashing = certificate_files(clash, "minus-matching-r3-swap", capsys, corrupt=True)
+        graph, coloring, vertices = certificate_files(ok, "minus-matching-r3-swap")
+        clashing = certificate_files(clash, "minus-matching-r3-swap", corrupt=True)
         short = write(tmp_path, "short.txt", "".join(open(coloring).readlines()[:-1]))
         k4 = write(tmp_path, "k4.txt", emit_edge_list(complete_graph(4)))
         k33 = write(tmp_path, "k33.txt", emit_edge_list(generate_complete_bipartite(3, 3)))

@@ -1,25 +1,49 @@
-"""Byte-identity of the CLI's stdout and exit codes on a fixed, seeded corpus.
+"""One table pins every fixed CLI run, under ``python`` and ``python -O``.
 
-Every case builds its input here, from its own seed, without the library's
-generators (whose seeds may map to new graphs), runs ``seqcolor.cli.run``
-in-process and compares the sha256 of stdout and the exit code with values
+Each row names its input, its CLI arguments and its exit code, and the
+sha256 of its stdout, a line (a ``re.MULTILINE`` pattern) that its stdout or
+stderr must hold, or both. The input goes last on the command line: stdin
+bytes as ``-``, or a certificate's graph, coloring and vertex files, written
+by :func:`certificate_files`. One module fixture runs every row in-process
+through ``seqcolor.cli.run`` in two fresh interpreters at once, ``python``
+and ``python -O``, and each row's stdout, stderr and exit code must be the
+same under both, so no check in src rests on ``assert`` (tools/lint.py also
+refuses asserts and ``__debug__`` or ``sys.flags`` reads there).
+
+The digest rows build their graphs here, from their own seeds, without the
+library's generators (whose seeds may map to new graphs). Their digests were
 recorded from the dict-based coloring core that preceded the edge-indexed
-one; the ``generate``, ``oracle`` and text-mode ``--oracle`` cases were
+one; the ``generate``, ``oracle`` and text-mode ``--oracle`` rows were
 recorded from the code that still stored a bipartition per graph and a
-``cap_stable`` field per oracle result, and ``vizing-union-r5`` from the
-Misra–Gries that rescanned the edges at u for every fan step, and ``seq-report-62-g6``
-from the per-bit graph6 decoder. ``oracle-sum-*``, ``oracle-seq-cap4-*``
-and ``seq-oracle-text-skipped-swap`` were recorded from the text renderer
-that read the certificate and oracle objects instead of their records. A
+``cap_stable`` field per oracle result, ``vizing-union-r5`` from the
+Misra–Gries that rescanned the edges at u for every fan step, and
+``seq-report-62-g6`` from the per-bit graph6 decoder. ``oracle-sum-*``,
+``oracle-seq-cap4-*`` and ``seq-oracle-text-skipped-swap`` were recorded
+from the text renderer that read the certificate and oracle objects instead
+of their records, and ``bound-15-6-3`` from the ``bound`` that prints its
+biregular form from the sequential-set bound. The max-sequential "explored"
+in ``oracle-report-union-8-3``, ``oracle-union-8-3`` and
+``seq-oracle-union-8-3`` counts the search with its color block rule: 30
+nodes, 33 without it; every other byte of those records is unchanged. A
 rewrite of the core that changes a single output byte fails here.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import pickle
 import random
+import re
+import subprocess
+import sys
+from collections import namedtuple
+from pathlib import Path
 
 import pytest
 
+from seqcolor import emit_edge_list, emit_graph6, generate_complete_bipartite, generate_regular_class1
 from seqcolor.cli import run
 
 
@@ -119,96 +143,15 @@ GRAPHS = {
     "minus-matching-62-r4": lambda: regular_minus_matching(62, 4, 31, 11),
 }
 
-# (graph, command, extra arguments, graph6 input?); a case without a graph
-# reads no input.
-CASES = {
-    "seq-report-biregular-r3": ("biregular-r3", "sequentialize", ["--report"], False),
-    "seq-text-biregular-r3": ("biregular-r3", "sequentialize", [], False),
-    "seq-report-biregular-r5-g6": ("biregular-r5", "sequentialize", ["--report"], True),
-    "seq-report-minus-r4": ("minus-matching-r4", "sequentialize", ["--report"], False),
-    "seq-text-minus-r4": ("minus-matching-r4", "sequentialize", [], False),
-    "seq-report-swap": ("minus-matching-r3-swap", "sequentialize", ["--report"], False),
-    "seq-text-swap": ("minus-matching-r3-swap", "sequentialize", [], False),
-    "seq-report-swap1-g6": ("minus-matching-r3-swap1", "sequentialize", ["--report"], True),
-    "seq-report-62-g6": ("minus-matching-62-r4", "sequentialize", ["--report"], True),
-    "seq-report-k6": ("k6", "sequentialize", ["--report"], False),
-    "seq-text-k6-g6": ("k6", "sequentialize", [], True),
-    "seq-report-union-8-3": ("union-8-3", "sequentialize", ["--report"], False),
-    "seq-text-union-10-4": ("union-10-4", "sequentialize", [], False),
-    "seq-oracle-union-8-3": ("union-8-3", "sequentialize", ["--report", "--oracle"], False),
-    "seq-oracle-text-union-8-3": ("union-8-3", "sequentialize", ["--oracle"], False),
-    "oracle-union-8-3": ("union-8-3", "oracle", [], False),
-    "oracle-report-union-8-3": ("union-8-3", "oracle", ["--report"], False),
-    "oracle-sum-union-8-3": ("union-8-3", "oracle", ["--sum"], False),
-    "oracle-seq-cap4-union-8-3": (
-        "union-8-3", "oracle", ["--max-sequential", "--cap", "4"], False),
-    "oracle-seq-cap4-report-union-8-3": (
-        "union-8-3", "oracle", ["--max-sequential", "--cap", "4", "--report"], False),
-    "seq-oracle-text-skipped-swap": ("minus-matching-r3-swap", "sequentialize", ["--oracle"], False),
-    "gen-complete-bipartite-3-4": (None, "generate", ["complete-bipartite", "3", "4"], False),
-    "gen-biregular-4-3-seed7": (None, "generate", ["biregular", "4", "3", "--seed", "7"], False),
-    "gen-regular-class1-3-complete-g6": (
-        None, "generate", ["regular-class1", "3", "--complete", "--format", "graph6"], False),
-    "color-minus-r4": ("minus-matching-r4", "color", [], False),
-    "color-k10": ("k10", "color", [], False),
-    "vizing-k10": ("k10", "color", ["--vizing"], False),
-    "vizing-k16": ("k16", "color", ["--vizing"], False),
-    "vizing-cubic-200": ("cubic-200", "color", ["--vizing"], False),
-    "vizing-union-r5": ("union-80-5", "color", ["--vizing"], False),
-}
 
-# sha256 of stdout and the exit code of each case. The max-sequential
-# "explored" in oracle-report-union-8-3, oracle-union-8-3 and
-# seq-oracle-union-8-3 counts the search with its color block rule: 30 nodes,
-# 33 without it; every other byte of those records is unchanged.
-GOLDEN = {
-    "color-k10": (4, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    "color-minus-r4": (0, "0c7730c9792f07c1d69c99100b13d6cfee9bee6a642f55817bcfcfd54f511c35"),
-    "gen-biregular-4-3-seed7": (0, "1b01009c481bf3933e8d2e314619c6c894b9d2cc858cae261ea733d9b6294941"),
-    "gen-complete-bipartite-3-4": (0, "422344b30ee4125595a0f354ac8ac5e0e00d7a56f4ae4565a39f389c4eff9730"),
-    "gen-regular-class1-3-complete-g6": (0, "62073900de6d9451c02333f80b3c4de1105edb4559989fee6cfa91c1365d102b"),
-    "oracle-report-union-8-3": (0, "39b779c9987a6d55efdebb61a2841e13ccdede855fea785d388990dc838277c7"),
-    "oracle-seq-cap4-report-union-8-3": (0, "0abbfbea00b52544986a63d4288e5b22574a8ec2c519111318dc5c06aae761fd"),
-    "oracle-seq-cap4-union-8-3": (0, "a35586b0ee22bbf598936f56b7177dba1e0dc62ca0359792585c88877879c0d4"),
-    "oracle-sum-union-8-3": (0, "6989cd0ffcef3d5df3a6105678b78bd7a6155b709ee7c7a94561be1f515dfe1c"),
-    "oracle-union-8-3": (0, "e56d78fa659d421f14c6485e142ac5813c5280ab1371c6979e437842fd9f2790"),
-    "seq-oracle-text-skipped-swap": (0, "9f288b436ef19ff3be92b7aecaf7ef853f315f383c51646db6c07c00a1752e16"),
-    "seq-oracle-text-union-8-3": (0, "41dc599a44f82f17a68dedfab428fc4788e470ceb8233929315a85adce9f6298"),
-    "seq-oracle-union-8-3": (0, "37eaad3b1571e8bdc37feed0555d218be9d0c1c2ccdd473fc8946d22008328b6"),
-    "seq-report-62-g6": (0, "fdee9a2c177d05f4e348191986966ae9365f74e3b96b76651c4ee10cc46cb8e6"),
-    "seq-report-biregular-r3": (0, "3ed911ed569f555e6280788e1dc9c56ad21d6725fbb0f4e2a909ca36d65355a2"),
-    "seq-report-biregular-r5-g6": (0, "e1ecd2d28475a6bae5c8cb4a800f3d666d8a00e2341750a36442d2678f5b4be8"),
-    "seq-report-k6": (0, "d9ee7416b52c215e9e49cbbc42965d6908b98ceb8b9458f05d1231a8e4e3a823"),
-    "seq-report-minus-r4": (0, "b4f866fd4107e153e2eb3923f2e35d6d47d059cd4f8d3e7600a9cc57c5df1757"),
-    "seq-report-swap": (0, "f5b8578afd6f3fe87a1d10f8b725ee60816b1c3598b01328aa5d1a285f2fbfb0"),
-    "seq-report-swap1-g6": (0, "a98fcd01bb624dd34d2e63f4045c97647d9af97b1b52001c6778cf5bea4ea5b8"),
-    "seq-report-union-8-3": (0, "9265ea5abe1d0947c90fbf73e89dffdc85865be0e8b5e254ece691d207d31be9"),
-    "seq-text-biregular-r3": (0, "bc2a6e4bc4c180aa19d5d60df71788e5aa89d23b2ea9d5a50ed5c67df1cda62b"),
-    "seq-text-k6-g6": (0, "052d1089c4c9c9d7fd22ecf417f839609a113ce084ad37cbc776d648ce9d6cd7"),
-    "seq-text-minus-r4": (0, "fd8e44c47e3b59a0f08098be7c640437e95e6692da4181346d5fdadd243a0e17"),
-    "seq-text-swap": (0, "a2744cbc3680902cc7e57c3e5246377cef869da6aa9b57b0ca8549e671e8a6dc"),
-    "seq-text-union-10-4": (0, "76f8a25fc6359c99d50a2adcce1e375500e94bac79fa0a44655d17e0fe0f259f"),
-    "verify-minus-matching-r3-swap-clash": (1, "e12a7c513002aa4b69ec2a479d177e1721ff2ffc275ff86c9b27f5b64db47566"),
-    "verify-minus-matching-r3-swap-intact": (0, "34f3f6c51db85891bf46267c19099ffc15b099136747909038926486d7151f55"),
-    "verify-union-10-4-clash": (1, "bf4a163429b6fff22f3cc95b6cafa5043b06a5aef171b873ad8f83efda576468"),
-    "verify-union-10-4-intact": (0, "b4d1f9e303c43f25e69d4ab9da8156b2c20c4ff8e26697c4b31a0e653af37133"),
-    "vizing-cubic-200": (0, "dc518d1139933cd22f4fbece6d76115a430728121cd672e48961fb9c504bf340"),
-    "vizing-k10": (0, "0dc75d7d710052b64141452a03ab04f1ddc2f2890ca659a050c67b4e91cb5c13"),
-    "vizing-k16": (0, "470b512176a75616ae260cb9010ed5dcb67ef70c70295648e6d5f4426e735285"),
-    "vizing-union-r5": (0, "bc5c00c29200f9f34bb0ed82402b32867a7d8ba6e83b03e66e1e8492d25f31a4"),
-}
-
-
-def invoke(argv, capsys):
-    code = run(argv)
-    out = capsys.readouterr().out
-    return code, out
+def graph_bytes(name, graph6=False):
+    n, edges = GRAPHS[name]()
+    return (graph6_text(n, edges) if graph6 else edge_list_text(n, edges)).encode()
 
 
 def write_graph(tmp_path, name, graph6):
-    n, edges = GRAPHS[name]()
     path = tmp_path / f"{name}.{'g6' if graph6 else 'txt'}"
-    path.write_text(graph6_text(n, edges) if graph6 else edge_list_text(n, edges))
+    path.write_bytes(graph_bytes(name, graph6))
     return str(path)
 
 
@@ -216,20 +159,13 @@ def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_output_matches_golden(case, tmp_path, capsys):
-    graph, command, extra, graph6 = CASES[case]
-    inputs = [write_graph(tmp_path, graph, graph6)] if graph else []
-    argv = [command, *extra, *(["--format", "graph6"] if graph6 else []), *inputs]
-    code, out = invoke(argv, capsys)
-    assert (code, digest(out)) == GOLDEN[case]
-
-
-def certificate_files(tmp_path, graph, capsys, corrupt=False):
+def certificate_files(tmp_path, graph, corrupt=False):
+    """The graph, coloring and vertex files of ``graph``'s certificate, the
+    coloring with one clash if ``corrupt``."""
     path = write_graph(tmp_path, graph, False)
-    code, out = invoke(["sequentialize", "--report", path], capsys)
-    assert code == 0
-    cert = json.loads(out.splitlines()[0])
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run(["sequentialize", "--report", path]) == 0
+    cert = json.loads(out.getvalue().splitlines()[0])
     lines = list(cert["coloring"])
     if corrupt:
         # Give the first edge the color of another edge at the same vertex.
@@ -243,16 +179,259 @@ def certificate_files(tmp_path, graph, capsys, corrupt=False):
     return path, str(coloring), str(vertices)
 
 
-@pytest.mark.parametrize("graph", ["minus-matching-r3-swap", "union-10-4"])
-@pytest.mark.parametrize("corrupt", [False, True], ids=["intact", "clash"])
-def test_verify_output_matches_golden(graph, corrupt, tmp_path, capsys):
-    files = certificate_files(tmp_path, graph, capsys, corrupt)
-    code, out = invoke(["verify", *files], capsys)
-    assert (code, digest(out)) == GOLDEN[f"verify-{graph}-{'clash' if corrupt else 'intact'}"]
+# ``input`` is stdin bytes, None (no input) or a certificate's (graph,
+# corrupt) pair; ``out`` and ``err`` are lines that stdout and stderr hold.
+Row = namedtuple("Row", "name input args code sha256 out err", defaults=(None, None, None))
+
+PETERSEN = b"10 15\n0 1\n1 2\n2 3\n3 4\n0 4\n5 7\n6 8\n7 9\n5 8\n6 9\n0 5\n1 6\n2 7\n3 8\n4 9\n"
+K34 = emit_edge_list(generate_complete_bipartite(3, 4)).encode()
+CLASS_TWO = r"^error: graph is Class 2: chromatic index 4 > max degree 3$"
+TOO_LARGE = (r"^error: heuristic used 10 colors and the graph is too large \(45 edges\) "
+             r"for the exact solver$")
+
+# Files that rows name as arguments; each child runs in a directory holding them.
+FILES = {"path3.txt": b"3 2\n0 1\n1 2\n", "path3-coloring.txt": b"t=2\n0 1 1\n1 2 2\n"}
+
+ROWS = {row.name: row for row in [
+    Row("seq-report-biregular-r3", graph_bytes("biregular-r3"), "sequentialize --report", 0,
+        "3ed911ed569f555e6280788e1dc9c56ad21d6725fbb0f4e2a909ca36d65355a2"),
+    Row("seq-text-biregular-r3", graph_bytes("biregular-r3"), "sequentialize", 0,
+        "bc2a6e4bc4c180aa19d5d60df71788e5aa89d23b2ea9d5a50ed5c67df1cda62b"),
+    Row("seq-report-biregular-r5-g6", graph_bytes("biregular-r5", True),
+        "sequentialize --report --format graph6", 0,
+        "e1ecd2d28475a6bae5c8cb4a800f3d666d8a00e2341750a36442d2678f5b4be8"),
+    Row("seq-report-minus-r4", graph_bytes("minus-matching-r4"), "sequentialize --report", 0,
+        "b4f866fd4107e153e2eb3923f2e35d6d47d059cd4f8d3e7600a9cc57c5df1757"),
+    Row("seq-text-minus-r4", graph_bytes("minus-matching-r4"), "sequentialize", 0,
+        "fd8e44c47e3b59a0f08098be7c640437e95e6692da4181346d5fdadd243a0e17"),
+    # At least one certificate here must make a real transposition.
+    Row("seq-report-swap", graph_bytes("minus-matching-r3-swap"), "sequentialize --report", 0,
+        "f5b8578afd6f3fe87a1d10f8b725ee60816b1c3598b01328aa5d1a285f2fbfb0",
+        out=r'"swap_color":[1-9]'),
+    Row("seq-text-swap", graph_bytes("minus-matching-r3-swap"), "sequentialize", 0,
+        "a2744cbc3680902cc7e57c3e5246377cef869da6aa9b57b0ca8549e671e8a6dc"),
+    Row("seq-report-swap1-g6", graph_bytes("minus-matching-r3-swap1", True),
+        "sequentialize --report --format graph6", 0,
+        "a98fcd01bb624dd34d2e63f4045c97647d9af97b1b52001c6778cf5bea4ea5b8"),
+    Row("seq-report-62-g6", graph_bytes("minus-matching-62-r4", True),
+        "sequentialize --report --format graph6", 0,
+        "fdee9a2c177d05f4e348191986966ae9365f74e3b96b76651c4ee10cc46cb8e6"),
+    Row("seq-report-k6", graph_bytes("k6"), "sequentialize --report", 0,
+        "d9ee7416b52c215e9e49cbbc42965d6908b98ceb8b9458f05d1231a8e4e3a823"),
+    Row("seq-text-k6-g6", graph_bytes("k6", True), "sequentialize --format graph6", 0,
+        "052d1089c4c9c9d7fd22ecf417f839609a113ce084ad37cbc776d648ce9d6cd7"),
+    Row("seq-report-union-8-3", graph_bytes("union-8-3"), "sequentialize --report", 0,
+        "9265ea5abe1d0947c90fbf73e89dffdc85865be0e8b5e254ece691d207d31be9"),
+    Row("seq-text-union-10-4", graph_bytes("union-10-4"), "sequentialize", 0,
+        "76f8a25fc6359c99d50a2adcce1e375500e94bac79fa0a44655d17e0fe0f259f"),
+    Row("seq-oracle-union-8-3", graph_bytes("union-8-3"), "sequentialize --report --oracle", 0,
+        "37eaad3b1571e8bdc37feed0555d218be9d0c1c2ccdd473fc8946d22008328b6"),
+    Row("seq-oracle-text-union-8-3", graph_bytes("union-8-3"), "sequentialize --oracle", 0,
+        "41dc599a44f82f17a68dedfab428fc4788e470ceb8233929315a85adce9f6298"),
+    Row("oracle-union-8-3", graph_bytes("union-8-3"), "oracle", 0,
+        "e56d78fa659d421f14c6485e142ac5813c5280ab1371c6979e437842fd9f2790"),
+    Row("oracle-report-union-8-3", graph_bytes("union-8-3"), "oracle --report", 0,
+        "39b779c9987a6d55efdebb61a2841e13ccdede855fea785d388990dc838277c7"),
+    Row("oracle-sum-union-8-3", graph_bytes("union-8-3"), "oracle --sum", 0,
+        "6989cd0ffcef3d5df3a6105678b78bd7a6155b709ee7c7a94561be1f515dfe1c"),
+    Row("oracle-seq-cap4-union-8-3", graph_bytes("union-8-3"),
+        "oracle --max-sequential --cap 4", 0,
+        "a35586b0ee22bbf598936f56b7177dba1e0dc62ca0359792585c88877879c0d4"),
+    Row("oracle-seq-cap4-report-union-8-3", graph_bytes("union-8-3"),
+        "oracle --max-sequential --cap 4 --report", 0,
+        "0abbfbea00b52544986a63d4288e5b22574a8ec2c519111318dc5c06aae761fd"),
+    Row("seq-oracle-text-skipped-swap", graph_bytes("minus-matching-r3-swap"),
+        "sequentialize --oracle", 0,
+        "9f288b436ef19ff3be92b7aecaf7ef853f315f383c51646db6c07c00a1752e16"),
+    Row("gen-complete-bipartite-3-4", None, "generate complete-bipartite 3 4", 0,
+        "422344b30ee4125595a0f354ac8ac5e0e00d7a56f4ae4565a39f389c4eff9730"),
+    Row("gen-biregular-4-3-seed7", None, "generate biregular 4 3 --seed 7", 0,
+        "1b01009c481bf3933e8d2e314619c6c894b9d2cc858cae261ea733d9b6294941"),
+    Row("gen-regular-class1-3-complete-g6", None,
+        "generate regular-class1 3 --complete --format graph6", 0,
+        "62073900de6d9451c02333f80b3c4de1105edb4559989fee6cfa91c1365d102b"),
+    # (n, n_r, r) = (15, 6, 3) is (2r-1)k, (r-1)k at k = 3, so the biregular
+    # form is printed too.
+    Row("bound-15-6-3", None, "bound 15 6 3", 0,
+        "dd2adaba7b7ffb13e9ed216209e573342bf4431e1a8cf78da2c648aca1868fdf"),
+    Row("color-minus-r4", graph_bytes("minus-matching-r4"), "color", 0,
+        "0c7730c9792f07c1d69c99100b13d6cfee9bee6a642f55817bcfcfd54f511c35"),
+    # K_10 is not overfull and has too many edges for the exact solver;
+    # Misra-Gries stops at its first edge that needs a tenth color (exit 4).
+    Row("color-k10", graph_bytes("k10"), "color", 4,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", err=TOO_LARGE),
+    Row("vizing-k10", graph_bytes("k10"), "color --vizing", 0,
+        "0dc75d7d710052b64141452a03ab04f1ddc2f2890ca659a050c67b4e91cb5c13"),
+    Row("vizing-k16", graph_bytes("k16"), "color --vizing", 0,
+        "470b512176a75616ae260cb9010ed5dcb67ef70c70295648e6d5f4426e735285"),
+    Row("vizing-cubic-200", graph_bytes("cubic-200"), "color --vizing", 0,
+        "dc518d1139933cd22f4fbece6d76115a430728121cd672e48961fb9c504bf340"),
+    Row("vizing-union-r5", graph_bytes("union-80-5"), "color --vizing", 0,
+        "bc5c00c29200f9f34bb0ed82402b32867a7d8ba6e83b03e66e1e8492d25f31a4"),
+    Row("verify-minus-matching-r3-swap-intact", ("minus-matching-r3-swap", False), "verify", 0,
+        "34f3f6c51db85891bf46267c19099ffc15b099136747909038926486d7151f55"),
+    Row("verify-minus-matching-r3-swap-clash", ("minus-matching-r3-swap", True), "verify", 1,
+        "e12a7c513002aa4b69ec2a479d177e1721ff2ffc275ff86c9b27f5b64db47566"),
+    Row("verify-union-10-4-intact", ("union-10-4", False), "verify", 0,
+        "b4d1f9e303c43f25e69d4ab9da8156b2c20c4ff8e26697c4b31a0e653af37133"),
+    Row("verify-union-10-4-clash", ("union-10-4", True), "verify", 1,
+        "bf4a163429b6fff22f3cc95b6cafa5043b06a5aef171b873ad8f83efda576468"),
+    # K_{4,5} at the default cap runs both oracles.
+    Row("k45-oracle", emit_edge_list(generate_complete_bipartite(4, 5)).encode(),
+        "oracle --report", 0, out=r'^\{"record":"oracle_sum","value":60,'),
+    # Petersen is Class 2: at cap 3 the max-sequential search finds no
+    # coloring and refuses it (exit 3); at cap 4 it finds one.
+    Row("petersen-oracle-cap3", PETERSEN, "oracle --report --cap 3", 3, err=CLASS_TWO),
+    Row("petersen-oracle-cap4", PETERSEN, "oracle --report --cap 4", 0,
+        out=r'^\{"record":"oracle_sequential",'),
+    # At the default cap that search refuses it before any sum search
+    # starts; the sum oracle alone still searches it.
+    Row("petersen-oracle", PETERSEN, "oracle --report", 3, err=CLASS_TWO),
+    Row("petersen-oracle-sum", PETERSEN, "oracle --report --sum", 0,
+        out=r'^\{"record":"oracle_sum",'),
+    # Petersen minus a vertex (degrees 2 and 3, two color blocks) is Class 2
+    # without being overfull; the search refuses it too.
+    Row("petersen-minus-vertex-oracle",
+        b"9 12\n0 1\n1 2\n2 3\n4 6\n5 7\n6 8\n4 7\n5 8\n0 5\n1 6\n2 7\n3 8\n",
+        "oracle --report", 3, err=CLASS_TWO),
+    # sequentialize hands Petersen (not overfull, not bipartite, and
+    # Misra-Gries needs a fourth color) to exact_chromatic_index, whose block
+    # search refutes every 3-coloring before it finds a 4-coloring.
+    Row("petersen-sequentialize", PETERSEN, "sequentialize --report", 3, err=CLASS_TWO),
+    # K_{3,4} at cap 4 stops at its matching ceiling (4 sequential vertices);
+    # at cap 5 the ceiling is n and is never reached.
+    Row("k34-oracle-cap4", K34, "oracle --report --cap 4", 0,
+        out=r'^\{"record":"oracle_sequential",'),
+    Row("k34-oracle-cap5", K34, "oracle --report --cap 5", 0,
+        out=r'^\{"record":"oracle_sequential",'),
+    # The oracle's text is rendered from the same records.
+    Row("k34-oracle-text", K34, "oracle --max-sequential --cap 4", 0,
+        out=r"^max sequential set \(4 colors\): "),
+    # run() hands --help and usage errors to argparse; its help and error
+    # text are the same under -O.
+    Row("help", K34, "sequentialize --help", 0, out=r"^usage: seqcolor sequentialize "),
+    Row("usage-error", K34, "oracle --cap three", 2,
+        err=r"^seqcolor oracle: error: argument --cap: invalid int value: 'three'$"),
+    # Edgeless: the sum oracle returns before any search, and the
+    # max-sequential one at its root.
+    Row("edgeless-oracle", b"3 0\n", "oracle --report", 0,
+        out=r'^\{"record":"oracle_sum","value":0,'),
+    # K_4 minus an edge is not bipartite and Class 1, and Misra-Gries needs a
+    # fourth color on it, so its 3-coloring comes from exact_chromatic_index.
+    Row("k4-minus-edge-oracle", b"4 5\n0 1\n0 2\n0 3\n1 2\n1 3\n",
+        "sequentialize --report --oracle", 0, out=r'^\{"record":"certificate",'),
+    # The 9-prism minus one rung (18 vertices, 26 edges) is not bipartite and
+    # has two degree-2 vertices; Misra-Gries decides it within 3 colors, so
+    # its partition is read off Misra-Gries's own palette masks and its final
+    # coloring is the one full check.
+    Row("prism9-minus-rung",
+        b"18 26\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n0 8\n9 10\n10 11\n11 12\n12 13\n"
+        b"13 14\n14 15\n15 16\n16 17\n9 17\n1 10\n2 11\n3 12\n4 13\n5 14\n6 15\n7 16\n8 17\n",
+        "sequentialize --report", 0, out=r'^\{"record":"certificate",'),
+    # sequentialize stops on K_10 as color does (color-k10).
+    Row("k10", emit_edge_list(generate_regular_class1(9, kind="complete")).encode(),
+        "sequentialize --report", 4, err=TOO_LARGE),
+    # graph6 at the largest single-byte size decodes and certifies; a payload
+    # byte outside 63..126 and bytes that are not UTF-8 are parse errors
+    # (exit 5), not tracebacks.
+    Row("k31-31-graph6", (emit_graph6(generate_complete_bipartite(31, 31)) + "\n").encode(),
+        "sequentialize --report --format graph6", 0, out=r'^\{"record":"certificate",'),
+    Row("bad-graph6-payload", b"C>\n", "sequentialize --report --format graph6", 5,
+        err=r"^error: invalid graph6 payload byte '>'$"),
+    Row("not-utf8", b"\377\3764 6\n", "sequentialize --report", 5,
+        err=r"^error: standard input is not UTF-8 text: "),
+    # build_graph looks for repeats with one set after its loop, and before
+    # it raises at an id out of range: the repeat comes first.
+    Row("repeat-then-range", b"3 3\n0 1\n1 0\n0 5\n", "sequentialize --report", 5,
+        err=r"^error: duplicate edge \(0, 1\)$"),
+    # Colors 1 and 1 at vertex 1 leave its mask one bit short of its degree:
+    # the popcount check fails and the edge scan names the clash (exit 1).
+    Row("clash", b"t=2\n0 1 1\n1 2 1\n", "verify path3.txt", 1,
+        out=r"^clash: color 1 repeats at vertex 1$"),
+    # The one-scan readers hand any other text to the token and line loops: a
+    # CRLF coloring and a tab-separated edge list are read, a literal null
+    # does not forge a line end, and deep "[" nesting is a parse error
+    # (exit 5), not a RecursionError.
+    Row("crlf-coloring", b"t=2\r\n0 1 1\r\n1 2 2\r\n", "verify path3.txt", 0,
+        out=r"^proper: ok$"),
+    Row("forged-null", b"t=2\n0 1 1 null 1 2 2\n", "verify path3.txt", 5,
+        err=r"^error: expected 'u v c', got '0 1 1 null 1 2 2'$"),
+    Row("tab-separated", K34.replace(b" ", b"\t"), "sequentialize --report", 0,
+        out=r'^\{"record":"certificate",'),
+    Row("deep-nesting", b"2 1 " + b"[" * 5000, "sequentialize --report", 5,
+        err=r"^error: non-integer token in edge list: "),
+    # The text report writes its coloring block in one write.
+    Row("k34-text", K34, "sequentialize", 0, out=r"^coloring \(t=4\):$"),
+    # The vertex file (here stdin) is read by the one scan, and a token the
+    # scan refuses goes to the token loop, which names it (exit 5).
+    Row("vertices", b"0 1\n", "verify path3.txt path3-coloring.txt", 0,
+        out=r"^sequential: ok on 2 vertices$"),
+    Row("bad-vertices", b"0 x\n", "verify path3.txt path3-coloring.txt", 5,
+        err=r"^error: vertex file must contain integers: "),
+]}
+
+# Runs each (argv, stdin bytes) pickled in the file its argument names
+# through cli.run, and pickles (stdout, stderr, exit code) per row to its
+# stdout. argparse's exits are caught, and an uncaught error is reported as
+# the interpreter would, with exit code 1.
+CHILD = """
+import io, pickle, sys, traceback
+from pathlib import Path
+from seqcolor.cli import run
+results = []
+for argv, data in pickle.loads(Path(sys.argv[1]).read_bytes()):
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data))
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except Exception:
+        code = 1
+        sys.stderr.write(traceback.format_exc())
+    results.append((sys.stdout.getvalue(), sys.stderr.getvalue(), code))
+pickle.dump(results, sys.__stdout__.buffer)
+"""
+
+FLAGS = ((), ("-O",))
 
 
-def test_swap_case_swaps(tmp_path, capsys):
-    # At least one golden certificate must exercise a real transposition.
-    path = write_graph(tmp_path, "minus-matching-r3-swap", False)
-    code, out = invoke(["sequentialize", "--report", path], capsys)
-    assert code == 0 and json.loads(out.splitlines()[0])["swap_color"] is not None
+@pytest.fixture(scope="module")
+def results(tmp_path_factory):
+    """Per flag, per row name, the row's (stdout, stderr, exit code)."""
+    work = tmp_path_factory.mktemp("cli_table")
+    for name, data in FILES.items():
+        (work / name).write_bytes(data)
+    calls = []
+    for row in ROWS.values():
+        argv, data = row.args.split(), b""
+        if isinstance(row.input, bytes):
+            argv, data = [*argv, "-"], row.input
+        elif row.input:
+            (work / row.name).mkdir()
+            argv += certificate_files(work / row.name, *row.input)
+        calls.append((argv, data))
+    (work / "rows.pickle").write_bytes(pickle.dumps(calls))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    children = [subprocess.Popen([sys.executable, *flags, "-c", CHILD, "rows.pickle"], cwd=work,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 env=dict(os.environ, PYTHONPATH=src))
+                for flags in FLAGS]
+    found = {}
+    for flags, child in zip(FLAGS, children):
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err.decode()
+        found[flags] = dict(zip(ROWS, pickle.loads(out)))
+    return found
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_cli_output_matches_golden(results, name):
+    row = ROWS[name]
+    plain, optimized = (results[flags][name] for flags in FLAGS)
+    assert plain == optimized
+    out, err, code = plain
+    assert code == row.code, err
+    assert row.sha256 is None or digest(out) == row.sha256
+    assert row.out is None or re.search(row.out, out, re.MULTILINE)
+    assert row.err is None or re.search(row.err, err, re.MULTILINE)

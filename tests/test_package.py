@@ -18,7 +18,7 @@ import pytest
 
 import seqcolor
 
-from .test_golden_output import GOLDEN, certificate_files, digest, write_graph
+from .test_golden_output import ROWS, certificate_files, digest, write_graph
 
 # The public names, in the order __all__ lists them.
 PUBLIC = [
@@ -104,13 +104,14 @@ class TestImportBoundary:
     def test_golden_commands(self, case, command, extra, graph, tmp_path):
         inputs = [write_graph(tmp_path, graph, False)] if graph else []
         oracle_loaded, code, out = run_fresh(command, *extra, *inputs)
-        assert (code, digest(out)) == GOLDEN[case]
+        assert (code, digest(out)) == (ROWS[case].code, ROWS[case].sha256)
         assert oracle_loaded == (command == "oracle" or "--oracle" in extra)
 
-    def test_verify(self, tmp_path, capsys):
-        files = certificate_files(tmp_path, "union-10-4", capsys)
+    def test_verify(self, tmp_path):
+        files = certificate_files(tmp_path, "union-10-4")
         oracle_loaded, code, out = run_fresh("verify", *files)
-        assert (code, digest(out)) == GOLDEN["verify-union-10-4-intact"]
+        row = ROWS["verify-union-10-4-intact"]
+        assert (code, digest(out)) == (row.code, row.sha256)
         assert not oracle_loaded
 
     def test_bound(self):
@@ -132,9 +133,9 @@ class TestStdlibImports:
         ("bound", ["15", "6", "3"], None),
         ("oracle", ["--report"], "union-8-3"),
     ], ids=["import", "generate", "color", "sequentialize-report", "verify", "bound", "oracle-report"])
-    def test_no_dataclasses_inspect_or_typing(self, flags, command, extra, graph, tmp_path, capsys):
+    def test_no_dataclasses_inspect_or_typing(self, flags, command, extra, graph, tmp_path):
         if command == "verify":
-            inputs = certificate_files(tmp_path, graph, capsys)
+            inputs = certificate_files(tmp_path, graph)
         else:
             inputs = [write_graph(tmp_path, graph, False)] if graph else []
         argv = [command, *extra, *inputs] if command else []

@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -174,10 +169,6 @@ class TestBounds:
     def test_sequential_set_bound(self, n, n_r, r, expected):
         assert sequential_set_bound(n, n_r, r) == expected
 
-    @pytest.mark.parametrize("n,r,expected", [(5, 3, 3), (14, 4, 8)])
-    def test_biregular_set_bound(self, n, r, expected):
-        assert biregular_set_bound(n, r) == expected
-
     def test_ceiling_identity_small_range(self):
         for r in range(3, 11):
             for n in range(0, 31):
@@ -313,23 +304,6 @@ class TestInternalChecks:
         monkeypatch.setattr(sequential, "sequential_set_bound", lambda n, n_r, r: n + 1)
         with pytest.raises(RuntimeError, match="internal error"):
             sequentialize(k23)
-
-    def test_bound_shortfall_raises_without_asserts(self):
-        script = (
-            "import pytest, seqcolor\n"
-            "from seqcolor import sequential\n"
-            "sequential.sequential_set_bound = lambda n, n_r, r: n + 1\n"
-            "with pytest.raises(RuntimeError, match='internal error'):\n"
-            "    sequential.sequentialize(seqcolor.generate_complete_bipartite(2, 3))\n"
-            "print('raised')\n"
-        )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "raised\n"
 
 
 # Non-bipartite and decided by Misra-Gries within 3 colors; the 9-prism

@@ -18,8 +18,8 @@ hits = [f"assert in src: {path}:{node.lineno}"
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)]
 # Beyond the asserts, python -O changes only __debug__ and sys.flags, so
-# with neither read in src the CLI behaves the same under -O
-# (tests/test_same_under_O.py runs it both ways).
+# with neither read in src the CLI behaves the same under -O (the CLI
+# table of tests/test_golden_output.py runs every row both ways).
 hits += [f"__debug__ or sys.flags read in src (python -O changes it): {path}:{node.lineno}"
          for path in sorted(pathlib.Path("src/seqcolor").glob("*.py"))
          for node in ast.walk(ast.parse(path.read_text(), str(path)))
