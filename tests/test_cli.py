@@ -1,3 +1,23 @@
+"""What the CLI table cannot express.
+
+Every fixed run of the CLI (one argv, one input, its exit code and output)
+is a row of ``ROWS`` in tests/test_golden_output.py, which runs under
+``python`` and ``python -O``. This module keeps the rest: runs with a
+monkeypatched library, in-process state (the parser built once, the paused
+collector and the garbage it must not hold), the argv reader against
+argparse, help and usage text against tests/reference.py, a hypothesis
+differential of ``verify``, and a fresh interpreter's real stdin. Two fixed
+runs stay here because a row cannot state them: ``test_output_file`` reads
+the file that ``-o`` writes, and ``test_reports_byte_identical`` runs the
+same command twice in one process. Six more are in-process twins of rows,
+each checking its run's key line in this process: ``test_graph6_format``
+(``gen-regular-class1-3-complete-g6``), ``test_k4_human`` and
+``test_stdin`` (``seq-text-k4``), ``test_parse_error_exit[stdin]``
+(``not-utf8``), and ``TestVerify``'s ``test_roundtrip_ok`` and
+``test_tampered_color`` (the ``verify-*-intact`` and ``verify-*-clash``
+rows).
+"""
+
 import contextlib
 import gc
 import io
@@ -19,13 +39,10 @@ from seqcolor import (
     complete_graph,
     emit_edge_list,
     generate_complete_bipartite,
-    konig_color_bipartite,
     emit_coloring,
-    parse_coloring,
     parse_edge_list,
     palette,
     sequentialize,
-    verify_proper,
     verify_sequential,
 )
 from seqcolor import oracle as oracle_module
@@ -33,8 +50,7 @@ from seqcolor.cli import COMMANDS, _read_args, build_parser, run
 
 from .conftest import class_one_near_regular, petersen_graph
 from .reference import assignment_of, coloring_of, reference_parser
-from .test_coloring import K4_MATCHING_COLORING
-from .test_golden_output import certificate_files, write_graph
+from .test_golden_output import ROWS, certificate_files, digest, write_graph
 
 
 def reference_verify(g, coloring, vertices):
@@ -88,66 +104,14 @@ def petersen_file(tmp_path):
 
 
 class TestGenerate:
-    def test_complete_bipartite(self, capsys):
-        assert run(["generate", "complete-bipartite", "2", "3"]) == 0
-        g = parse_edge_list(capsys.readouterr().out)
-        assert g.edge_set == generate_complete_bipartite(2, 3).edge_set
-
     def test_graph6_format(self, capsys):
         assert run(["generate", "regular-class1", "3", "--complete", "--format", "graph6"]) == 0
         assert capsys.readouterr().out.strip() == "C~"
-
-    def test_graph6_over_62_vertices_is_refused(self, capsys):
-        # 10 * (2 * 10 - 1) = 190 vertices: an oversize refusal (2), not I/O (5).
-        assert run(["generate", "biregular", "10", "10", "--seed", "1", "--format", "graph6"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: graph6 output supports at most 62 vertices, got 190\n"
-
-    def test_biregular_needs_seed(self, capsys):
-        assert run(["generate", "biregular", "3", "1"]) == 2
-
-    def test_biregular(self, capsys):
-        assert run(["generate", "biregular", "3", "1", "--seed", "7"]) == 0
-        g = parse_edge_list(capsys.readouterr().out)
-        assert sorted(g.degree(v) for v in g.vertices) == [2, 2, 2, 3, 3]
-
-    def test_regular_class1_default(self, capsys):
-        assert run(["generate", "regular-class1", "3"]) == 0
-        g = parse_edge_list(capsys.readouterr().out)
-        assert g.edge_set == generate_complete_bipartite(3, 3).edge_set
-
-    def test_bad_param_count(self, capsys):
-        assert run(["generate", "complete-bipartite", "2"]) == 2
-
-    @pytest.mark.parametrize("argv, stderr", [
-        (["biregular", "3", "--seed", "1"], "error: biregular takes two parameters: r k\n"),
-        (["regular-class1"], "error: regular-class1 takes one parameter: r\n"),
-    ], ids=["biregular", "regular-class1"])
-    def test_param_count_message(self, capsys, argv, stderr):
-        assert run(["generate", *argv]) == 2
-        assert capsys.readouterr() == ("", stderr)
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "out.txt"
         assert run(["generate", "complete-bipartite", "1", "1", "-o", str(target)]) == 0
         assert parse_edge_list(target.read_text()).edges == ((0, 1),)
-
-
-class TestColor:
-    def test_k23(self, k23_file, capsys):
-        assert run(["color", k23_file]) == 0
-        coloring = parse_coloring(capsys.readouterr().out)
-        assert coloring.color_count == 3
-        assert verify_proper(generate_complete_bipartite(2, 3), coloring)
-
-    def test_vizing_flag(self, petersen_file, capsys):
-        assert run(["color", petersen_file, "--vizing"]) == 0
-        coloring = parse_coloring(capsys.readouterr().out)
-        assert coloring.color_count == 4
-
-    def test_class_two_exit(self, petersen_file, capsys):
-        assert run(["color", petersen_file]) == 3
 
 
 class TestSequentialize:
@@ -157,17 +121,11 @@ class TestSequentialize:
         assert "verified: yes" in out
         assert "sequential vertices (4, bound 4): 0 1 2 3" in out
 
-    def test_report_records(self, k23_file, capsys):
-        assert run(["sequentialize", k23_file, "--report", "--oracle"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        records = [json.loads(line) for line in lines]
-        kinds = [r["record"] for r in records]
-        assert kinds == ["certificate", "sum_report", "oracle_sum", "oracle_sequential"]
-        cert, summary, osum, oseq = records
-        assert cert["bound"] == 3 and cert["verified"] is True
-        assert summary["exact_sum"] == 12 and summary["bound"] == 12
-        assert osum["value"] == 12 and osum["cap_stable"] is True
-        assert oseq["value"] == 3
+    def test_stdin(self, capsys, monkeypatch):
+        # The CLI decodes stdin's bytes itself, as it does a file's.
+        text = emit_edge_list(complete_graph(4))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+        assert run(["sequentialize", "-"]) == 0
 
     def test_failed_reverification_exits_1(self, k4_file, capsys, monkeypatch):
         # The certificate is printed as built, its failed re-check included.
@@ -178,34 +136,15 @@ class TestSequentialize:
         assert run(["sequentialize", "--report", k4_file]) == 1
         assert '"verified":false' in capsys.readouterr().out.splitlines()[0]
 
-    def test_oracle_skipped_when_oversize(self, tmp_path, capsys):
-        # K_{5,5} has 25 edges, above the exhaustive-search guard: the
-        # pipeline still runs and the oracle is skipped, not refused.
-        path = write(tmp_path, "k55.txt", emit_edge_list(generate_complete_bipartite(5, 5)))
-        assert run(["sequentialize", path, "--oracle"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert "oracle: skipped (25 edges > 20; use --override-size)" in lines
-        assert run(["sequentialize", path, "--report", "--oracle"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert [json.loads(line)["record"] for line in lines] == ["certificate", "sum_report"]
-        assert lines[1].endswith('"exact_sum":null}')
-
     def test_reports_byte_identical(self, k23_file, capsys):
         run(["sequentialize", k23_file, "--report", "--oracle"])
         first = capsys.readouterr().out
         run(["sequentialize", k23_file, "--report", "--oracle"])
         assert capsys.readouterr().out == first
 
-    def test_star_precondition_exit(self, tmp_path, capsys):
-        star = write(tmp_path, "star.txt", emit_edge_list(generate_complete_bipartite(1, 3)))
-        assert run(["sequentialize", star]) == 2
-
-    def test_petersen_class_two_exit(self, petersen_file, capsys):
-        assert run(["sequentialize", petersen_file]) == 3
-
     @pytest.mark.parametrize("name", ["K9", "C9(1,2)", "C1001(1,2)", "3K5"])
     def test_overfull_class_two_exit(self, name, tmp_path, capsys, monkeypatch):
-        from seqcolor import build_graph, coloring
+        from seqcolor import coloring
 
         if name == "K9":
             g = complete_graph(9)
@@ -222,43 +161,21 @@ class TestSequentialize:
         assert capsys.readouterr().err == (
             f"error: graph is Class 2: chromatic index {r + 1} > max degree {r}\n")
 
-    def test_missing_file(self, capsys):
-        assert run(["sequentialize", "/nonexistent/graph.txt"]) == 5
-
-    def test_garbage_input(self, tmp_path, capsys):
-        path = write(tmp_path, "bad.txt", "not a graph\n")
-        assert run(["sequentialize", path]) == 5
-
-    def test_stdin(self, k4_file, capsys, monkeypatch):
-        # The CLI decodes stdin's bytes itself, as it does a file's.
-        text = emit_edge_list(complete_graph(4))
-        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
-        assert run(["sequentialize", "-"]) == 0
-
 
 NOT_UTF8 = b"\xff\xfe4 6\n"
 NOT_UTF8_REASON = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
 
 class TestNonUtf8Input:
-    """Bytes that are not UTF-8 in any input are a parse error (exit 5), not a crash."""
+    """Bytes that are not UTF-8 in any input are a parse error (exit 5), not a
+    crash; the ``not-utf8*`` rows of the CLI table read them from stdin and
+    from each input file."""
 
-    @pytest.mark.parametrize("source", ["graph", "coloring", "vertices", "stdin"])
-    def test_parse_error_exit(self, source, tmp_path, capsys, monkeypatch, k4_file):
-        bad = tmp_path / "bad.txt"
-        bad.write_bytes(NOT_UTF8)
-        coloring_file = write(tmp_path, "c.txt", emit_coloring(K4_MATCHING_COLORING))
-        vertices_file = write(tmp_path, "r.txt", "0 1\n")
-        argv = {
-            "graph": ["verify", str(bad), coloring_file, vertices_file],
-            "coloring": ["verify", k4_file, str(bad), vertices_file],
-            "vertices": ["verify", k4_file, coloring_file, str(bad)],
-            "stdin": ["sequentialize", "-"],
-        }[source]
+    @pytest.mark.parametrize("source", ["stdin"])
+    def test_parse_error_exit(self, source, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8)))
-        assert run(argv) == 5
-        name = "standard input" if source == "stdin" else str(bad)
-        assert capsys.readouterr() == ("", f"error: {name} is not UTF-8 text: {NOT_UTF8_REASON}\n")
+        assert run(["sequentialize", "-"]) == 5
+        assert capsys.readouterr() == ("", f"error: standard input is not UTF-8 text: {NOT_UTF8_REASON}\n")
 
     def test_real_stdin(self):
         # A fresh interpreter's stdin may decode with surrogateescape; the
@@ -404,8 +321,7 @@ class TestArgvReader:
 
     def test_tuple_argv(self, capsys):
         assert run(("bound", "15", "6", "3")) == 0
-        assert capsys.readouterr().out == (
-            "sequential-set bound: 9\nbiregular form:       9\nchromatic-sum bound:  37\n")
+        assert digest(capsys.readouterr().out) == ROWS["bound-15-6-3"].sha256
 
     def test_argv_none_reads_sys_argv(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["seqcolor", "bound", "15", "6", "3"])
@@ -462,111 +378,16 @@ class TestHelpAndUsage:
             ["sequentialize", k23_file, "--report"])
 
 
-class TestBound:
-    def test_biregular_profile(self, capsys):
-        assert run(["bound", "5", "2", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "sequential-set bound: 3" in out
-        assert "biregular form:       3" in out
-        assert "chromatic-sum bound:  12" in out
-
-    def test_regular_profile_no_biregular_line(self, capsys):
-        assert run(["bound", "4", "4", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "sequential-set bound: 4" in out
-        assert "biregular form:       -" in out
-        assert "chromatic-sum bound:  12" in out
-
-    def test_k33_profile(self, capsys):
-        assert run(["bound", "6", "6", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "sequential-set bound: 6" in out
-        assert "biregular form:       -" in out
-        assert "chromatic-sum bound:  18" in out
-
-    def test_invalid_args(self, capsys):
-        assert run(["bound", "4", "5", "3"]) == 2
-
-
 class TestVerify:
-    def make_certificate_files(self, tmp_path):
-        g = generate_complete_bipartite(2, 3)
-        coloring = konig_color_bipartite(g)
-        graph_file = write(tmp_path, "g.txt", emit_edge_list(g))
-        coloring_file = write(tmp_path, "c.txt", emit_coloring(coloring))
-        vertices_file = write(tmp_path, "r.txt", "0 1\n")
-        return graph_file, coloring_file, vertices_file
-
     def test_roundtrip_ok(self, tmp_path, capsys):
-        graph_file, coloring_file, vertices_file = self.make_certificate_files(tmp_path)
-        assert run(["verify", graph_file, coloring_file, vertices_file]) == 0
+        assert run(["verify", *certificate_files(tmp_path, "k23")]) == 0
         out = capsys.readouterr().out
         assert "proper: ok" in out and "sequential: ok" in out
 
     def test_tampered_color(self, tmp_path, capsys):
-        graph_file, coloring_file, vertices_file = self.make_certificate_files(tmp_path)
-        text = open(coloring_file).read().splitlines()
-        # Recolor the first edge with the second edge's color.
-        first = text[1].split()
-        second = text[2].split()
-        text[1] = f"{first[0]} {first[1]} {second[2]}"
-        with open(coloring_file, "w") as fh:
-            fh.write("\n".join(text) + "\n")
-        assert run(["verify", graph_file, coloring_file, vertices_file]) == 1
+        # certificate_files recolors the first edge with a neighbour's color.
+        assert run(["verify", *certificate_files(tmp_path, "k23", corrupt=True)]) == 1
         assert "clash" in capsys.readouterr().out
-
-    def test_non_sequential_vertex_named(self, tmp_path, capsys):
-        graph_file, coloring_file, _ = self.make_certificate_files(tmp_path)
-        coloring = parse_coloring(open(coloring_file).read())
-        g = parse_edge_list(open(graph_file).read())
-        from seqcolor import palette
-
-        bad = next(
-            v for v in (2, 3, 4)
-            if palette(g, coloring, v) != frozenset({1, 2})
-        )
-        vertices_file = write(tmp_path, "r2.txt", f"{bad}\n")
-        assert run(["verify", graph_file, coloring_file, vertices_file]) == 1
-        assert f"not sequential at vertex {bad}" in capsys.readouterr().out
-
-    def test_coverage_mismatch(self, tmp_path, capsys):
-        graph_file, coloring_file, vertices_file = self.make_certificate_files(tmp_path)
-        lines = open(coloring_file).read().splitlines()
-        with open(coloring_file, "w") as fh:
-            fh.write("\n".join(lines[:-1]) + "\n")
-        assert run(["verify", graph_file, coloring_file, vertices_file]) == 1
-        assert "coverage mismatch" in capsys.readouterr().out
-
-    def test_edge_not_in_graph(self, tmp_path, capsys):
-        graph_file = write(tmp_path, "path.txt", "4 3\n0 1\n1 2\n2 3\n")
-        coloring_file = write(tmp_path, "c.txt", "t=2\n0 1 1\n1 2 2\n2 3 1\n0 2 1\n")
-        assert run(["verify", graph_file, coloring_file]) == 1
-        out = capsys.readouterr().out
-        assert out.startswith("coverage mismatch: coloring names 1 edge(s) not in the graph")
-        assert "proper: ok" not in out
-
-    def test_proper_only_without_vertices_file(self, tmp_path, capsys):
-        graph_file, coloring_file, _ = self.make_certificate_files(tmp_path)
-        assert run(["verify", graph_file, coloring_file]) == 0
-        assert "sequential" not in capsys.readouterr().out
-
-    @pytest.mark.parametrize("vertices, stderr", [
-        ("0 9\n", "error: unknown vertices [9]\n"),
-        ("0 x\n", "error: vertex file must contain integers: "
-                  "invalid literal for int() with base 10: 'x'\n"),
-        (None, "error: [Errno 2] No such file or directory: "),
-    ])
-    def test_bad_vertex_file_prints_no_verdict(self, tmp_path, capsys, k4_file, vertices, stderr):
-        # A proper coloring of K4: the vertex file alone is at fault.
-        coloring_file = write(tmp_path, "c.txt", emit_coloring(K4_MATCHING_COLORING))
-        if vertices is None:
-            vertices_file = str(tmp_path / "absent.txt")
-        else:
-            vertices_file = write(tmp_path, "r.txt", vertices)
-        assert run(["verify", k4_file, coloring_file, vertices_file]) == 5
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(stderr)
 
     @given(class_one_near_regular(), st.sampled_from(["recolor", "huge", "drop", "extra"]),
            st.integers(0, 2**32 - 1))
@@ -603,64 +424,6 @@ class TestVerify:
                 reference_sequential_failures(g, coloring, vertices)
 
 
-class TestOracle:
-    def test_k23_both(self, k23_file, capsys):
-        assert run(["oracle", k23_file]) == 0
-        out = capsys.readouterr().out
-        assert "exact sum: 12" in out
-        assert "max sequential set (3 colors): 3" in out
-
-    def test_k4(self, k4_file, capsys):
-        assert run(["oracle", k4_file]) == 0
-        out = capsys.readouterr().out
-        assert "exact sum: 12" in out and "max sequential set (3 colors): 4" in out
-
-    def test_sum_only(self, k23_file, capsys):
-        assert run(["oracle", k23_file, "--sum"]) == 0
-        assert "max sequential" not in capsys.readouterr().out
-
-    def test_oversize_refusal(self, tmp_path, capsys):
-        from .conftest import path_graph
-
-        big = write(tmp_path, "big.txt", emit_edge_list(path_graph(30)))
-        assert run(["oracle", big]) == 2
-
-    @pytest.mark.parametrize("mode", ["--max-sequential", "--sum"])
-    def test_recursion_depth_refusal(self, tmp_path, capsys, mode):
-        # Past the interpreter's recursion depth even --override-size is
-        # refused as oversize (exit 2), not left to a RecursionError.
-        pairs = [(2 * i, 2 * i + 1) for i in range(1500)]
-        path = write(tmp_path, "matching.txt", emit_edge_list(build_graph(3000, pairs)))
-        assert run(["oracle", "--override-size", mode, path]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: 1500 edges reach the recursion depth")
-
-    def test_report(self, k23_file, capsys):
-        assert run(["oracle", k23_file, "--report"]) == 0
-        records = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
-        assert [r["record"] for r in records] == ["oracle_sum", "oracle_sequential"]
-
-    def test_cap_override(self, k4_file, capsys):
-        assert run(["oracle", k4_file, "--max-sequential", "--cap", "4"]) == 0
-        assert "max sequential set (4 colors): 4" in capsys.readouterr().out
-
-    def test_huge_cap(self, tmp_path, capsys):
-        # The search's color masks stop at max degree + m colors, so a cap
-        # of 10**11 answers as 10**6 does; only the printed cap differs.
-        path = write(tmp_path, "path.txt", "4 3\n0 1\n1 2\n2 3\n")
-        assert run(["oracle", path, "--cap", str(10**6)]) == 0
-        expected = capsys.readouterr().out.replace("(1000000 colors)", "(100000000000 colors)")
-        assert "(100000000000 colors)" in expected
-        assert run(["oracle", path, "--cap", str(10**11)]) == 0
-        assert capsys.readouterr() == (expected, "")
-
-    def test_graph6_input(self, tmp_path, capsys):
-        path = write(tmp_path, "k4.g6", "C~\n")
-        assert run(["oracle", path, "--format", "graph6"]) == 0
-        assert "exact sum: 12" in capsys.readouterr().out
-
-
 class TestOracleOrder:
     """The max-sequential oracle runs before the sum search, so its refusals
     come before any sum search starts; the output is what it was when the
@@ -684,10 +447,6 @@ class TestOracleOrder:
     ):
         assert run(["oracle", petersen_file, *extra]) == 3
         assert capsys.readouterr() == ("", self.CLASS_TWO)
-
-    def test_sum_alone_still_searches_a_class_two_graph(self, petersen_file, capsys):
-        assert run(["oracle", petersen_file, "--sum"]) == 0
-        assert capsys.readouterr() == ("exact sum: 33 (explored 8379, cap stable: True)\n", "")
 
     @pytest.mark.parametrize("extra", [[], ["--report"], ["--sum"], ["--max-sequential"]])
     def test_oversize(self, tmp_path, capsys, no_sum_search, extra):

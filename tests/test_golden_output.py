@@ -26,6 +26,13 @@ in ``oracle-report-union-8-3``, ``oracle-union-8-3`` and
 ``seq-oracle-union-8-3`` counts the search with its color block rule: 30
 nodes, 33 without it; every other byte of those records is unchanged. A
 rewrite of the core that changes a single output byte fails here.
+
+The rows from ``gen-complete-bipartite-2-3`` on were the fixed runs of
+tests/test_cli.py (each read capsys under ``python`` alone) and, as
+``verify-repeated-edge``, ``verify-gap`` and ``verify-intact``, one test of
+tests/test_output.py. Each keeps its test's check as a line, and a digest
+where the test compared a whole output; those digests were recorded at
+commit 1242d92.
 """
 
 import contextlib
@@ -117,6 +124,14 @@ def complete(n):
     return n, [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
+def complete_bipartite(a, b):
+    return a + b, [(i, a + j) for i in range(a) for j in range(b)]
+
+
+def path_on(n):
+    return n, [(i, i + 1) for i in range(n - 1)]
+
+
 def graph6_text(n, edges):
     present = {(min(u, v), max(u, v)) for u, v in edges}
     bits = [(i, j) in present for j in range(1, n) for i in range(j)]
@@ -141,6 +156,13 @@ GRAPHS = {
     "cubic-200": lambda: matching_union(7, 200, 3),
     "union-80-5": lambda: matching_union(8, 80, 5),
     "minus-matching-62-r4": lambda: regular_minus_matching(62, 4, 31, 11),
+    "k4": lambda: complete(4),
+    "k23": lambda: complete_bipartite(2, 3),
+    "k55": lambda: complete_bipartite(5, 5),
+    "star-3": lambda: complete_bipartite(1, 3),
+    "path4": lambda: path_on(4),
+    "path31": lambda: path_on(31),
+    "matching-1500": lambda: (3000, [(2 * i, 2 * i + 1) for i in range(1500)]),
 }
 
 
@@ -180,7 +202,8 @@ def certificate_files(tmp_path, graph, corrupt=False):
 
 
 # ``input`` is stdin bytes, None (no input) or a certificate's (graph,
-# corrupt) pair; ``out`` and ``err`` are lines that stdout and stderr hold.
+# corrupt) pair; ``out`` and ``err`` are lines that stdout and stderr hold,
+# or with \A and \Z the whole stream.
 Row = namedtuple("Row", "name input args code sha256 out err", defaults=(None, None, None))
 
 PETERSEN = b"10 15\n0 1\n1 2\n2 3\n3 4\n0 4\n5 7\n6 8\n7 9\n5 8\n6 9\n0 5\n1 6\n2 7\n3 8\n4 9\n"
@@ -189,8 +212,17 @@ CLASS_TWO = r"^error: graph is Class 2: chromatic index 4 > max degree 3$"
 TOO_LARGE = (r"^error: heuristic used 10 colors and the graph is too large \(45 edges\) "
              r"for the exact solver$")
 
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+NOT_UTF8 = (r"\Aerror: bad\.txt is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+            r"position 0: invalid start byte\n\Z")
+DEPTH = r"^error: 1500 edges reach the recursion depth of the exhaustive searches "
+# K_{2,3}'s Konig coloring: proper, and vertex 3 sees colors 2 and 3.
+K23_COLORING = b"t=3\n0 2 2\n0 3 3\n0 4 1\n1 2 1\n1 3 2\n1 4 3\n"
+
 # Files that rows name as arguments; each child runs in a directory holding them.
-FILES = {"path3.txt": b"3 2\n0 1\n1 2\n", "path3-coloring.txt": b"t=2\n0 1 1\n1 2 2\n"}
+FILES = {"path3.txt": b"3 2\n0 1\n1 2\n", "path3-coloring.txt": b"t=2\n0 1 1\n1 2 2\n",
+         "path4.txt": graph_bytes("path4"), "k23.txt": graph_bytes("k23"),
+         "k23-coloring.txt": K23_COLORING, "bad.txt": b"\377\3764 6\n"}
 
 ROWS = {row.name: row for row in [
     Row("seq-report-biregular-r3", graph_bytes("biregular-r3"), "sequentialize --report", 0,
@@ -367,6 +399,129 @@ ROWS = {row.name: row for row in [
         out=r"^sequential: ok on 2 vertices$"),
     Row("bad-vertices", b"0 x\n", "verify path3.txt path3-coloring.txt", 5,
         err=r"^error: vertex file must contain integers: "),
+    # One command at a time, through its options and refusals.
+    Row("gen-complete-bipartite-2-3", None, "generate complete-bipartite 2 3", 0,
+        "c06858eb87a154553a55163b0b77b75aa771d1bfa6e6d4a7c8f806929f64f5ef"),
+    Row("gen-biregular-3-1-seed7", None, "generate biregular 3 1 --seed 7", 0,
+        "eaaed1cd02a225c3987160d27c86c1dd3fd0b087705213dda8ca55b8ff7e2164"),
+    Row("gen-regular-class1-3", None, "generate regular-class1 3", 0,
+        "293f3e7299792f75e9faec61e70c42b0d3ab5b158899ab47126968184481baf6"),
+    # 10 * (2 * 10 - 1) = 190 vertices: an oversize refusal (2), not I/O (5).
+    Row("gen-graph6-190-vertices", None, "generate biregular 10 10 --seed 1 --format graph6", 2,
+        EMPTY, err=r"\Aerror: graph6 output supports at most 62 vertices, got 190\n\Z"),
+    Row("gen-biregular-no-seed", None, "generate biregular 3 1", 2,
+        err=r"^error: biregular generation requires --seed$"),
+    Row("gen-complete-bipartite-one-size", None, "generate complete-bipartite 2", 2,
+        err=r"^error: complete-bipartite takes two sizes: a b$"),
+    Row("gen-biregular-one-parameter", None, "generate biregular 3 --seed 1", 2, EMPTY,
+        err=r"\Aerror: biregular takes two parameters: r k\n\Z"),
+    Row("gen-regular-class1-no-parameter", None, "generate regular-class1", 2, EMPTY,
+        err=r"\Aerror: regular-class1 takes one parameter: r\n\Z"),
+    Row("color-k23", graph_bytes("k23"), "color", 0,
+        "3f4af5f9cc33b7a5b6845c9758e876dca44c64ae54f931aba963e1cbc0b51a07", out=r"^t=3$"),
+    Row("vizing-petersen", PETERSEN, "color --vizing", 0,
+        "bbbf84f364d9d395c86c46d41e1ccea7d216ba8520be085f6162f14979a9d582", out=r"^t=4$"),
+    Row("color-petersen", PETERSEN, "color", 3, err=CLASS_TWO),
+    Row("seq-text-k4", graph_bytes("k4"), "sequentialize", 0,
+        "d149ba0e9f02e600d4a33cb528da9166f8f9bef1cb5087fb157bc62d1243b7c2",
+        out=r"^sequential vertices \(4, bound 4\): 0 1 2 3$"),
+    Row("seq-oracle-k23", graph_bytes("k23"), "sequentialize --report --oracle", 0,
+        "6fe8308e516645615f9230cfab6258c2ae50fc611dbdb58c5303ee97f2917329",
+        out=r'^\{"record":"oracle_sequential","value":3,'),
+    # K_{5,5} has 25 edges, above the exhaustive-search guard: the pipeline
+    # still runs and the oracle is skipped, not refused.
+    Row("seq-oracle-text-k55", graph_bytes("k55"), "sequentialize --oracle", 0,
+        out=r"^oracle: skipped \(25 edges > 20; use --override-size\)$"),
+    Row("seq-oracle-k55", graph_bytes("k55"), "sequentialize --report --oracle", 0,
+        "7e3405205b777e1affca9e39f525cced6702744d8b36539763a098917fd1ff21",
+        out=r'^\{"record":"sum_report",.*"exact_sum":null\}$'),
+    Row("seq-star", graph_bytes("star-3"), "sequentialize", 2,
+        err=r"^error: degree spread 2 exceeds 1$"),
+    Row("petersen-sequentialize-text", PETERSEN, "sequentialize", 3, err=CLASS_TWO),
+    Row("missing-file", None, "sequentialize /nonexistent/graph.txt", 5,
+        err=r"^error: \[Errno 2\] No such file or directory: '/nonexistent/graph\.txt'$"),
+    Row("garbage", b"not a graph\n", "sequentialize", 5,
+        err=r"^error: non-integer token in edge list: .*'not'$"),
+    # Bytes that are not UTF-8 in any input file are a parse error (exit 5).
+    Row("not-utf8-graph", b"0 1\n", "verify bad.txt path3-coloring.txt", 5, EMPTY, err=NOT_UTF8),
+    Row("not-utf8-coloring", b"0 1\n", "verify path3.txt bad.txt", 5, EMPTY, err=NOT_UTF8),
+    Row("not-utf8-vertices", None, "verify path3.txt path3-coloring.txt bad.txt", 5, EMPTY,
+        err=NOT_UTF8),
+    Row("bound-5-2-3", None, "bound 5 2 3", 0,
+        "672df460ba63627d89e9bb4ce9e2d89955404465d89ad7211b91570ef0ddb8ea",
+        out=r"^biregular form:       3$"),
+    Row("bound-4-4-3", None, "bound 4 4 3", 0,
+        "a20676ba48111c63e46125796acb3afe844301321b3626b1451ece01e4f321d7",
+        out=r"^biregular form:       -$"),
+    Row("bound-6-6-3", None, "bound 6 6 3", 0,
+        "a3ffc27e27faa0a6d050871fb418852531c09b757050e4fe17700133920f2800",
+        out=r"^chromatic-sum bound:  18$"),
+    Row("bound-n-r-above-n", None, "bound 4 5 3", 2,
+        err=r"^error: need 0 <= n_r <= n, got n_r=5, n=4$"),
+    Row("verify-k23-not-sequential", b"3\n", "verify k23.txt k23-coloring.txt", 1,
+        "6f329d967aaf71b8a8da2bfeb4b41ae671791ebdb0ebfb49c35e36f50830954e",
+        out=r"^not sequential at vertex 3$"),
+    Row("verify-k23-proper-only", None, "verify k23.txt k23-coloring.txt", 0,
+        "4c60b00bee9383286d929a679e008628c847b6757d058ca8d7953d565566ee37",
+        out=r"^proper: ok$"),
+    Row("verify-k23-gap", K23_COLORING.replace(b"1 4 3\n", b""), "verify k23.txt", 1,
+        "fdfa3e98b0601a8cd0feff0d7a46691b6b341dce03e5896674bdd00ffd2d8053",
+        out=r"^coverage mismatch: coloring does not cover 1 edge\(s\), e\.g\. \[\(1, 4\)\]$"),
+    Row("verify-edge-not-in-graph", b"t=2\n0 1 1\n1 2 2\n2 3 1\n0 2 1\n", "verify path4.txt", 1,
+        "fd51ab1b3206a00b081b36a9bce55cf3d719c697638278b3961186eaf5a7d093",
+        out=r"^coverage mismatch: coloring names 1 edge\(s\) not in the graph"),
+    # A repeated coloring line is a parse error (exit 5); a gap is a verdict
+    # (exit 1).
+    Row("verify-repeated-edge", b"t=2\n0 1 1\n1 2 2\n0 1 1\n", "verify path3.txt", 5,
+        err=r"^error: edge \(0, 1\) colored twice$"),
+    Row("verify-gap", b"t=2\n0 1 1\n", "verify path3.txt", 1, out=r"^coverage mismatch: "),
+    Row("verify-intact", FILES["path3-coloring.txt"], "verify path3.txt", 0, out=r"^proper: ok$"),
+    # The coloring is proper, so the vertex file alone is at fault, and no
+    # verdict is printed.
+    Row("verify-unknown-vertex", b"0 9\n", "verify path3.txt path3-coloring.txt", 5, EMPTY,
+        err=r"^error: unknown vertices \[9\]$"),
+    Row("verify-vertex-not-integer", b"0 x\n", "verify path3.txt path3-coloring.txt", 5, EMPTY,
+        err=r"^error: vertex file must contain integers: invalid literal for int\(\) "
+            r"with base 10: 'x'$"),
+    Row("verify-vertex-file-absent", None, "verify path3.txt path3-coloring.txt absent.txt", 5,
+        EMPTY, err=r"^error: \[Errno 2\] No such file or directory: 'absent\.txt'$"),
+    Row("oracle-k23", graph_bytes("k23"), "oracle", 0,
+        "e9067290c153e223cbfed44eb3f65cfcfa91c7ea82211d134bc8f0357f2fd07f",
+        out=r"^max sequential set \(3 colors\): 3 "),
+    Row("oracle-k4", graph_bytes("k4"), "oracle", 0,
+        "7d117ce0cfa9337ee22db540909307e811ff9fd86b78f6f7f25c1f4d7d402778",
+        out=r"^max sequential set \(3 colors\): 4 "),
+    Row("oracle-k4-g6", b"C~\n", "oracle --format graph6", 0,
+        "7d117ce0cfa9337ee22db540909307e811ff9fd86b78f6f7f25c1f4d7d402778", out=r"^exact sum: 12 "),
+    Row("oracle-sum-k23", graph_bytes("k23"), "oracle --sum", 0,
+        "cd9abfce1f3450c2d7027c75470c45112a2f587a40ff1c7d7420c34b12e1036b", out=r"^exact sum: 12 "),
+    Row("oracle-report-k23", graph_bytes("k23"), "oracle --report", 0,
+        "1a0c72f67e7b4a4fc2111ec2a0abfb6c731d38fdb1b431558c4d47e9a621b5cc",
+        out=r'^\{"record":"oracle_sequential",'),
+    Row("oracle-cap4-k4", graph_bytes("k4"), "oracle --max-sequential --cap 4", 0,
+        "8bb339893d248734f0f772aeeeb6acc7bbb9bf0d0359cee3c0b255ccd1f6d538",
+        out=r"^max sequential set \(4 colors\): 4 "),
+    Row("oracle-path31", graph_bytes("path31"), "oracle", 2,
+        err=r"^error: 30 edges exceeds the exhaustive-search guard of 20; "),
+    # Past the interpreter's recursion depth even --override-size is refused
+    # as oversize (exit 2), not left to a RecursionError.
+    Row("oracle-seq-depth", graph_bytes("matching-1500"),
+        "oracle --override-size --max-sequential", 2, EMPTY, err=DEPTH),
+    Row("oracle-sum-depth", graph_bytes("matching-1500"), "oracle --override-size --sum", 2,
+        EMPTY, err=DEPTH),
+    # The search's color masks stop at max degree + m colors, so a cap of
+    # 10**11 answers as 10**6 does; only the printed cap differs.
+    Row("oracle-cap-1e6", graph_bytes("path4"), "oracle --cap 1000000", 0,
+        "4788a4fd64dadab377df09828a9c716661305da3e3d8611336ae50a911daa997",
+        out=r"^max sequential set \(1000000 colors\): 4 \(explored 8\): 0 1 2 3$"),
+    Row("oracle-cap-1e11", graph_bytes("path4"), "oracle --cap 100000000000", 0,
+        "218f6dc73c1d5f429054d347a0e4442dd7da0649a001f819509d961d658db280",
+        out=r"^max sequential set \(100000000000 colors\): 4 \(explored 8\): 0 1 2 3$",
+        err=r"\A\Z"),
+    # The sum oracle alone searches a Class-2 graph (petersen-oracle-sum).
+    Row("petersen-oracle-sum-text", PETERSEN, "oracle --sum", 0,
+        "4c3e7f362ca512350beabd055b6229198fec20e159433c3a6daacf6d518f35f0",
+        out=r"^exact sum: 33 \(explored 8379, cap stable: True\)$", err=r"\A\Z"),
 ]}
 
 # Runs each (argv, stdin bytes) pickled in the file its argument names

@@ -215,13 +215,3 @@ class TestParsedMapping:
         assert "_by_edge" not in vars(coloring)
         assert coloring._by_edge == {(0, 1): 3, (1, 2): 2}
         assert coloring == EdgeColoring(((0, 1), (1, 2), (0, 1)), (1, 2, 3), 3)
-
-    def test_repeat_exits_5_and_gap_exits_1(self, tmp_path):
-        graph_file = tmp_path / "g.txt"
-        graph_file.write_text("3 2\n0 1\n1 2\n")
-        for text, code in (("t=2\n0 1 1\n1 2 2\n0 1 1\n", 5), ("t=2\n0 1 1\n", 1),
-                           ("t=2\n0 1 1\n1 2 2\n", 0)):
-            coloring_file = tmp_path / "c.txt"
-            coloring_file.write_text(text)
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                assert cli.run(["verify", str(graph_file), str(coloring_file)]) == code

@@ -115,9 +115,10 @@ class TestImportBoundary:
         assert not oracle_loaded
 
     def test_bound(self):
-        assert run_fresh("bound", "15", "6", "3") == (
-            False, 0, "sequential-set bound: 9\nbiregular form:       9\n"
-                      "chromatic-sum bound:  37\n")
+        oracle_loaded, code, out = run_fresh("bound", "15", "6", "3")
+        row = ROWS["bound-15-6-3"]
+        assert (code, digest(out)) == (row.code, row.sha256)
+        assert not oracle_loaded
 
 
 class TestStdlibImports:
