@@ -236,7 +236,8 @@ def cmd_verify(args) -> int:
             for v in sequential.violations:
                 print(f"not sequential at vertex {v}")
             return EXIT_VERIFY
-        print(f"sequential: ok on {len(set(wanted))} vertices")
+        count = len(set(wanted))
+        print(f"sequential: ok on {count} {'vertex' if count == 1 else 'vertices'}")
     return EXIT_OK
 
 

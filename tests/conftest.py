@@ -1,3 +1,4 @@
+import functools
 import random
 import signal
 
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from seqcolor import (
+    GraphError,
     build_graph,
     complete_graph,
+    connected_near_regular_graphs,
     generate_complete_bipartite,
     generate_random_biregular,
 )
@@ -49,6 +52,96 @@ def random_bipartite_graph(rng, max_part=7, p=0.5):
     a, b = rng.randint(1, max_part), rng.randint(1, max_part)
     pairs = [(i, a + j) for i in range(a) for j in range(b) if rng.random() < p]
     return build_graph(a + b, pairs)
+
+
+@functools.cache
+def census_graphs(max_edges):
+    """The census of connected near-regular graphs up to ``max_edges`` (at
+    most 13) edges, in the generator's order: one run of
+    ``connected_near_regular_graphs(13)`` per session, filtered. Sweeps that
+    take census graphs as inputs read it; tests/test_census.py, which tests
+    the generator, calls the generator."""
+    if max_edges == 13:
+        return tuple(connected_near_regular_graphs(13))
+    if max_edges > 13:
+        raise ValueError(f"the shared census stops at 13 edges, not {max_edges}")
+    return tuple(g for g in census_graphs(13) if g.edge_count <= max_edges)
+
+
+def scrambled(rng, edges):
+    """``edges`` in shuffled order, each in a random orientation."""
+    out = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    rng.shuffle(out)
+    return out
+
+
+def matching_union(rng, n, r, removed=0):
+    """r disjoint random perfect matchings on n vertices (n even), ``removed``
+    edges of the last one deleted: r-regular less ``removed`` edges."""
+    taken, matchings = set(), []
+    while len(matchings) < r:
+        order = list(range(n))
+        rng.shuffle(order)
+        matching = {(min(a, b), max(a, b)) for a, b in zip(order[::2], order[1::2])}
+        if not matching & taken:
+            taken |= matching
+            matchings.append(sorted(matching))
+    rng.shuffle(matchings[-1])
+    return [e for mt in matchings[:-1] for e in mt] + matchings[-1][removed:]
+
+
+def bipartite_minus_matching(rng, half, r, removed):
+    """r disjoint perfect matchings between two parts of ``half`` vertices
+    (cyclic shifts, then relabeled), ``removed`` edges of the last one
+    deleted: bipartite, with degrees r and r - 1."""
+    shifts = rng.sample(range(half), r)
+    matchings = [[(x, half + (x + s) % half) for x in range(half)] for s in shifts]
+    rng.shuffle(matchings[-1])
+    edges = [e for mt in matchings[:-1] for e in mt] + matchings[-1][removed:]
+    perm = list(range(2 * half))
+    rng.shuffle(perm)
+    return [(perm[u], perm[v]) for u, v in edges]
+
+
+def several_components(rng, odd):
+    """Two to five components on disjoint vertex sets and up to five isolated
+    vertices, relabeled at random, with the edges listed component by
+    component: random bipartite ones and then, when ``odd``, one holding an
+    odd cycle, so the graph is bipartite exactly when ``odd`` is false.
+    Returns the vertex count and the edges."""
+    pieces = []
+    for _ in range(rng.randint(1, 4)):
+        size = rng.randint(2, 9)
+        a = rng.randint(1, size - 1)
+        pieces.append((size, [(x, y) for x in range(a) for y in range(a, size) if rng.random() < 0.6]))
+    if odd:
+        k = rng.choice([3, 5, 7])
+        size = k + rng.randint(0, 3)
+        cycle = {(i, i + 1) for i in range(k - 1)} | {(0, k - 1)}
+        extra = {(i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < 0.3}
+        pieces.append((size, sorted(cycle | extra)))
+    else:
+        size = rng.randint(2, 9)
+        pieces.append((size, [(i, i + 1) for i in range(size - 1)]))
+    n = sum(size for size, _ in pieces) + rng.randint(0, 5)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, offset = [], 0
+    for size, piece in pieces:
+        part = [(label[offset + u], label[offset + v]) for u, v in piece]
+        rng.shuffle(part)
+        edges += part
+        offset += size
+    return n, edges
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returns, or its GraphError's class and text; any
+    other exception propagates."""
+    try:
+        return call(*args)
+    except GraphError as exc:
+        return type(exc), str(exc)
 
 
 @st.composite

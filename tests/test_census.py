@@ -11,6 +11,7 @@ import pytest
 from seqcolor import connected_near_regular_graphs, degree_profile
 from seqcolor.oracle import _graphs_with_degrees, _is_connected
 
+from .conftest import census_graphs
 from .reference import reference_graphs_with_degrees, reference_is_canonical
 
 # sha256 of repr([(g.vertex_count, g.edges) for g in census(E)]). E <= 11 were
@@ -41,8 +42,10 @@ def census(max_edges):
 
 @pytest.mark.parametrize("max_edges", sorted(CENSUS_DIGESTS))
 def test_census_byte_identical(max_edges):
-    digest = hashlib.sha256(repr(census(max_edges)).encode()).hexdigest()
-    assert digest == CENSUS_DIGESTS[max_edges]
+    graphs = census(max_edges)
+    assert hashlib.sha256(repr(graphs).encode()).hexdigest() == CENSUS_DIGESTS[max_edges]
+    # The shared census of tests/conftest.py, filtered, is the same list.
+    assert [(g.vertex_count, g.edges) for g in census_graphs(max_edges)] == graphs
 
 
 def all_realizations(degrees):

@@ -73,7 +73,8 @@ def reference_verify(g, coloring, vertices):
     failures = reference_sequential_failures(g, coloring, vertices)
     lines.extend(f"not sequential at vertex {v}" for v in failures)
     if not failures:
-        lines.append(f"sequential: ok on {len(vertices)} vertices")
+        noun = "vertex" if len(vertices) == 1 else "vertices"
+        lines.append(f"sequential: ok on {len(vertices)} {noun}")
     return "".join(line + "\n" for line in lines), 1 if failures else 0
 
 

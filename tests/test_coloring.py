@@ -12,7 +12,6 @@ from seqcolor import (
     UnknownClassError,
     build_graph,
     complete_graph,
-    connected_near_regular_graphs,
     degree_profile,
     emit_coloring,
     exact_chromatic_index,
@@ -35,6 +34,7 @@ from seqcolor import coloring as coloring_module
 
 from .conftest import (
     bipartite_graphs,
+    census_graphs,
     graphs,
     petersen_graph,
     prism_graph,
@@ -45,9 +45,7 @@ from .reference import (
     color_of,
     coloring_of,
     cycle_graph,
-    edge_key,
     reference_exact_chromatic_index,
-    reference_misra_gries,
 )
 
 K4_MATCHING_COLORING = coloring_of(
@@ -164,109 +162,6 @@ class TestMisraGries:
             assert len(palette(g, c, v)) == g.degree(v)
 
 
-def regular_matching_union(rng, n, r):
-    """r edge-disjoint random perfect matchings on n vertices, each edge in a
-    random orientation, in shuffled order."""
-    edges = set()
-    for _ in range(r):
-        while True:
-            order = list(range(n))
-            rng.shuffle(order)
-            matching = {edge_key(a, b) for a, b in zip(order[::2], order[1::2])}
-            if not matching & edges:
-                break
-        edges |= matching
-    out = [e if rng.random() < 0.5 else e[::-1] for e in sorted(edges)]
-    rng.shuffle(out)
-    return out
-
-
-class TestMisraGriesKernel:
-    """The table-driven fan step and the inlined rotation against the
-    fan-rescan Misra–Gries they replaced: the same coloring, bit for bit."""
-
-    @staticmethod
-    def assert_matches_reference(g):
-        result, expected = misra_gries(g), reference_misra_gries(g)
-        assert (result.edges, result.colors, result.color_count) == (
-            expected.edges, expected.colors, expected.color_count), g.edges
-
-    def test_census_up_to_12_edges(self):
-        classes = 0
-        for g in connected_near_regular_graphs(12):
-            self.assert_matches_reference(g)
-            classes += 1
-        assert classes == 396
-
-    def test_seeded_random_graphs_in_any_edge_order(self):
-        rng = random.Random(14)
-        for _ in range(1_000):
-            n = rng.randint(2, 40)
-            p = rng.random()
-            pairs = [(i, j) if rng.random() < 0.5 else (j, i)
-                     for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-            rng.shuffle(pairs)
-            self.assert_matches_reference(build_graph(n, pairs))
-
-    @pytest.mark.parametrize("r", [3, 4, 5, 6])
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_matching_unions(self, r, seed):
-        rng = random.Random(100 * seed + r)
-        self.assert_matches_reference(build_graph(120, regular_matching_union(rng, 120, r)))
-
-    @pytest.mark.parametrize("n", range(8, 34))
-    def test_complete_graphs(self, n):
-        self.assert_matches_reference(complete_graph(n))
-
-    @pytest.mark.parametrize("n", [7, 8, 25, 64, 101])
-    def test_circulants(self, n):
-        # C_n(1, 2) in its natural edge order, then relabeled and shuffled.
-        edges = [(i, (i + s) % n) for i in range(n) for s in (1, 2)]
-        self.assert_matches_reference(build_graph(n, edges))
-        rng = random.Random(n)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        relabeled = [(perm[u], perm[v]) for u, v in edges]
-        rng.shuffle(relabeled)
-        self.assert_matches_reference(build_graph(n, relabeled))
-
-    @given(graphs(max_n=16))
-    def test_property(self, g):
-        self.assert_matches_reference(g)
-
-
-class TestMisraGriesWithinMaxDegree:
-    """The early stop of ``within_max_degree`` against the full run: ``None``
-    exactly when the full run needs color max_degree + 1, else its coloring."""
-
-    @staticmethod
-    def assert_stops_exactly_when_over(g):
-        result, expected = misra_gries(g, within_max_degree=True), reference_misra_gries(g)
-        if expected.color_count > max(g.degrees, default=0):
-            assert result is None, g.edges
-        else:
-            assert result is not None, g.edges
-            assert (result.edges, result.colors, result.color_count) == (
-                expected.edges, expected.colors, expected.color_count), g.edges
-
-    def test_census_up_to_12_edges(self):
-        classes = 0
-        for g in connected_near_regular_graphs(12):
-            self.assert_stops_exactly_when_over(g)
-            classes += 1
-        assert classes == 396
-
-    @given(graphs())
-    def test_any_graph(self, g):
-        self.assert_stops_exactly_when_over(g)
-
-    @pytest.mark.parametrize("r", [3, 4, 5, 6])
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_matching_unions(self, r, seed):
-        rng = random.Random(100 * seed + r)
-        self.assert_stops_exactly_when_over(build_graph(120, regular_matching_union(rng, 120, r)))
-
-
 class TestKonig:
     @pytest.mark.parametrize("a,b", [(2, 3), (3, 3), (1, 1)])
     def test_exact_max_degree(self, a, b):
@@ -348,7 +243,7 @@ class TestExactChromaticIndex:
             g = random_simple_graph(rng, max_n=9, p=rng.choice([0.2, 0.4, 0.6]))
             if g.edge_count <= 18:
                 seeded.append(g)
-        cases = [*connected_near_regular_graphs(13), *seeded,
+        cases = [*census_graphs(13), *seeded,
                  petersen_graph(), complete_graph(5), complete_graph(6)]
         for g in cases:
             chi, witness = exact_chromatic_index(g)
@@ -580,7 +475,7 @@ class TestColoringMasks:
 def _first_exact_path_class():
     # The first census class that obtain_r_coloring hands to the exact
     # solver: not bipartite, Class 1, and the heuristic needs a spare color.
-    for g in connected_near_regular_graphs(12):
+    for g in census_graphs(12):
         r = degree_profile(g).max_degree
         if g.sides is None and misra_gries(g).color_count > r and exact_chromatic_index(g)[0] == r:
             return g

@@ -85,7 +85,7 @@ def regular_minus_matching(seed, r, half, cut):
     return 2 * half, relabel(rng, 2 * half, edges)
 
 
-def matching_union(seed, n, r):
+def nonbipartite_matching_union(seed, n, r):
     """Simple non-bipartite union of r random perfect matchings on n vertices:
     Class 1 by construction."""
     rng = random.Random(seed)
@@ -149,12 +149,12 @@ GRAPHS = {
     "minus-matching-r3-swap": lambda: regular_minus_matching(25, 3, 20, 7),
     "minus-matching-r3-swap1": lambda: regular_minus_matching(54, 3, 20, 7),
     "k6": lambda: complete(6),
-    "union-8-3": lambda: matching_union(5, 8, 3),
-    "union-10-4": lambda: matching_union(6, 10, 4),
+    "union-8-3": lambda: nonbipartite_matching_union(5, 8, 3),
+    "union-10-4": lambda: nonbipartite_matching_union(6, 10, 4),
     "k10": lambda: complete(10),
     "k16": lambda: complete(16),
-    "cubic-200": lambda: matching_union(7, 200, 3),
-    "union-80-5": lambda: matching_union(8, 80, 5),
+    "cubic-200": lambda: nonbipartite_matching_union(7, 200, 3),
+    "union-80-5": lambda: nonbipartite_matching_union(8, 80, 5),
     "minus-matching-62-r4": lambda: regular_minus_matching(62, 4, 31, 11),
     "k4": lambda: complete(4),
     "k23": lambda: complete_bipartite(2, 3),
@@ -397,6 +397,9 @@ ROWS = {row.name: row for row in [
     # scan refuses goes to the token loop, which names it (exit 5).
     Row("vertices", b"0 1\n", "verify path3.txt path3-coloring.txt", 0,
         out=r"^sequential: ok on 2 vertices$"),
+    Row("vertices-one", b"1\n", "verify path3.txt path3-coloring.txt", 0,
+        "a873e21dc440e67bbc6b8c0849ffc100f906cddcb168bdef39f2d2642e1a01f7",
+        out=r"^sequential: ok on 1 vertex$"),
     Row("bad-vertices", b"0 x\n", "verify path3.txt path3-coloring.txt", 5,
         err=r"^error: vertex file must contain integers: "),
     # One command at a time, through its options and refusals.

@@ -1,12 +1,14 @@
 """The per-edge kernels of the certify pipeline against the versions they
 replaced, kept in tests/reference.py: ``build_graph`` (graphs and error
-texts), ``Graph.degrees``, ``Graph.sides``, ``konig_color_bipartite`` and
-``coloring_masks``, on the census, seeded random graphs, graphs of several
-components, graphs built like the benchmark's and hypothesis graphs; and the
-certify pipeline, which caches nothing on ``Graph`` but ``degrees`` and
-``sides``."""
+texts), ``Graph.degrees``, ``Graph.sides``, ``konig_color_bipartite``,
+``misra_gries`` (full and within the max degree) and ``coloring_masks``, on
+the census, seeded random graphs, graphs of several components, complete
+graphs, circulants, graphs built like the benchmark's and hypothesis graphs;
+the shared graph families of tests/conftest.py; and the certify pipeline,
+which caches nothing on ``Graph`` but ``degrees`` and ``sides``."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,11 +16,9 @@ from hypothesis import given, strategies as st
 from seqcolor import (
     ClassTwoError,
     EdgeColoring,
-    GraphError,
     UnknownClassError,
     build_graph,
     complete_graph,
-    connected_near_regular_graphs,
     emit_graph6,
     generate_random_biregular,
     konig_color_bipartite,
@@ -30,22 +30,25 @@ from seqcolor import (
 from seqcolor.coloring import coloring_masks
 from seqcolor.graph import Graph
 
-from .conftest import graphs, prism_graph
+from .conftest import (
+    bipartite_minus_matching,
+    census_graphs,
+    graphs,
+    matching_union,
+    outcome,
+    prism_graph,
+    scrambled,
+    several_components,
+)
 from .reference import (
     incidence_of,
     reference_build_graph,
     reference_coloring_masks,
     reference_konig_color_bipartite,
+    reference_misra_gries,
     reference_parse_graph6,
     reference_sides,
 )
-
-
-def scrambled(rng, edges):
-    """``edges`` in shuffled order, each in a random orientation."""
-    out = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
-    rng.shuffle(out)
-    return out
 
 
 def with_faults(rng, n, edges):
@@ -65,13 +68,6 @@ def with_faults(rng, n, edges):
             fault = fault if rng.random() < 0.5 else fault[::-1]
         out.insert(rng.randint(0, len(out)), fault)
     return out
-
-
-def outcome(build, n, edges):
-    try:
-        return build(n, edges)
-    except GraphError as exc:
-        return f"GraphError: {exc}"
 
 
 def mask_cases(rng, g, proper):
@@ -98,18 +94,20 @@ def mask_cases(rng, g, proper):
 
 def assert_kernels_match(rng, n, raw):
     """Every kernel on the graph of ``raw`` edges, and ``build_graph`` on
-    faulty copies of them, against its reference."""
+    faulty copies of them, against its reference. Misra–Gries runs on every
+    graph: in full, and within the max degree, which stops (``None``)
+    exactly when the full run needs color max degree + 1."""
     g = build_graph(n, raw)
     assert g == reference_build_graph(n, raw)
     assert g.degrees == tuple(map(len, incidence_of(g)))
     assert g.sides == reference_sides(g)
+    coloring = misra_gries(g)
+    assert coloring == reference_misra_gries(g), raw
+    within = misra_gries(g, within_max_degree=True)
+    assert within == (None if coloring.color_count > max(g.degrees, default=0) else coloring), raw
     if g.sides is not None:
         coloring = konig_color_bipartite(g)
-        expected = reference_konig_color_bipartite(g)
-        assert (coloring.edges, coloring.colors, coloring.color_count) == (
-            expected.edges, expected.colors, expected.color_count)
-    else:
-        coloring = misra_gries(g)
+        assert coloring == reference_konig_color_bipartite(g)
     for case in mask_cases(rng, g, coloring):
         assert coloring_masks(g, case) == reference_coloring_masks(g, case)
     for _ in range(3):
@@ -117,89 +115,36 @@ def assert_kernels_match(rng, n, raw):
         assert outcome(build_graph, n, bad) == outcome(reference_build_graph, n, bad)
 
 
-def bipartite_minus_matching(rng, half, r, removed):
-    """r disjoint perfect matchings between two parts of ``half`` vertices
-    (cyclic shifts, then relabeled), ``removed`` edges of the last one
-    deleted."""
-    shifts = rng.sample(range(half), r)
-    matchings = [[(x, half + (x + s) % half) for x in range(half)] for s in shifts]
-    rng.shuffle(matchings[-1])
-    edges = [e for mt in matchings[:-1] for e in mt] + matchings[-1][removed:]
-    perm = list(range(2 * half))
-    rng.shuffle(perm)
-    return [(perm[u], perm[v]) for u, v in edges]
-
-
-def matching_union(rng, n, r, removed):
-    """r disjoint random perfect matchings on n vertices, ``removed`` edges
-    of the last one deleted."""
-    taken, matchings = set(), []
-    while len(matchings) < r:
-        order = list(range(n))
-        rng.shuffle(order)
-        matching = {(min(a, b), max(a, b)) for a, b in zip(order[::2], order[1::2])}
-        if not matching & taken:
-            taken |= matching
-            matchings.append(sorted(matching))
-    rng.shuffle(matchings[-1])
-    return [e for mt in matchings[:-1] for e in mt] + matchings[-1][removed:]
-
-
-def several_components(rng, odd):
-    """Two to five components on disjoint vertex sets and up to five isolated
-    vertices, relabeled at random, with the edges listed component by
-    component: random bipartite ones and then, when ``odd``, one holding an
-    odd cycle. Returns the vertex count and the edges."""
-    pieces = []
-    for _ in range(rng.randint(1, 4)):
-        size = rng.randint(2, 9)
-        a = rng.randint(1, size - 1)
-        pieces.append((size, [(x, y) for x in range(a) for y in range(a, size) if rng.random() < 0.6]))
-    if odd:
-        k = rng.choice([3, 5, 7])
-        size = k + rng.randint(0, 3)
-        cycle = {(i, i + 1) for i in range(k - 1)} | {(0, k - 1)}
-        extra = {(i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < 0.3}
-        pieces.append((size, sorted(cycle | extra)))
-    else:
-        size = rng.randint(2, 9)
-        pieces.append((size, [(i, i + 1) for i in range(size - 1)]))
-    n = sum(size for size, _ in pieces) + rng.randint(0, 5)
-    label = list(range(n))
-    rng.shuffle(label)
-    edges, offset = [], 0
-    for size, piece in pieces:
-        part = [(label[offset + u], label[offset + v]) for u, v in piece]
-        rng.shuffle(part)
-        edges += part
-        offset += size
-    return n, edges
-
-
 class TestKernelsAgainstReference:
     def test_census_up_to_12_edges(self):
         rng = random.Random(23)
         classes = 0
-        for g in connected_near_regular_graphs(12):
+        for g in census_graphs(12):
             assert_kernels_match(rng, g.vertex_count, list(g.edges))
             assert_kernels_match(rng, g.vertex_count, scrambled(rng, g.edges))
             classes += 1
         assert classes == 396
 
     def test_seeded_random_graphs_in_shuffled_order(self):
-        rng = random.Random(11)
-        for _ in range(300):
-            n = rng.randint(0, 40)
+        rng = random.Random(14)
+        # Edgeless graphs on 0 and 1 vertices, whose faults are loops and
+        # ids out of range, then 1,000 on 2 to 40 vertices.
+        cases = [(n, []) for n in [0, 1] * 5]
+        for _ in range(1_000):
+            n = rng.randint(2, 40)
             p = rng.random()
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-            assert_kernels_match(rng, n, scrambled(rng, pairs))
+            pairs = [(i, j) if rng.random() < 0.5 else (j, i)
+                     for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            rng.shuffle(pairs)
+            cases.append((n, pairs))
+        for n, pairs in cases:
+            assert_kernels_match(rng, n, pairs)
 
     @pytest.mark.parametrize("odd", [False, True])
     def test_several_components(self, odd):
         rng = random.Random(31 + odd)
         for _ in range(200):
             n, edges = several_components(rng, odd)
-            assert (build_graph(n, edges).sides is None) == odd
             assert_kernels_match(rng, n, edges)
             assert_kernels_match(rng, n, scrambled(rng, edges))
 
@@ -226,17 +171,64 @@ class TestKernelsAgainstReference:
         assert_kernels_match(rng, 2 * half, scrambled(rng, edges))
 
     @pytest.mark.parametrize("r", [3, 4, 5, 6])
-    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matching_unions(self, r, seed):
+        # r-regular on 120 vertices, and on 200 vertices less up to 50 edges.
         rng = random.Random(100 * seed + r)
-        n = 200
-        edges = matching_union(rng, n, r, rng.randint(0, n // 4))
-        assert_kernels_match(rng, n, scrambled(rng, edges))
+        assert_kernels_match(rng, 120, scrambled(rng, matching_union(rng, 120, r)))
+        edges = matching_union(rng, 200, r, rng.randint(0, 50))
+        assert_kernels_match(rng, 200, scrambled(rng, edges))
+
+    @pytest.mark.parametrize("n", range(8, 34))
+    def test_complete_graphs(self, n):
+        assert_kernels_match(random.Random(n), n, list(complete_graph(n).edges))
+
+    @pytest.mark.parametrize("n", [7, 8, 25, 64, 101])
+    def test_circulants(self, n):
+        # C_n(1, 2) in its natural edge order, then relabeled and shuffled.
+        edges = [(i, (i + s) % n) for i in range(n) for s in (1, 2)]
+        rng = random.Random(n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabeled = [(perm[u], perm[v]) for u, v in edges]
+        rng.shuffle(relabeled)
+        assert_kernels_match(rng, n, edges)
+        assert_kernels_match(rng, n, relabeled)
 
     @given(graphs(max_n=16), st.integers(0, 2**32 - 1))
     def test_property(self, g, seed):
         rng = random.Random(seed)
         assert_kernels_match(rng, g.vertex_count, scrambled(rng, g.edges))
+
+
+class TestFamilies:
+    """Each shared family of tests/conftest.py yields what its docstring
+    says."""
+
+    def test_scrambled_keeps_the_edges(self):
+        rng = random.Random(5)
+        edges = matching_union(rng, 20, 3)
+        out = scrambled(rng, edges)
+        assert sorted((min(e), max(e)) for e in out) == sorted(edges)
+
+    @pytest.mark.parametrize("n, r, removed", [(8, 3, 0), (120, 6, 0), (200, 4, 50)])
+    def test_matching_union_is_regular_less_removed_edges(self, n, r, removed):
+        g = build_graph(n, matching_union(random.Random(n), n, r, removed))
+        assert g.edge_count == n * r // 2 - removed
+        assert Counter(g.degrees) == Counter({r: n - 2 * removed, r - 1: 2 * removed})
+
+    @pytest.mark.parametrize("half, r, removed", [(5, 3, 1), (150, 5, 149)])
+    def test_bipartite_minus_matching(self, half, r, removed):
+        edges = bipartite_minus_matching(random.Random(half), half, r, removed)
+        g = build_graph(2 * half, edges)
+        assert g.sides is not None
+        assert Counter(g.degrees) == Counter({r: 2 * (half - removed), r - 1: 2 * removed})
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_several_components_is_bipartite_unless_odd(self, odd):
+        rng = random.Random(31 + odd)
+        for _ in range(50):
+            assert (build_graph(*several_components(rng, odd)).sides is None) == odd
 
 
 class TestPipelineBuildsNoIncidence:
@@ -298,7 +290,7 @@ class TestGraph6DecodesWithoutBuildGraph:
         assert decoded == reference_parse_graph6(text)
 
     def test_census_up_to_12_edges(self):
-        for g in connected_near_regular_graphs(12):
+        for g in census_graphs(12):
             self.assert_decodes_as_built(g)
 
     @pytest.mark.parametrize("n", range(63))

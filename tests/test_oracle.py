@@ -27,7 +27,7 @@ from seqcolor import (
 from seqcolor import oracle as oracle_module
 from seqcolor.coloring import check_exhaustive_size
 
-from .conftest import path_graph
+from .conftest import census_graphs, path_graph
 from .reference import (
     coloring_of,
     cycle_graph,
@@ -242,7 +242,7 @@ class TestMaxSequentialKernel:
         return compared, refused, nodes
 
     def census_totals(self, extra_colors):
-        runs = [self.compare_or_refuse(g, extra_colors) for g in connected_near_regular_graphs(12)]
+        runs = [self.compare_or_refuse(g, extra_colors) for g in census_graphs(12)]
         return [sum(column) for column in zip(*runs)]
 
     def test_census_up_to_12_edges_at_r_and_r_plus_1(self):
@@ -378,7 +378,7 @@ class TestMaxSequentialCeiling:
     def test_census_up_to_12_edges(self):
         # The optimum reaches the ceiling on 164 of the 385 Class-1 classes.
         reached = classes = 0
-        for g in connected_near_regular_graphs(12):
+        for g in census_graphs(12):
             r = degree_profile(g).max_degree
             degree = [g.degree(v) for v in g.vertices]
             try:
@@ -449,7 +449,7 @@ class TestMinSumKernel:
             complete_graph(6),
         ]
         compared = 0
-        for g in [*connected_near_regular_graphs(13), *named]:
+        for g in [*census_graphs(13), *named]:
             self.assert_matches_reference(g)
             compared += 1
         assert compared == 875 + 4

@@ -22,17 +22,8 @@ from seqcolor import (
 from seqcolor import coloring as coloring_module
 from seqcolor import graph_io
 
-from .conftest import graphs, petersen_graph
+from .conftest import graphs, outcome, petersen_graph
 from .reference import reference_parse_coloring, reference_parse_edge_list
-
-
-def outcome(parse, text):
-    """What ``parse`` returns for ``text``, or its GraphError's class and text;
-    any other exception propagates."""
-    try:
-        return parse(text)
-    except GraphError as exc:
-        return type(exc), str(exc)
 
 
 def _token(text, rng):

@@ -5,24 +5,33 @@ per finding and exits 1 if there is any, else exits 0 silently. It checks
 ``src/seqcolor`` for assert statements (``python -O`` strips them), reads of
 ``__debug__`` or ``sys.flags`` (``python -O`` changes them), coverage
 pragmas, dataclasses or typing imports, gc use outside cli.py, incidence
-attribute reads and dead definitions, and ``src/seqcolor`` and ``tests``
-for unused ``from ... import`` names.
+attribute reads and dead definitions, ``src/seqcolor`` and ``tests`` for
+unused ``from ... import`` names, and ``tests`` for a top-level function
+defined in more than one module.
 """
 
-import ast, os, pathlib, sys
+import ast, functools, os, pathlib, sys
 
 # Every path below is relative to the repository root.
 os.chdir(pathlib.Path(__file__).resolve().parent.parent)
+
+
+@functools.cache
+def tree(path):
+    """The syntax tree of ``path``, parsed once for every check."""
+    return ast.parse(path.read_text(), str(path))
+
+
 hits = [f"assert in src: {path}:{node.lineno}"
         for path in sorted(pathlib.Path("src/seqcolor").glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for node in ast.walk(tree(path))
         if isinstance(node, ast.Assert)]
 # Beyond the asserts, python -O changes only __debug__ and sys.flags, so
 # with neither read in src the CLI behaves the same under -O (the CLI
 # table of tests/test_golden_output.py runs every row both ways).
 hits += [f"__debug__ or sys.flags read in src (python -O changes it): {path}:{node.lineno}"
          for path in sorted(pathlib.Path("src/seqcolor").glob("*.py"))
-         for node in ast.walk(ast.parse(path.read_text(), str(path)))
+         for node in ast.walk(tree(path))
          if (isinstance(node, ast.Name) and node.id == "__debug__")
          or (isinstance(node, ast.Attribute) and node.attr == "flags"
              and isinstance(node.value, ast.Name) and node.value.id == "sys")
@@ -40,7 +49,7 @@ hits += [f"coverage pragma in src: {path}:{number}"
 # collections.abc.
 hits += [f"{module} import in src (adds to setup_s): {path}:{node.lineno}"
          for path in sorted(pathlib.Path("src/seqcolor").glob("*.py"))
-         for node in ast.walk(ast.parse(path.read_text(), str(path)))
+         for node in ast.walk(tree(path))
          for module in ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                         else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
          if module.split(".")[0] in ("dataclasses", "typing")]
@@ -50,7 +59,7 @@ hits += [f"{module} import in src (adds to setup_s): {path}:{node.lineno}"
 hits += [f"gc use outside cli.py (the collector is process-wide): {path}:{node.lineno}"
          for path in sorted(pathlib.Path("src/seqcolor").glob("*.py"))
          if path.name != "cli.py"
-         for node in ast.walk(ast.parse(path.read_text(), str(path)))
+         for node in ast.walk(tree(path))
          if (isinstance(node, ast.Import)
              and any(alias.name.split(".")[0] == "gc" for alias in node.names))
          or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gc")
@@ -62,20 +71,30 @@ hits += [f"gc use outside cli.py (the collector is process-wide): {path}:{node.l
 # attribute.
 hits += [f"incidence attribute read in src (build the index where it is read): {path}:{node.lineno}"
          for path in sorted(pathlib.Path("src/seqcolor").glob("*.py"))
-         for node in ast.walk(ast.parse(path.read_text(), str(path)))
+         for node in ast.walk(tree(path))
          if isinstance(node, ast.Attribute) and node.attr == "incidence"]
 # A "from ... import" name that no Name node reads (an attribute base
 # is a Name too). __init__.py imports only to re-export.
 paths = [p for p in sorted(pathlib.Path("src/seqcolor").glob("*.py"))
          if p.name != "__init__.py"] + sorted(pathlib.Path("tests").glob("*.py"))
 for path in paths:
-    tree = ast.parse(path.read_text(), str(path))
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {node.id for node in ast.walk(tree(path)) if isinstance(node, ast.Name)}
     hits += [f"unused import: {path}:{node.lineno}: {alias.asname or alias.name}"
-             for node in ast.walk(tree)
+             for node in ast.walk(tree(path))
              if isinstance(node, ast.ImportFrom) and node.module != "__future__"
              for alias in node.names
              if (alias.asname or alias.name) not in used]
+# A graph family or helper that two test modules define is two copies
+# of one corpus: define it once, in tests/conftest.py (the generators
+# that the golden digests pin keep names of their own).
+defined = {}
+for path in sorted(pathlib.Path("tests").glob("*.py")):
+    for node in tree(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined.setdefault(node.name, []).append(f"{path}:{node.lineno}")
+hits += [f"function defined in more than one tests module (define it once in "
+         f"tests/conftest.py): {name}: {', '.join(places)}"
+         for name, places in defined.items() if len(places) > 1]
 # A function or method defined in src/seqcolor (dunders aside)
 # needs a Name or Attribute in src or bench that names it, or a
 # string there (the tracer's span lists name functions by string).
@@ -88,7 +107,7 @@ for path in paths:
 named = {"src": set(), "tests": set(), "bench": set()}
 for top, names in named.items():
     for path in sorted(pathlib.Path(top).rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for node in ast.walk(tree(path)):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -100,7 +119,7 @@ for top, names in named.items():
 hits += [f"{'test-only' if node.name in named['tests'] else 'dead'} "
          f"definition in src: {path}:{node.lineno}: {node.name}"
          for path in sorted(pathlib.Path("src/seqcolor").glob("*.py"))
-         for node in ast.walk(ast.parse(path.read_text(), str(path)))
+         for node in ast.walk(tree(path))
          if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
          and not (node.name.startswith("__") and node.name.endswith("__"))
          and node.name not in named["src"] | named["bench"]]
