@@ -12,7 +12,10 @@ from seqcolor import (
     connected_near_regular_graphs,
     generate_complete_bipartite,
     generate_random_biregular,
+    misra_gries,
 )
+
+from .reference import reference_misra_gries
 
 settings.register_profile("default", deadline=None, max_examples=60)
 settings.load_profile("default")
@@ -142,6 +145,22 @@ def outcome(call, *args):
         return call(*args)
     except GraphError as exc:
         return type(exc), str(exc)
+
+
+def assert_misra_gries_matches(g):
+    """``misra_gries`` against the fan-rescan version it replaced: the same
+    coloring, bit for bit, which it returns."""
+    coloring = misra_gries(g)
+    assert coloring == reference_misra_gries(g), g.edges
+    return coloring
+
+
+def assert_stops_exactly_when_over(g, full):
+    """``misra_gries`` within the max degree against ``full``, the full
+    run's coloring: ``None`` exactly when ``full`` needs color max degree
+    + 1, else ``full``."""
+    within = misra_gries(g, within_max_degree=True)
+    assert within == (None if full.color_count > max(g.degrees, default=0) else full), g.edges
 
 
 @st.composite

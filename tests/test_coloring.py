@@ -33,19 +33,24 @@ from seqcolor import (
 from seqcolor import coloring as coloring_module
 
 from .conftest import (
+    assert_misra_gries_matches,
+    assert_stops_exactly_when_over,
     bipartite_graphs,
     census_graphs,
     graphs,
+    matching_union,
     petersen_graph,
     prism_graph,
     prism_minus_rungs,
     random_simple_graph,
+    scrambled,
 )
 from .reference import (
     color_of,
     coloring_of,
     cycle_graph,
     reference_exact_chromatic_index,
+    reference_misra_gries,
 )
 
 K4_MATCHING_COLORING = coloring_of(
@@ -160,6 +165,62 @@ class TestMisraGries:
         c = misra_gries(g)
         for v in g.vertices:
             assert len(palette(g, c, v)) == g.degree(v)
+
+
+class TestMisraGriesKernel:
+    """The table-driven fan step and the inlined rotation against the
+    fan-rescan Misra–Gries they replaced: the same coloring, bit for bit.
+    ``assert_kernels_match`` (tests/test_kernels.py) runs both Misra–Gries
+    checks on its families too."""
+
+    def test_census_up_to_12_edges(self):
+        for g in census_graphs(12):
+            assert_misra_gries_matches(g)
+        assert len(census_graphs(12)) == 396
+
+    def test_seeded_random_graphs_in_any_edge_order(self):
+        rng = random.Random(14)
+        for _ in range(1_000):
+            n = rng.randint(2, 40)
+            p = rng.random()
+            pairs = [(i, j) if rng.random() < 0.5 else (j, i)
+                     for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            rng.shuffle(pairs)
+            assert_misra_gries_matches(build_graph(n, pairs))
+
+    @pytest.mark.parametrize("r", [3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matching_unions(self, r, seed):
+        rng = random.Random(100 * seed + r)
+        assert_misra_gries_matches(build_graph(120, scrambled(rng, matching_union(rng, 120, r))))
+
+    @given(graphs(max_n=16))
+    def test_property(self, g):
+        assert_misra_gries_matches(g)
+
+
+class TestMisraGriesWithinMaxDegree:
+    """The early stop of ``within_max_degree`` against the full run: ``None``
+    exactly when the full run needs color max_degree + 1, else its coloring."""
+
+    def test_census_up_to_12_edges(self):
+        over = 0
+        for g in census_graphs(12):
+            full = reference_misra_gries(g)
+            assert_stops_exactly_when_over(g, full)
+            over += full.color_count > max(g.degrees)
+        assert 0 < over < len(census_graphs(12)) == 396
+
+    @given(graphs())
+    def test_any_graph(self, g):
+        assert_stops_exactly_when_over(g, reference_misra_gries(g))
+
+    @pytest.mark.parametrize("r", [3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matching_unions(self, r, seed):
+        rng = random.Random(100 * seed + r)
+        g = build_graph(120, scrambled(rng, matching_union(rng, 120, r)))
+        assert_stops_exactly_when_over(g, reference_misra_gries(g))
 
 
 class TestKonig:

@@ -22,7 +22,6 @@ from seqcolor import (
     emit_graph6,
     generate_random_biregular,
     konig_color_bipartite,
-    misra_gries,
     parse_graph6,
     sum_report,
     verify_certificate,
@@ -31,6 +30,8 @@ from seqcolor.coloring import coloring_masks
 from seqcolor.graph import Graph
 
 from .conftest import (
+    assert_misra_gries_matches,
+    assert_stops_exactly_when_over,
     bipartite_minus_matching,
     census_graphs,
     graphs,
@@ -45,7 +46,6 @@ from .reference import (
     reference_build_graph,
     reference_coloring_masks,
     reference_konig_color_bipartite,
-    reference_misra_gries,
     reference_parse_graph6,
     reference_sides,
 )
@@ -101,10 +101,8 @@ def assert_kernels_match(rng, n, raw):
     assert g == reference_build_graph(n, raw)
     assert g.degrees == tuple(map(len, incidence_of(g)))
     assert g.sides == reference_sides(g)
-    coloring = misra_gries(g)
-    assert coloring == reference_misra_gries(g), raw
-    within = misra_gries(g, within_max_degree=True)
-    assert within == (None if coloring.color_count > max(g.degrees, default=0) else coloring), raw
+    coloring = assert_misra_gries_matches(g)
+    assert_stops_exactly_when_over(g, coloring)
     if g.sides is not None:
         coloring = konig_color_bipartite(g)
         assert coloring == reference_konig_color_bipartite(g)
@@ -126,19 +124,12 @@ class TestKernelsAgainstReference:
         assert classes == 396
 
     def test_seeded_random_graphs_in_shuffled_order(self):
-        rng = random.Random(14)
-        # Edgeless graphs on 0 and 1 vertices, whose faults are loops and
-        # ids out of range, then 1,000 on 2 to 40 vertices.
-        cases = [(n, []) for n in [0, 1] * 5]
-        for _ in range(1_000):
-            n = rng.randint(2, 40)
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(0, 40)
             p = rng.random()
-            pairs = [(i, j) if rng.random() < 0.5 else (j, i)
-                     for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-            rng.shuffle(pairs)
-            cases.append((n, pairs))
-        for n, pairs in cases:
-            assert_kernels_match(rng, n, pairs)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            assert_kernels_match(rng, n, scrambled(rng, pairs))
 
     @pytest.mark.parametrize("odd", [False, True])
     def test_several_components(self, odd):
@@ -171,13 +162,12 @@ class TestKernelsAgainstReference:
         assert_kernels_match(rng, 2 * half, scrambled(rng, edges))
 
     @pytest.mark.parametrize("r", [3, 4, 5, 6])
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [1, 2])
     def test_matching_unions(self, r, seed):
-        # r-regular on 120 vertices, and on 200 vertices less up to 50 edges.
         rng = random.Random(100 * seed + r)
-        assert_kernels_match(rng, 120, scrambled(rng, matching_union(rng, 120, r)))
-        edges = matching_union(rng, 200, r, rng.randint(0, 50))
-        assert_kernels_match(rng, 200, scrambled(rng, edges))
+        n = 200
+        edges = matching_union(rng, n, r, rng.randint(0, n // 4))
+        assert_kernels_match(rng, n, scrambled(rng, edges))
 
     @pytest.mark.parametrize("n", range(8, 34))
     def test_complete_graphs(self, n):
